@@ -11,15 +11,17 @@ produces:
 * the makespan comes from the sweep (bit-identical to the event kernel —
   see the exactness contract in :mod:`repro.simulation.batch`);
 * the optimum is :func:`repro.exact.optimal.optimal_makespan` on the same
-  realization, memoized per (instance, model, seed) *group* so one value
-  serves every strategy in the grid instead of being recomputed per cell;
-* ratio / guarantee / ``within_guarantee`` use the same helpers as
-  :class:`~repro.analysis.ratios.RatioRecord`.
+  realization, memoized per (instance, model, seed) *group* in the
+  chunk's :class:`~repro.analysis.parallel.GroupMemo`, so one value
+  serves every strategy instead of being recomputed per cell;
+* the record comes from :meth:`ExperimentRecord.measured
+  <repro.analysis.records.ExperimentRecord.measured>`, the constructor
+  the per-cell path uses too.
 
 Observability: each pack opens a ``grid.batch`` span and emits one
 ``grid.batch_pack`` event; every cell served by the sweep bumps
 ``grid.cells_done`` (keeping the grid's aggregate counters identical in
-meaning to the serial path) plus the batch-specific
+meaning to the per-cell path) plus the batch-specific
 ``grid.cells_batched`` counter.
 """
 
@@ -30,10 +32,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.analysis.parallel import CellOutcome, CellSpec, RetryPolicy
-from repro.analysis.ratios import within_guarantee
+from repro.analysis.parallel import CellOutcome, CellSpec, GroupMemo
 from repro.analysis.records import ExperimentRecord
-from repro.exact.optimal import OptimalValue, optimal_makespan
+from repro.exact.optimal import optimal_makespan
+from repro.obs.tracer import get_tracer
 from repro.simulation.batch import (
     BatchUnsupported,
     Plan,
@@ -41,13 +43,11 @@ from repro.simulation.batch import (
     sweep_makespans,
 )
 from repro.simulation.batch import supports_batch as _supports_batch
-from repro.uncertainty.realization import Realization
 
 __all__ = [
     "batch_eligible",
     "execute_pack",
     "group_packs",
-    "run_pack_chunk",
     "try_plan",
 ]
 
@@ -90,39 +90,28 @@ def try_plan(spec: CellSpec) -> Plan | None:
         return None
 
 
-def execute_pack(
-    pack: Sequence[CellSpec],
-    realizations: dict[int, Realization],
-    optima: dict[int, OptimalValue],
-    tracer,
-    *,
-    plan: Plan | None = None,
-) -> list[CellOutcome] | None:
+def execute_pack(pack: Sequence[CellSpec], memo: GroupMemo) -> list[CellOutcome] | None:
     """Run one same-(strategy, instance) pack through the vectorized sweep.
 
-    ``realizations`` and ``optima`` are grid-level memos keyed by
-    ``spec.group`` — shared with the per-cell path and across packs, so a
-    realization is sampled (and its optimum computed) once per (instance,
-    model, seed) no matter how many strategies sweep it.  Pass a prebuilt
-    ``plan`` (from :func:`try_plan`) to skip recompiling Phase 1.
+    ``memo`` is the chunk's :class:`~repro.analysis.parallel.GroupMemo`,
+    shared with the per-cell path and across packs, so a realization is
+    sampled (and its optimum computed) once per (instance, model, seed)
+    no matter how many strategies sweep it.  Each outcome's
+    ``duration_s`` is an equal share of the pack's time, optima included.
 
     Returns ``None`` when the pack cannot be compiled — the caller then
     routes these cells through the per-cell path, which produces the
     identical records or skip entries it always has.
     """
+    tracer = get_tracer()
     spec0 = pack[0]
     start = time.perf_counter()
+    plan = try_plan(spec0)
     if plan is None:
-        plan = try_plan(spec0)
-        if plan is None:
-            return None
+        return None
 
-    for spec in pack:
-        if spec.group not in realizations:
-            realizations[spec.group] = spec.realization()
-    reals = [realizations[spec.group] for spec in pack]
+    reals = [memo.realization(spec) for spec in pack]
     matrix = np.asarray([r.actuals for r in reals], dtype=np.float64)
-
     with tracer.span(
         "grid.batch",
         strategy=plan.strategy_name,
@@ -139,68 +128,23 @@ def execute_pack(
     )
 
     replication = plan.placement.max_replication()
-    instance = spec0.instance
-    outcomes: list[CellOutcome] = []
+    records = [
+        ExperimentRecord.measured(
+            plan.strategy_name,
+            spec.instance,
+            realization.label,
+            spec.seed,
+            replication,
+            makespan,
+            memo.optimum(spec, optimal_makespan),
+            plan.guarantee,
+        )
+        for spec, realization, makespan in zip(pack, reals, makespans)
+    ]
     duration_each = (time.perf_counter() - start) / len(pack)
-    for spec, realization, makespan in zip(pack, reals, makespans):
-        optimum = optima.get(spec.group)
-        if optimum is None:
-            optimum = optima[spec.group] = optimal_makespan(
-                realization.actuals, instance.m, exact_limit=spec.exact_limit
-            )
-        ratio = makespan / optimum.value
-        record = ExperimentRecord(
-            strategy=plan.strategy_name,
-            instance_name=instance.name,
-            n=instance.n,
-            m=instance.m,
-            alpha=instance.alpha,
-            # The serial path labels the trace "strategy/realization" and
-            # keeps the last path component; replicate that exactly.
-            realization=f"{plan.strategy_name}/{realization.label}".split("/")[-1],
-            seed=spec.seed,
-            replication=replication,
-            makespan=makespan,
-            optimum=optimum.value,
-            optimum_exact=optimum.optimal,
-            ratio=ratio,
-            guarantee=plan.guarantee,
-            within_guarantee=within_guarantee(ratio, plan.guarantee, optimum.optimal),
-        )
-        tracer.count("grid.cells_done")
-        tracer.count("grid.cells_batched")
-        outcomes.append(
-            CellOutcome(spec.index, record, None, duration_each, batched=True)
-        )
-    return outcomes
-
-
-def run_pack_chunk(
-    packs: Sequence[Sequence[CellSpec]], retry: RetryPolicy
-) -> list[CellOutcome]:
-    """Execute a chunk of packs in the current process (worker entry body).
-
-    The pool counterpart of the grid's parent-side pack loop: realization
-    and optimum memos are keyed by ``spec.group`` and shared across every
-    pack in the chunk, so stacking same-instance packs into one chunk
-    samples each (instance, model, seed) realization once.  A pack whose
-    structure the compiler refuses — or whose Phase 1 rejects the
-    instance — degrades to the resilient per-cell kernel path *here*,
-    inside the same process, so an unsupported pack never poisons its
-    chunk or bounces back to the parent.
-    """
-    from repro.analysis.parallel import _run_chunk_inline
-    from repro.obs.tracer import get_tracer
-
-    tracer = get_tracer()
-    realizations: dict[int, Realization] = {}
-    optima: dict[int, OptimalValue] = {}
-    outcomes: list[CellOutcome] = []
-    for pack in packs:
-        served = execute_pack(pack, realizations, optima, tracer)
-        if served is None:
-            outcomes.extend(_run_chunk_inline(pack, retry))
-        else:
-            outcomes.extend(served)
-    return outcomes
-
+    tracer.count("grid.cells_done", len(pack))
+    tracer.count("grid.cells_batched", len(pack))
+    return [
+        CellOutcome(spec.index, record, None, duration_each, batched=True)
+        for spec, record in zip(pack, records)
+    ]

@@ -38,28 +38,16 @@ again.  Quarantined cells (``kind="quarantined"`` skips from the retry
 layer) are refused by :meth:`CellCache.put`: a transient crash must not
 be frozen into a permanent skip.
 
-**Legacy migration** (v2 → v3): entries written by the pre-store cache
-(schema 2, flat ``<aa>/<fingerprint>.json`` shards under the cache root
-or a sibling ``.repro-cache/``) are migrated *lazily and losslessly* —
-on a v3 miss the v2 fingerprint is computed, the old shard decoded, the
-outcome re-stored under its v3 key, and the lookup counted as a hit plus
-a ``grid.cache_migrated`` tick.  A warm v2 cache therefore recomputes
-nothing.  (Bulk re-keying is impossible: fingerprints hash the *inputs*,
-which a stored entry does not carry.)  Cold legacy shards are pruned by
-``repro cache gc --prune-legacy``.
-
-Hits, misses, stores, migrations, corruption, and quarantines are
-tracked on the cache object and mirrored into the tracer's
+Hits, misses, stores, corruption, and quarantines are tracked on the
+cache object and mirrored into the tracer's
 :class:`~repro.obs.metrics.MetricsRegistry` as ``grid.cache_hits`` /
-``grid.cache_misses`` / ``grid.cache_stores`` / ``grid.cache_migrated``
-/ ``grid.cache_corrupt`` / ``grid.cache_quarantined`` (the store adds
-its own ``store.*`` series underneath).
+``grid.cache_misses`` / ``grid.cache_stores`` / ``grid.cache_corrupt`` /
+``grid.cache_quarantined`` (the store adds its own ``store.*`` series
+underneath).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from pathlib import Path
 from typing import Any
 
@@ -76,24 +64,16 @@ __all__ = [
     "cell_fingerprint",
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_CACHE_DIR",
-    "LEGACY_CACHE_DIR",
 ]
 
 #: Bump to invalidate every existing cache entry at once (schema or
 #: measurement-semantics changes).  v2: strategy identity switched to the
 #: canonical registry spec.  v3: entries moved into the artifact store's
-#: RAW stage with canonical (path/tuple/NaN-strict) fingerprint encoding;
-#: v2 entries are migrated lazily, see the module docs.
+#: RAW stage with canonical (path/tuple/NaN-strict) fingerprint encoding.
 CACHE_SCHEMA_VERSION = 3
 
 #: Where cells land unless a caller says otherwise — the unified store.
 DEFAULT_CACHE_DIR = ".repro-store"
-
-#: The pre-store cache directory, still honored as a migration source.
-LEGACY_CACHE_DIR = ".repro-cache"
-
-#: The v2 schema tag legacy shards were written with.
-_LEGACY_SCHEMA = 2
 
 
 def _strategy_key(strategy: Any) -> dict[str, Any]:
@@ -154,21 +134,6 @@ def cell_fingerprint(spec: CellSpec) -> str | None:
         return None  # non-canonical inputs (NaN/inf estimates, odd params)
 
 
-def _legacy_fingerprint(spec: CellSpec) -> str | None:
-    """The v2 (pre-store) fingerprint, byte-compatible with the old cache."""
-    if not isinstance(spec.model, str):
-        return None
-    try:
-        blob = json.dumps(
-            _fingerprint_document(spec, _LEGACY_SCHEMA),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    except (TypeError, ValueError):
-        return None
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 class CellCache:
     """Fingerprint-keyed view of RAW cell outcomes in the artifact store.
 
@@ -187,7 +152,6 @@ class CellCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        self.migrated = 0
         self.corrupt = 0
         self.quarantined = 0
 
@@ -213,7 +177,6 @@ class CellCache:
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
-            "migrated": self.migrated,
             "corrupt": self.corrupt,
             "quarantined": self.quarantined,
             "hit_rate": self.hit_rate(),
@@ -221,15 +184,6 @@ class CellCache:
 
     def _path(self, fingerprint: str) -> Path:
         return self.store.manifest_path(Stage.RAW, fingerprint)
-
-    def _legacy_paths(self, fingerprint: str) -> list[Path]:
-        """Where a v2 shard for ``fingerprint`` could live, in priority order."""
-        shard = Path(fingerprint[:2]) / f"{fingerprint}.json"
-        candidates = [self.root / shard]
-        sibling = self.root.parent / LEGACY_CACHE_DIR
-        if sibling != self.root:
-            candidates.append(sibling / shard)
-        return candidates
 
     # -- lookup / store ----------------------------------------------------
 
@@ -239,9 +193,7 @@ class CellCache:
         Corrupt entries (truncated writes, schema drift, hand edits) are
         treated as misses and moved aside to ``<entry>.corrupt`` so a
         warm rerun starts clean; the subsequent :meth:`put` rewrites the
-        real entry.  Misses additionally probe for a pre-store (v2)
-        entry and migrate it in place — a warm legacy cache counts as
-        hits, never recompute.
+        real entry.
         """
         fingerprint = cell_fingerprint(spec)
         if fingerprint is None:
@@ -264,10 +216,6 @@ class CellCache:
                 self.quarantined += 1
                 tracer.count("grid.cache_quarantined")
         if outcome is None:
-            outcome = self._migrate_legacy(spec, fingerprint)
-            if outcome is not None:
-                return outcome  # counted as a hit inside _migrate_legacy
-        if outcome is None:
             self.misses += 1
             tracer.count("grid.cache_misses")
         else:
@@ -275,31 +223,6 @@ class CellCache:
             tracer.count("grid.cache_hits")
             record_raw_ref(fingerprint, artifact.artifact_id)
         return outcome
-
-    def _migrate_legacy(self, spec: CellSpec, fingerprint: str) -> CellOutcome | None:
-        """Revive a v2 shard for this cell, re-keying it at v3 in the store."""
-        legacy_fp = _legacy_fingerprint(spec)
-        if legacy_fp is None:
-            return None
-        for path in self._legacy_paths(legacy_fp):
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
-            if payload.get("v") != _LEGACY_SCHEMA or payload.get("fingerprint") != legacy_fp:
-                continue
-            try:
-                outcome = self._decode_entry(spec, payload)
-            except (ValueError, KeyError, TypeError):
-                continue
-            self._store_outcome(spec, fingerprint, outcome, count_store=False)
-            self.migrated += 1
-            self.hits += 1
-            tracer = get_tracer()
-            tracer.count("grid.cache_migrated")
-            tracer.count("grid.cache_hits")
-            return outcome
-        return None
 
     def put(self, spec: CellSpec, outcome: CellOutcome) -> bool:
         """Persist one computed outcome; returns False when uncacheable.
@@ -313,12 +236,6 @@ class CellCache:
         fingerprint = cell_fingerprint(spec)
         if fingerprint is None:
             return False
-        return self._store_outcome(spec, fingerprint, outcome, count_store=True)
-
-    def _store_outcome(
-        self, spec: CellSpec, fingerprint: str, outcome: CellOutcome, *, count_store: bool
-    ) -> bool:
-        """Write one outcome as a RAW artifact; False when it cannot persist."""
         payload: dict[str, Any] = {"duration_s": outcome.duration_s}
         if outcome.record is not None:
             payload["kind"] = "record"
@@ -333,9 +250,8 @@ class CellCache:
         except (OSError, ValueError):
             return False  # backend failure, or a payload that cannot canonicalize
         record_raw_ref(fingerprint, artifact.artifact_id)
-        if count_store:
-            self.stores += 1
-            get_tracer().count("grid.cache_stores")
+        self.stores += 1
+        get_tracer().count("grid.cache_stores")
         return True
 
     def _decode(
@@ -344,10 +260,6 @@ class CellCache:
         """Rebuild a :class:`CellOutcome`; raises on any inconsistency."""
         if fingerprint != cell_fingerprint(spec):  # pragma: no cover - defensive
             raise ValueError("cache entry fingerprint mismatch")
-        return self._decode_entry(spec, payload)
-
-    def _decode_entry(self, spec: CellSpec, payload: dict[str, Any]) -> CellOutcome:
-        """Decode a cache payload (v3 artifact or v2 shard body)."""
         duration = float(payload.get("duration_s", 0.0))
         kind = payload.get("kind")
         if kind == "record":

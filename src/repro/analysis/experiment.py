@@ -1,29 +1,32 @@
 """Grid-experiment driver for the empirical benches.
 
 An :class:`ExperimentGrid` crosses strategies × instances × realization
-models × seeds, runs every cell through
-:func:`repro.analysis.ratios.measured_ratio`, and returns flat records the
-benches aggregate and write out — it is the substrate behind every
+models × seeds, divides every cell's makespan by the optimum of the same
+realization, and returns flat records the benches aggregate and write
+out — it is the substrate behind every
 empirical paper artifact (benches E1–E16 and the figure sweeps).
 Keeping the sweep in one driver means every bench agrees on provenance
 fields and determinism.
 
-The driver has four execution modes, freely combined:
+Every run takes one path: probe the cache once per cell, hand the cold
+cells to :func:`~repro.analysis.parallel.execute_packs` (batch packs) and
+:func:`~repro.analysis.parallel.execute_cells` (event-kernel cells), then
+merge in cell-index order.  Three settings shape that path:
 
-* **serial** (``workers=1``, the default) — the historical in-process
-  loop, one ``grid.cell`` span per cell;
-* **parallel** (``workers=N``) — cells are enumerated up front into
-  picklable specs and fanned out over a process pool by
-  :mod:`repro.analysis.parallel`; results merge in cell-index order, so
-  the record list is identical to the serial run;
+* **workers** (``workers=N``, default 1) — the width of the process pool
+  the executor fans chunks out over; one worker is the inline case of
+  the same executor, not a separate loop.  The record list is identical
+  for every ``N``; ``progress`` callbacks and cache stores happen at
+  merge time for every ``N``;
 * **cached** (``cache=CellCache(...)``) — cell outcomes are fingerprinted
-  and persisted by :mod:`repro.analysis.cache`; warm cells skip
-  :func:`~repro.analysis.ratios.measured_ratio` entirely.
+  and persisted by :mod:`repro.analysis.cache`; warm cells are never
+  recomputed;
 * **batched** (``batch=True``, the default) — cells whose strategy
   declares the ``supports_batch`` capability are grouped into
   (strategy, instance) packs and replayed by the vectorized NumPy sweep
   (:mod:`repro.analysis.batch`) instead of the per-event kernel; records
-  are bit-identical, and ineligible cells transparently fall back.
+  are bit-identical, and packs the compiler refuses fall back to the
+  kernel inside the same chunk.
 
 See ``docs/performance.md`` for the worker model, determinism guarantee,
 and cache invalidation rules.
@@ -39,12 +42,12 @@ from repro.analysis.parallel import (
     DEFAULT_RETRY,
     CellOutcome,
     CellSpec,
+    GroupMemo,
     RetryPolicy,
     enumerate_cells,
     execute_cells,
     execute_packs,
     model_display_name,
-    run_cell_resilient,
 )
 from repro.analysis.records import ExperimentRecord, SkippedCell
 from repro.core.model import Instance
@@ -94,18 +97,16 @@ class ExperimentGrid:
     exact_limit:
         Passed to :func:`repro.exact.optimal.optimal_makespan`.
     progress:
-        Optional :data:`ProgressCallback` invoked after every cell —
-        long sweeps can report liveness without the driver growing a UI.
-        In parallel mode it fires during the deterministic merge, in cell
-        order, after computation finishes.
+        Optional :data:`ProgressCallback` invoked once per cell.  It fires
+        during the deterministic merge, in cell order, after computation
+        finishes — for every worker count.
     workers:
-        Process-pool width; ``1`` (default) runs in-process.  Any ``N>1``
-        produces the same record list as the serial run.
+        Process-pool width; ``1`` (default) runs in-process as the
+        one-worker case of the same executor.  Every worker count
+        produces the same record list.
     cache:
         Optional :class:`~repro.analysis.cache.CellCache`; warm cells are
-        served from disk without calling ``measured_ratio``.
-    chunk_size:
-        Cells per worker dispatch (default: auto, ~4 chunks per worker).
+        served from disk without running the strategy or the solver.
     retry:
         Per-cell :class:`~repro.analysis.parallel.RetryPolicy`.  Crashing
         cells are retried with backoff; cells that exhaust their attempts
@@ -133,7 +134,6 @@ class ExperimentGrid:
     progress: ProgressCallback | None = None
     workers: int = 1
     cache: CellCache | None = None
-    chunk_size: int | None = None
     retry: RetryPolicy = DEFAULT_RETRY
     batch: bool = True
     batched_cells: int = field(default=0, init=False)
@@ -180,185 +180,85 @@ class ExperimentGrid:
                 self.seeds,
                 self.exact_limit,
             )
-            if self.workers <= 1:
-                records = self._run_serial(cells, total, tracer)
-            else:
-                records = self._run_parallel(cells, total, tracer)
+            packs, pending, hits = self._collect_packs(cells, tracer)
+            # With one worker both calls run in this process; the shared
+            # memo samples and solves each realization group once.
+            memo = GroupMemo()
+            swept, pack_traces = execute_packs(
+                packs,
+                workers=self.workers,
+                traced=tracer.enabled,
+                retry=self.retry,
+                memo=memo,
+            )
+            computed, cell_traces = execute_cells(
+                pending,
+                workers=self.workers,
+                traced=tracer.enabled,
+                retry=self.retry,
+                memo=memo,
+            )
+            for wt in pack_traces + cell_traces:
+                replay_events(tracer, wt.events, worker=wt.worker)
+                merge_registry_summary(tracer.registry, wt.metrics)
+            records = self._merge(cells, hits, swept + computed, total)
         if tracer.enabled:
             self._emit_manifest(tracer, records, total, grid_span.duration)
         return records
 
-    # -- execution paths ---------------------------------------------------
-
-    def _run_serial(self, cells: list[CellSpec], total: int, tracer) -> list[ExperimentRecord]:
-        """The in-process path: one streaming pass in enumeration order.
-
-        Cache lookups, computation, cache stores, and progress callbacks
-        all interleave per cell, so long sweeps stay live.  Realizations
-        are sampled once per (instance, model, seed) group, as always.
-        """
-        records: list[ExperimentRecord] = []
-        realizations: dict[int, Realization] = {}
-        batched = self._run_batch(cells, realizations, tracer)
-        done = 0
-        for spec in cells:
-            outcome = batched.pop(spec.index, None)
-            if outcome is None:
-                outcome = self._lookup(spec, tracer)
-            if outcome is None:
-                realization = realizations.get(spec.group)
-                if realization is None:
-                    realization = realizations[spec.group] = spec.realization()
-                outcome = run_cell_resilient(spec, realization, self.retry)
-                if self.cache is not None:
-                    self.cache.put(spec, outcome)
-            done += 1
-            self._fold(outcome, done, total, records)
-        return records
-
-    def _run_parallel(
-        self, cells: list[CellSpec], total: int, tracer
-    ) -> list[ExperimentRecord]:
-        """The pooled path: resolve warm cells, fan out the rest, merge.
-
-        Batch-eligible cells ship to the pool as whole (strategy,
-        instance) *packs* — workers compile the plan and run the
-        vectorized sweep themselves, so batch and parallel compose
-        instead of the sweep monopolizing the parent.  Results are
-        merged strictly by cell index, so the record list — and the
-        order of ``progress`` callbacks — matches the serial run
-        regardless of worker completion order.
-        """
-        packs, pack_specs, hits = self._collect_packs(cells, tracer)
-        pending: list[CellSpec] = []
-        for spec in cells:
-            if spec.index in pack_specs:
-                continue
-            outcome = self._lookup(spec, tracer)
-            if outcome is None:
-                pending.append(spec)
-            else:
-                hits.append(outcome)
-        swept, pack_traces = execute_packs(
-            packs,
-            workers=self.workers,
-            traced=tracer.enabled,
-            retry=self.retry,
-        )
-        computed, worker_traces = execute_cells(
-            pending,
-            workers=self.workers,
-            chunk_size=self.chunk_size,
-            traced=tracer.enabled,
-            retry=self.retry,
-        )
-        for wt in pack_traces + worker_traces:
-            replay_events(tracer, wt.events, worker=wt.worker)
-            merge_registry_summary(tracer.registry, wt.metrics)
-        if self.cache is not None:
-            by_index = {spec.index: spec for spec in pending}
-            by_index.update(pack_specs)
-            for outcome in swept + computed:
-                spec = by_index.get(outcome.index)
-                if spec is not None:
-                    self.cache.put(spec, outcome)
-        records: list[ExperimentRecord] = []
-        done = 0
-        for outcome in sorted(hits + swept + computed, key=lambda o: o.index):
-            done += 1
-            self._fold(outcome, done, total, records)
-        return records
-
     def _collect_packs(
         self, cells: list[CellSpec], tracer
-    ) -> tuple[list[list[CellSpec]], dict[int, CellSpec], list[CellOutcome]]:
-        """Claim batch-eligible cells: cold ones as packs, warm as hits.
+    ) -> tuple[list[list[CellSpec]], list[CellSpec], list[CellOutcome]]:
+        """Probe the cache once per cell and split the cold cells.
 
-        Cache probes happen here, exactly once per eligible cell; the
-        returned index → spec map tells the main loop which cells are
-        claimed (so it neither re-probes nor fans them out per-cell).
-        Plans are *not* compiled in the parent: the workers compile (and
-        verify) per pack, and a refused pack degrades to the per-cell
-        kernel inside its worker.
+        Returns (batch packs, per-cell kernel cells, cache hits).  Cold
+        ``supports_batch`` cells are grouped into (strategy, instance)
+        packs; plans are *not* compiled here — the chunk that runs a pack
+        compiles (and verifies) it, and a refused pack degrades to the
+        per-cell kernel inside that chunk.
         """
-        if not self.batch:
-            return [], {}, []
+        hits: list[CellOutcome] = []
+        cold: list[CellSpec] = []
+        for spec in cells:
+            outcome = self._lookup(spec, tracer)
+            if outcome is None:
+                cold.append(spec)
+            else:
+                hits.append(outcome)
         from repro.faults import inject
 
-        if inject.active_spec() is not None:
+        if not self.batch or inject.active_spec() is not None:
             # The cell-fault injection harness validates the per-cell
             # resilient executor; batching would mask the injected faults.
-            return [], {}, []
+            return [], cold, hits
         from repro.analysis.batch import batch_eligible, group_packs
 
-        eligible = [spec for spec in cells if batch_eligible(spec)]
-        packs: list[list[CellSpec]] = []
-        pack_specs: dict[int, CellSpec] = {}
-        hits: list[CellOutcome] = []
-        for pack in group_packs(eligible):
-            cold: list[CellSpec] = []
-            for spec in pack:
-                pack_specs[spec.index] = spec
-                outcome = self._lookup(spec, tracer)
-                if outcome is None:
-                    cold.append(spec)
-                else:
-                    hits.append(outcome)
-            if cold:
-                packs.append(cold)
-        return packs, pack_specs, hits
+        eligible = [batch_eligible(spec) for spec in cold]
+        packs = group_packs([spec for spec, ok in zip(cold, eligible) if ok])
+        pending = [spec for spec, ok in zip(cold, eligible) if not ok]
+        return packs, pending, hits
 
-    def _run_batch(
-        self, cells: list[CellSpec], realizations: dict[int, Realization], tracer
-    ) -> dict[int, CellOutcome]:
-        """Serve ``supports_batch`` cells via the vectorized sweep.
+    def _merge(
+        self,
+        cells: list[CellSpec],
+        hits: list[CellOutcome],
+        computed: list[CellOutcome],
+        total: int,
+    ) -> list[ExperimentRecord]:
+        """Store computed outcomes, then fold everything in cell order.
 
-        Returns outcomes keyed by cell index.  Cache probes happen here
-        (exactly once per eligible cell — the main loops skip indices this
-        dict covers), and computed outcomes are stored back, so caching
-        semantics match the per-cell path.  Packs whose structure the
-        batch compiler rejects simply stay out of the dict and take the
-        event-kernel path unchanged.
+        The fold runs strictly by cell index, so the record list — and
+        the order of ``progress`` callbacks — is the same for every
+        worker count, whatever order the workers finished in.
         """
-        if not self.batch:
-            return {}
-        from repro.faults import inject
-
-        if inject.active_spec() is not None:
-            # The cell-fault injection harness validates the per-cell
-            # resilient executor; batching would mask the injected faults.
-            return {}
-        from repro.analysis.batch import (
-            batch_eligible,
-            execute_pack,
-            group_packs,
-            try_plan,
-        )
-
-        outcomes: dict[int, CellOutcome] = {}
-        eligible = [spec for spec in cells if batch_eligible(spec)]
-        optima: dict[int, object] = {}
-        for pack in group_packs(eligible):
-            plan = try_plan(pack[0])
-            if plan is None:
-                continue
-            cold: list[CellSpec] = []
-            for spec in pack:
-                hit = self._lookup(spec, tracer)
-                if hit is not None:
-                    outcomes[spec.index] = hit
-                else:
-                    cold.append(spec)
-            if not cold:
-                continue
-            pack_outcomes = execute_pack(cold, realizations, optima, tracer, plan=plan)
-            if pack_outcomes is None:
-                continue
-            for spec, outcome in zip(cold, pack_outcomes):
-                outcomes[spec.index] = outcome
-                if self.cache is not None:
-                    self.cache.put(spec, outcome)
-        return outcomes
+        if self.cache is not None:
+            for outcome in computed:
+                self.cache.put(cells[outcome.index], outcome)
+        records: list[ExperimentRecord] = []
+        merged = sorted(hits + computed, key=lambda o: o.index)
+        for done, outcome in enumerate(merged, start=1):
+            self._fold(outcome, done, total, records)
+        return records
 
     def _lookup(self, spec: CellSpec, tracer) -> CellOutcome | None:
         """Cache probe for one cell, with warm-cell counters and event."""
@@ -477,7 +377,6 @@ def run_grid(
     progress: ProgressCallback | None = None,
     workers: int = 1,
     cache: CellCache | None = None,
-    chunk_size: int | None = None,
     retry: RetryPolicy = DEFAULT_RETRY,
     batch: bool = True,
 ) -> list[ExperimentRecord]:
@@ -491,7 +390,6 @@ def run_grid(
         progress=progress,
         workers=workers,
         cache=cache,
-        chunk_size=chunk_size,
         retry=retry,
         batch=batch,
     )

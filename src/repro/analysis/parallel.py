@@ -2,11 +2,13 @@
 
 Serves every grid-driven paper artifact (benches E1–E16 and the figure
 sweeps): :func:`enumerate_cells` flattens a strategies × instances ×
-models × seeds sweep into picklable :class:`CellSpec` objects up front,
-and :func:`execute_cells` fans them out over a ``concurrent.futures``
-process pool in chunks.  Results come back keyed by cell index and are
-merged in enumeration order, so the record list is identical to the
-serial path no matter which worker finishes first.
+models × seeds sweep into picklable :class:`CellSpec` objects up front;
+:func:`execute_packs` (batch packs) and :func:`execute_cells` (event
+kernel cells) are thin wrappers over one fan-out that runs chunks over a
+``concurrent.futures`` process pool, or inline for one worker.  Results
+come back keyed by cell index and are merged in enumeration order, so
+the record list is the same for every worker count no matter which
+worker finishes first.
 
 Design points:
 
@@ -14,20 +16,22 @@ Design points:
   instance, model, seed, exact limit); realizations are resampled
   deterministically inside the worker.  The merge sorts by cell index,
   so ``workers=N`` returns byte-identical records to ``workers=1``.
-* **Chunked dispatch** — cells are shipped in contiguous chunks (default
-  ``~4`` chunks per worker) to amortize pickling/IPC, and a chunk memoizes
-  realizations per (instance, model, seed) group exactly like the serial
-  loop does.
+* **Chunked dispatch** — cells are shipped in contiguous chunks of whole
+  packs (``~4`` chunks per worker) to amortize pickling/IPC; one worker
+  runs everything as a single chunk.  Every chunk runs the same body with
+  one :class:`GroupMemo`, so each (instance, model, seed) realization is
+  sampled and its optimum solved once per chunk, whichever path serves
+  the cell.
 * **Spec-string transport** — registry-representable strategies cross the
   process boundary as canonical spec strings (``"ls_group[k=3]"``), not
   pickled objects: workers rebuild them through
   :func:`repro.registry.make_strategy` (memoized per chunk), so payloads
   stay small and a strategy whose *object* happens to be unpicklable
   still parallelizes as long as it is registered.
-* **Serial fallback** — ``workers <= 1``, an unpicklable chunk (custom
-  realization factories built from closures, unregistered closure-built
-  strategies), or an unavailable pool (restricted environments) all
-  degrade to running in-process; callers never have to care.
+* **Inline fallback** — an unpicklable chunk (custom realization
+  factories built from closures, unregistered closure-built strategies)
+  or an unavailable pool (restricted environments) runs in-process;
+  callers never have to care.
 * **Resilience** — every cell runs under a :class:`RetryPolicy`: a cell
   that raises (or exceeds a per-cell wall-clock timeout) is retried with
   exponential backoff, and a cell that keeps failing is *quarantined* as
@@ -54,6 +58,7 @@ from repro.analysis import ratios
 from repro.analysis.records import ExperimentRecord, SkippedCell
 from repro.core.model import Instance
 from repro.core.strategy import TwoPhaseStrategy
+from repro.exact.optimal import OptimalValue
 from repro.faults import inject
 from repro.obs import profiling
 from repro.obs.sink import MemorySink
@@ -68,6 +73,7 @@ __all__ = [
     "RetryPolicy",
     "DEFAULT_RETRY",
     "WorkerTrace",
+    "GroupMemo",
     "enumerate_cells",
     "execute_cells",
     "execute_packs",
@@ -234,21 +240,77 @@ def enumerate_cells(
     return cells
 
 
-def run_cell(spec: CellSpec, realization: Realization | None = None) -> CellOutcome:
-    """Execute one cell under the current tracer (serial and worker path).
+class GroupMemo:
+    """Realizations and optima of one chunk, keyed by ``spec.group``.
+
+    Every cell of an (instance, model, seed) group runs under the same
+    realization and divides by the same optimum, so a chunk samples and
+    solves each group once — whether a closed-form pack, a replay pack, a
+    refused pack or the per-cell kernel serves the cell.
+    """
+
+    def __init__(self) -> None:
+        self.realizations: dict[int, Realization] = {}
+        self.optima: dict[int, OptimalValue] = {}
+
+    def realization(self, spec: CellSpec) -> Realization:
+        """The group's realization, sampled on first use."""
+        realization = self.realizations.get(spec.group)
+        if realization is None:
+            realization = self.realizations[spec.group] = spec.realization()
+        return realization
+
+    def optimum(
+        self, spec: CellSpec, solve: Callable[..., OptimalValue]
+    ) -> OptimalValue:
+        """The group's optimum, computed by ``solve`` on first use.
+
+        ``solve`` is :func:`repro.exact.optimal.optimal_makespan` as the
+        calling module names it, so the benchmark's layer shims
+        (``bench/layers.py``) see each solve at its call site.
+        """
+        optimum = self.optima.get(spec.group)
+        if optimum is None:
+            optimum = self.optima[spec.group] = solve(
+                self.realization(spec).actuals,
+                spec.instance.m,
+                exact_limit=spec.exact_limit,
+            )
+        return optimum
+
+
+def _measure(spec: CellSpec, memo: GroupMemo) -> ExperimentRecord:
+    """Run the cell on the event kernel and divide by the group's optimum."""
+    realization = memo.realization(spec)
+    outcome = ratios.run_strategy(spec.strategy, spec.instance, realization)
+    return ExperimentRecord.measured(
+        outcome.strategy_name,
+        spec.instance,
+        realization.label,
+        spec.seed,
+        outcome.replication,
+        outcome.makespan,
+        memo.optimum(spec, ratios.optimal_makespan),
+        ratios.guarantee_of(spec.strategy, spec.instance),
+    )
+
+
+def run_cell(spec: CellSpec, memo: GroupMemo | None = None) -> CellOutcome:
+    """Execute one cell on the event kernel under the current tracer.
 
     Emits the same instrumentation regardless of which process it runs
     in: a ``grid.cell`` span, ``grid.cells_done``/``grid.cells_skipped``
     counters, a structured ``grid.cell_skipped`` event on incompatible
-    pairs, and a per-strategy timer observation.  When a profiling spec
-    is armed (``--profile`` / ``REPRO_PROFILE_CELLS``) and the tracer is
-    enabled, the measurement runs under cProfile and the top-N rows land
-    in the span's ``profile`` attribute plus ``profile.*`` registry
-    timers (:mod:`repro.obs.profiling`).
+    pairs, and a per-strategy timer observation.  ``memo`` supplies the
+    group's realization and optimum (a fresh one when omitted).  When a
+    profiling spec is armed (``--profile`` / ``REPRO_PROFILE_CELLS``) and
+    the tracer is enabled, the measurement runs under cProfile and the
+    top-N rows land in the span's ``profile`` attribute plus
+    ``profile.*`` registry timers (:mod:`repro.obs.profiling`).
     """
     tracer = get_tracer()
-    if realization is None:
-        realization = spec.realization()
+    if memo is None:
+        memo = GroupMemo()
     profile_spec = profiling.active_spec() if tracer.enabled else None
     start = time.perf_counter()
     record: ExperimentRecord | None = None
@@ -262,22 +324,12 @@ def run_cell(spec: CellSpec, realization: Realization | None = None) -> CellOutc
     ) as cell_span:
         try:
             if profile_spec is not None:
-                rec, profile_rows = profiling.profile_call(
-                    ratios.measured_ratio,
-                    spec.strategy,
-                    spec.instance,
-                    realization,
-                    top=profile_spec.top,
-                    exact_limit=spec.exact_limit,
+                record, profile_rows = profiling.profile_call(
+                    _measure, spec, memo, top=profile_spec.top
                 )
             else:
                 profile_rows = []
-                rec = ratios.measured_ratio(
-                    spec.strategy,
-                    spec.instance,
-                    realization,
-                    exact_limit=spec.exact_limit,
-                )
+                record = _measure(spec, memo)
         except ValueError as exc:
             # Group strategies reject m not divisible by k; record the
             # structured skip and move on.
@@ -291,7 +343,6 @@ def run_cell(spec: CellSpec, realization: Realization | None = None) -> CellOutc
             )
             cell_span.set(skipped=True)
         else:
-            record = ExperimentRecord.from_ratio(rec, spec.seed)
             tracer.count("grid.cells_done")
             cell_span.set(ratio=record.ratio)
             if profile_rows:
@@ -304,7 +355,7 @@ def run_cell(spec: CellSpec, realization: Realization | None = None) -> CellOutc
 
 
 def _attempt_cell(
-    spec: CellSpec, realization: Realization, timeout_s: float | None
+    spec: CellSpec, memo: GroupMemo, timeout_s: float | None
 ) -> CellOutcome:
     """One try of one cell: fault-injection check, then (bounded) run.
 
@@ -314,13 +365,13 @@ def _attempt_cell(
     """
     inject.check(spec.index)
     if timeout_s is None:
-        return run_cell(spec, realization)
+        return run_cell(spec, memo)
     box: list[CellOutcome] = []
     error: list[BaseException] = []
 
     def _target() -> None:
         try:
-            box.append(run_cell(spec, realization))
+            box.append(run_cell(spec, memo))
         except BaseException as exc:  # noqa: BLE001 - reraised in the caller
             error.append(exc)
 
@@ -339,7 +390,7 @@ def _attempt_cell(
 
 def run_cell_resilient(
     spec: CellSpec,
-    realization: Realization | None = None,
+    memo: GroupMemo | None = None,
     retry: RetryPolicy = DEFAULT_RETRY,
 ) -> CellOutcome:
     """Run one cell under a retry policy; never raises for cell faults.
@@ -356,14 +407,15 @@ def run_cell_resilient(
     must not swallow a user abort.
     """
     tracer = get_tracer()
-    if realization is None:
-        realization = spec.realization()
+    if memo is None:
+        memo = GroupMemo()
+    memo.realization(spec)  # sampled once, outside the retried attempts
     timeouts = 0
     delay = retry.backoff_s
     last_error = ""
     for attempt in range(1, retry.max_attempts + 1):
         try:
-            outcome = _attempt_cell(spec, realization, retry.timeout_s)
+            outcome = _attempt_cell(spec, memo, retry.timeout_s)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
@@ -413,24 +465,39 @@ def run_cell_resilient(
     )
 
 
-def _run_chunk_inline(
-    chunk: Sequence[CellSpec], retry: RetryPolicy = DEFAULT_RETRY
+def _run_chunk(
+    cells: Sequence[CellSpec],
+    batched: bool,
+    retry: RetryPolicy,
+    memo: GroupMemo | None = None,
 ) -> list[CellOutcome]:
-    """Run a chunk in the current process, memoizing realizations per group."""
+    """Run one chunk in this process: the body of every worker and fallback.
+
+    With ``batched`` the cells are regrouped into their (strategy,
+    instance) packs and each pack runs through the vectorized sweep; a
+    pack the batch compiler refuses — or whose Phase 1 rejects the
+    instance — runs its cells through the resilient per-cell kernel path
+    here, under the same memo.  Lazy import: the batch executor imports
+    this module at module level.
+    """
+    from repro.analysis import batch
+
+    if memo is None:
+        memo = GroupMemo()
+    units = batch.group_packs(cells) if batched else [[spec] for spec in cells]
     outcomes: list[CellOutcome] = []
-    realizations: dict[int, Realization] = {}
-    for spec in chunk:
-        realization = realizations.get(spec.group)
-        if realization is None:
-            realization = realizations[spec.group] = spec.realization()
-        outcomes.append(run_cell_resilient(spec, realization, retry))
+    for unit in units:
+        served = batch.execute_pack(unit, memo) if batched else None
+        if served is None:
+            served = [run_cell_resilient(spec, memo, retry) for spec in unit]
+        outcomes.extend(served)
     return outcomes
 
 
-def _worker_isolated(traced: bool, fn: Callable[[], list[CellOutcome]]) -> tuple[
-    list[CellOutcome], WorkerTrace | None
-]:
-    """Run ``fn`` under rebuilt worker tracer state, capturing its trace.
+def _worker_chunk(
+    payload: tuple[Sequence[CellSpec], bool, bool, RetryPolicy]
+) -> tuple[list[CellOutcome], WorkerTrace | None]:
+    """Process-pool entry point: decode one chunk and run it, capturing its trace.
 
     The worker *always* rebuilds its tracer state: with the ``fork``
     start method a child inherits the parent's enabled tracer and open
@@ -439,6 +506,8 @@ def _worker_isolated(traced: bool, fn: Callable[[], list[CellOutcome]]) -> tuple
     parent's duplicated buffer — the parent flushes before forking
     instead) and replaced by a private memory sink when tracing is on.
     """
+    chunk, batched, traced, retry = payload
+    cells = _decode_chunk(chunk)
     tracer = get_tracer()
     tracer.enabled = False
     tracer.sinks = []
@@ -452,7 +521,7 @@ def _worker_isolated(traced: bool, fn: Callable[[], list[CellOutcome]]) -> tuple
         tracer._stack = []
         tracer.enabled = True
     try:
-        outcomes = fn()
+        outcomes = _run_chunk(cells, batched, retry)
     finally:
         tracer.enabled = False
     trace: WorkerTrace | None = None
@@ -463,37 +532,6 @@ def _worker_isolated(traced: bool, fn: Callable[[], list[CellOutcome]]) -> tuple
             metrics=tracer.registry.summary(),
         )
     return outcomes, trace
-
-
-def _worker_chunk(payload: tuple[Sequence[CellSpec], bool, RetryPolicy]) -> tuple[
-    list[CellOutcome], WorkerTrace | None
-]:
-    """Process-pool entry point: run one per-cell chunk, optionally traced."""
-    chunk, traced, retry = payload
-    chunk = _decode_chunk(chunk)
-    return _worker_isolated(traced, lambda: _run_chunk_inline(chunk, retry))
-
-
-def _worker_packs(
-    payload: tuple[Sequence[Sequence[CellSpec]], bool, RetryPolicy]
-) -> tuple[list[CellOutcome], WorkerTrace | None]:
-    """Process-pool entry point for batch-pack chunks.
-
-    Each pack is compiled and swept inside the worker; a pack the batch
-    compiler refuses degrades to the per-cell event kernel *within this
-    worker* without failing the chunk.  Lazy import: the batch executor
-    imports this module at module level, so the reverse edge must stay
-    inside the function.
-    """
-    packs, traced, retry = payload
-    decoded = [_decode_chunk(pack) for pack in packs]
-
-    def _run() -> list[CellOutcome]:
-        from repro.analysis.batch import run_pack_chunk
-
-        return run_pack_chunk(decoded, retry)
-
-    return _worker_isolated(traced, _run)
 
 
 def default_chunk_size(n_cells: int, workers: int) -> int:
@@ -507,8 +545,26 @@ def default_chunk_size(n_cells: int, workers: int) -> int:
     return max(1, -(-n_cells // max(1, workers * 4)))
 
 
-def _chunks(cells: Sequence[CellSpec], size: int) -> list[list[CellSpec]]:
-    return [list(cells[i : i + size]) for i in range(0, len(cells), size)]
+def _chunks(packs: Sequence[Sequence[CellSpec]], workers: int) -> list[list[CellSpec]]:
+    """Group whole packs into pool dispatches of about equal cell count.
+
+    Packs must ship whole (one compile per pack) and arrive in grid
+    enumeration order, which is instance-major — so contiguous filling
+    keeps same-instance packs together and their (instance, model, seed)
+    realization memos shared within the chunk.  Single-cell packs give
+    plain contiguous chunks of :func:`default_chunk_size` cells.
+    """
+    target = default_chunk_size(sum(len(pack) for pack in packs), workers)
+    chunks: list[list[CellSpec]] = []
+    current: list[CellSpec] = []
+    for pack in packs:
+        current.extend(pack)
+        if len(current) >= target:
+            chunks.append(current)
+            current = []
+    if current:
+        chunks.append(current)
+    return chunks
 
 
 @dataclass(frozen=True)
@@ -575,112 +631,93 @@ def _picklable(chunk: list[CellSpec]) -> bool:
     return True
 
 
-def execute_cells(
-    cells: Sequence[CellSpec],
-    *,
-    workers: int = 1,
-    chunk_size: int | None = None,
-    traced: bool = False,
-    retry: RetryPolicy = DEFAULT_RETRY,
+def _fan_out(
+    packs: Sequence[Sequence[CellSpec]],
+    batched: bool,
+    workers: int,
+    traced: bool,
+    retry: RetryPolicy,
+    memo: GroupMemo | None,
 ) -> tuple[list[CellOutcome], list[WorkerTrace]]:
-    """Run every cell and return (outcomes sorted by index, worker traces).
+    """Run every pack and return (outcomes sorted by index, worker traces).
 
-    ``workers <= 1`` runs inline under the caller's tracer (no traces to
-    merge).  ``workers > 1`` distributes picklable chunks over a process
-    pool, one future per chunk; unpicklable chunks, a pool that cannot
-    start, and *individual crashed chunks* (a worker killed mid-flight,
-    a broken pool) all fall back inline, so the call always completes
-    with the full outcome list.  Inside workers and inline alike, each
-    cell runs under ``retry`` (see :func:`run_cell_resilient`).
+    ``workers <= 1`` runs everything as one inline chunk under the
+    caller's tracer (no traces to merge).  ``workers > 1`` ships
+    picklable chunks of whole packs to a process pool, one future per
+    chunk; unpicklable chunks, a pool that cannot start, and *individual
+    crashed chunks* (a worker killed mid-flight, a broken pool) all run
+    inline instead, so the call always completes with the full outcome
+    list.  Inline chunks share ``memo``.
     """
-    if not cells:
+    if not packs:
         return [], []
-    if workers <= 1:
-        return _run_chunk_inline(cells, retry), []
-
-    size = chunk_size if chunk_size and chunk_size > 0 else default_chunk_size(
-        len(cells), workers
-    )
-    remote: list[list[CellSpec]] = []  # original chunks (failover recovery)
-    shipped: list[list[CellSpec]] = []  # spec-encoded twins submitted to the pool
-    inline: list[list[CellSpec]] = []
-    for chunk in _chunks(cells, size):
-        encoded = _encode_chunk(chunk)
-        if _picklable(encoded):
-            remote.append(chunk)
-            shipped.append(encoded)
-        else:
-            inline.append(chunk)
-
     outcomes: list[CellOutcome] = []
     traces: list[WorkerTrace] = []
+    inline: list[list[CellSpec]] = []
+    remote: list[list[CellSpec]] = []  # original chunks (failover recovery)
+    shipped: list[list[CellSpec]] = []  # spec-encoded twins submitted to the pool
+    if workers <= 1:
+        inline.append([spec for pack in packs for spec in pack])
+    else:
+        for chunk in _chunks(packs, workers):
+            encoded = _encode_chunk(chunk)
+            if _picklable(encoded):
+                remote.append(chunk)
+                shipped.append(encoded)
+            else:
+                inline.append(chunk)
     if remote:
         # A forked child duplicates any buffered sink bytes; flush first so
         # nothing is written twice when the child tears down.
         tracer = get_tracer()
         for sink in tracer.sinks:
             sink.flush()
-        failed: list[list[CellSpec]] = []
+        done: set[int] = set()
         try:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(_worker_chunk, (chunk, traced, retry))
+                    pool.submit(_worker_chunk, (chunk, batched, traced, retry))
                     for chunk in shipped
                 ]
-                for chunk, future in zip(remote, futures):
+                for i, future in enumerate(futures):
                     try:
                         chunk_outcomes, trace = future.result()
                     except (OSError, RuntimeError, pickle.PickleError):
                         # This chunk's worker died (BrokenProcessPool is a
                         # RuntimeError); recover just this chunk inline.
                         tracer.count("grid.chunk_failovers")
-                        failed.append(chunk)
                         continue
+                    done.add(i)
                     outcomes.extend(chunk_outcomes)
                     if trace is not None:
                         traces.append(trace)
         except (ImportError, OSError, PermissionError, RuntimeError):
             # Pool unavailable (sandboxed interpreter, missing semaphores,
-            # failed startup ...): degrade every undone chunk to serial.
-            done = {o.index for o in outcomes}
-            failed = [
-                [spec for spec in chunk if spec.index not in done]
-                for chunk in remote
-            ]
-        inline = inline + [chunk for chunk in failed if chunk]
+            # failed startup ...): every undone chunk runs inline below.
+            pass
+        inline += [chunk for i, chunk in enumerate(remote) if i not in done]
     for chunk in inline:
-        outcomes.extend(_run_chunk_inline(chunk, retry))
+        outcomes.extend(_run_chunk(chunk, batched, retry, memo))
     outcomes.sort(key=lambda o: o.index)
     return outcomes, traces
 
 
-def _pack_chunks(
-    packs: Sequence[Sequence[CellSpec]], workers: int
-) -> list[list[list[CellSpec]]]:
-    """Group whole packs into pool dispatches of roughly equal cell count.
+def execute_cells(
+    cells: Sequence[CellSpec],
+    *,
+    workers: int = 1,
+    traced: bool = False,
+    retry: RetryPolicy = DEFAULT_RETRY,
+    memo: GroupMemo | None = None,
+) -> tuple[list[CellOutcome], list[WorkerTrace]]:
+    """Run cells on the event kernel; (outcomes sorted by index, worker traces).
 
-    Packs must ship whole (one compile per pack) and arrive in grid
-    enumeration order, which is instance-major — so contiguous filling
-    keeps same-instance packs together and their (instance, model, seed)
-    realization memos shared within the worker chunk.
+    Each cell runs under ``retry`` (see :func:`run_cell_resilient`);
+    :func:`_fan_out` describes the worker model and its fallbacks.
     """
-    total = sum(len(pack) for pack in packs)
-    target = default_chunk_size(total, workers)
-    chunks: list[list[list[CellSpec]]] = []
-    current: list[list[CellSpec]] = []
-    filled = 0
-    for pack in packs:
-        current.append(list(pack))
-        filled += len(pack)
-        if filled >= target:
-            chunks.append(current)
-            current = []
-            filled = 0
-    if current:
-        chunks.append(current)
-    return chunks
+    return _fan_out([[spec] for spec in cells], False, workers, traced, retry, memo)
 
 
 def execute_packs(
@@ -689,77 +726,13 @@ def execute_packs(
     workers: int = 1,
     traced: bool = False,
     retry: RetryPolicy = DEFAULT_RETRY,
+    memo: GroupMemo | None = None,
 ) -> tuple[list[CellOutcome], list[WorkerTrace]]:
-    """Shard batch packs across the process pool (outcomes index-sorted).
+    """Run same-(strategy, instance) packs through the vectorized sweep.
 
-    The pool counterpart of the parent-side pack loop: every chunk of
-    same-(strategy, instance) packs is compiled and swept inside a
-    worker, with realization memos shared across the packs of a chunk.
-    Unpicklable chunks, an unavailable pool, and crashed chunks fall
-    back inline exactly like :func:`execute_cells`; a pack the compiler
-    refuses degrades to the per-cell kernel inside its worker, so one
-    unsupported pack never poisons its chunk.
+    Outcomes come back index-sorted with the worker traces.  A pack the
+    compiler refuses degrades to the per-cell kernel inside its own
+    chunk, so one unsupported pack never poisons the others;
+    :func:`_fan_out` describes the worker model and its fallbacks.
     """
-    if not packs:
-        return [], []
-
-    def _inline(batch_of_packs: Sequence[Sequence[CellSpec]]) -> list[CellOutcome]:
-        from repro.analysis.batch import run_pack_chunk
-
-        return run_pack_chunk(batch_of_packs, retry)
-
-    if workers <= 1:
-        outcomes = _inline(packs)
-        outcomes.sort(key=lambda o: o.index)
-        return outcomes, []
-
-    remote: list[list[list[CellSpec]]] = []
-    shipped: list[list[list[CellSpec]]] = []
-    inline: list[list[list[CellSpec]]] = []
-    for chunk in _pack_chunks(packs, workers):
-        encoded = [_encode_chunk(pack) for pack in chunk]
-        if _picklable(encoded):
-            remote.append(chunk)
-            shipped.append(encoded)
-        else:
-            inline.append(chunk)
-
-    outcomes: list[CellOutcome] = []
-    traces: list[WorkerTrace] = []
-    if remote:
-        tracer = get_tracer()
-        for sink in tracer.sinks:
-            sink.flush()
-        failed: list[list[list[CellSpec]]] = []
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_worker_packs, (chunk, traced, retry))
-                    for chunk in shipped
-                ]
-                for chunk, future in zip(remote, futures):
-                    try:
-                        chunk_outcomes, trace = future.result()
-                    except (OSError, RuntimeError, pickle.PickleError):
-                        tracer.count("grid.chunk_failovers")
-                        failed.append(chunk)
-                        continue
-                    outcomes.extend(chunk_outcomes)
-                    if trace is not None:
-                        traces.append(trace)
-        except (ImportError, OSError, PermissionError, RuntimeError):
-            done = {o.index for o in outcomes}
-            failed = [
-                [[s for s in pack if s.index not in done] for pack in chunk]
-                for chunk in remote
-            ]
-        inline = inline + [
-            [pack for pack in chunk if pack] for chunk in failed
-        ]
-    for chunk in inline:
-        if chunk:
-            outcomes.extend(_inline(chunk))
-    outcomes.sort(key=lambda o: o.index)
-    return outcomes, traces
+    return _fan_out(packs, True, workers, traced, retry, memo)

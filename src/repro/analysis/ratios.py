@@ -17,7 +17,7 @@ module-level mutable state, no closures in the call signature.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.model import Instance
@@ -126,7 +126,6 @@ def run_strategy(
     validate: bool = True,
     release_times: Sequence[float] | None = None,
     speeds: Sequence[float] | None = None,
-    failures: Mapping[int, float] | None = None,
     faults: FaultPlan | None = None,
     capabilities: Capabilities | None = None,
 ) -> StrategyOutcome:
@@ -135,7 +134,7 @@ def run_strategy(
     ``validate`` (default on) re-checks the produced trace for full
     feasibility; disable only inside tight benchmark loops.
 
-    ``release_times`` / ``speeds`` / ``failures`` / ``faults`` pass
+    ``release_times`` / ``speeds`` / ``faults`` pass
     through to :func:`repro.simulation.engine.simulate` unchanged.  When
     a fault plan or release times are present, the strategy's declared
     capability envelope is enforced: ``capabilities`` defaults to the
@@ -146,7 +145,7 @@ def run_strategy(
     """
     tracer = get_tracer()
     if capabilities is None and (
-        faults is not None or failures is not None or release_times is not None
+        faults is not None or release_times is not None
     ):
         from repro.registry import capabilities_of
 
@@ -162,7 +161,6 @@ def run_strategy(
             policy,
             release_times=release_times,
             speeds=speeds,
-            failures=failures,
             faults=faults,
             capabilities=capabilities,
             label=f"{strategy.name}/{realization.label}",

@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
-from repro.analysis.ratios import RatioRecord
+from repro.analysis.ratios import within_guarantee
+from repro.core.model import Instance
+from repro.exact.optimal import OptimalValue
 
 __all__ = ["ExperimentRecord", "SkippedCell"]
 
@@ -81,25 +83,40 @@ class ExperimentRecord:
     guarantee: float | None
     within_guarantee: bool | None
 
-    @staticmethod
-    def from_ratio(record: RatioRecord, seed: int) -> "ExperimentRecord":
-        out = record.outcome
-        inst = out.placement.instance
-        return ExperimentRecord(
-            strategy=out.strategy_name,
-            instance_name=inst.name,
-            n=inst.n,
-            m=inst.m,
-            alpha=inst.alpha,
-            realization=out.trace.label.split("/")[-1],
+    @classmethod
+    def measured(
+        cls,
+        strategy: str,
+        instance: Instance,
+        realization: str,
+        seed: int,
+        replication: int,
+        makespan: float,
+        optimum: OptimalValue,
+        guarantee: float | None,
+    ) -> "ExperimentRecord":
+        """The record of one measured cell, whichever path served it.
+
+        ``realization`` is the realization's label.  The event kernel
+        labels its trace ``"strategy/realization"`` and a record keeps the
+        last path component of that label; the rule lives only here.
+        """
+        ratio = makespan / optimum.value
+        return cls(
+            strategy=strategy,
+            instance_name=instance.name,
+            n=instance.n,
+            m=instance.m,
+            alpha=instance.alpha,
+            realization=f"{strategy}/{realization}".split("/")[-1],
             seed=seed,
-            replication=out.replication,
-            makespan=out.makespan,
-            optimum=record.optimum.value,
-            optimum_exact=record.optimum.optimal,
-            ratio=record.ratio,
-            guarantee=record.guarantee,
-            within_guarantee=record.within_guarantee,
+            replication=replication,
+            makespan=makespan,
+            optimum=optimum.value,
+            optimum_exact=optimum.optimal,
+            ratio=ratio,
+            guarantee=guarantee,
+            within_guarantee=within_guarantee(ratio, guarantee, optimum.optimal),
         )
 
     def as_dict(self) -> dict[str, object]:

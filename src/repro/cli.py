@@ -326,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     cache_gc = cache_sub.add_parser(
         "gc",
-        help="prune expired raw cells, orphaned blobs, corrupt debris, "
-        "and (opt-in) legacy .repro-cache shards",
+        help="prune expired raw cells, orphaned blobs and corrupt debris",
     )
     cache_gc.add_argument(
         "--max-age-days",
@@ -335,12 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DAYS",
         help="evict raw cell entries older than DAYS (default: keep all)",
-    )
-    cache_gc.add_argument(
-        "--prune-legacy",
-        action="store_true",
-        help="also remove pre-store v2 cache shards (cold entries only "
-        "lazy migration could still revive)",
     )
     cache_gc.add_argument(
         "--dry-run",
@@ -1074,17 +1067,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
     store = ArtifactStore(args.store) if args.store else ArtifactStore()
     if args.cache_command == "gc":
-        report = store.gc(
-            max_age_days=args.max_age_days,
-            prune_legacy=args.prune_legacy,
-            dry_run=args.dry_run,
-        )
+        report = store.gc(max_age_days=args.max_age_days, dry_run=args.dry_run)
         verb = "would reclaim" if args.dry_run else "reclaimed"
         print(
             f"cache gc: {report.expired_raw} expired raw entries, "
             f"{report.orphan_blobs} orphan blobs, "
-            f"{report.swept_corrupt} corrupt/tmp files, "
-            f"{report.pruned_legacy} legacy shards — "
+            f"{report.swept_corrupt} corrupt/tmp files — "
             f"{verb} {report.reclaimed_bytes} bytes"
         )
         return 0

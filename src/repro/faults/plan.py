@@ -7,12 +7,10 @@ hardware misbehaves and *how*, decoupled from the engine that plays it.
 Four fault kinds cover the regimes where replication strategies
 differentiate:
 
-* :class:`CrashStop` — a machine stops permanently (the legacy
-  ``failures={machine: time}`` mapping, kept as the
-  :meth:`FaultPlan.from_failures` shim);
+* :class:`CrashStop` — a machine stops permanently;
 * :class:`CrashRecover` — a machine stops, then rejoins after a
   downtime (``math.inf`` downtime degenerates to crash-stop and the
-  engine produces a trace identical to the legacy path);
+  engine produces an identical trace);
 * :class:`DegradedInterval` — a straggler: the machine keeps running but
   at a fraction of its speed for a time window;
 * :class:`CorrelatedFailure` — a rack/group loss: several machines fail
@@ -27,7 +25,7 @@ any cluster size that fits it.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Union
 
@@ -47,8 +45,7 @@ class CrashStop:
     """Machine ``machine`` halts permanently at time ``at``.
 
     The running task (if any) is aborted and must restart from scratch on
-    another machine holding its data — the legacy failure-injection
-    semantics, unchanged.
+    another machine holding its data.
     """
 
     machine: int
@@ -122,18 +119,6 @@ class FaultPlan:
     def of(*faults: Fault) -> "FaultPlan":
         """Convenience variadic constructor: ``FaultPlan.of(CrashStop(0, 2.0))``."""
         return FaultPlan(tuple(faults))
-
-    @staticmethod
-    def from_failures(failures: Mapping[int, float]) -> "FaultPlan":
-        """Back-compat shim: the legacy ``{machine: fail_time}`` mapping.
-
-        Produces permanent crashes in the mapping's iteration order, so the
-        engine pushes the same failure events in the same sequence as the
-        historical ``failures=`` code path — traces are identical.
-        """
-        return FaultPlan(
-            tuple(CrashStop(int(i), float(t)) for i, t in failures.items())
-        )
 
     # -- engine-facing normalization --------------------------------------
 

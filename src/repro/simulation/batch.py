@@ -219,7 +219,7 @@ def build_plan(
     :class:`BatchUnsupported` when the pair must use the event kernel,
     and propagates ``ValueError`` from Phase 1 unchanged (e.g. a group
     strategy whose ``k`` does not divide ``m`` — the same error the
-    serial path turns into a skipped cell).
+    per-cell path turns into a skipped cell).
     """
     from repro.analysis.ratios import guarantee_of
     from repro.core.strategies.selective import PinnedAwarePolicy

@@ -35,8 +35,7 @@ is driven by a :class:`~repro.faults.plan.FaultPlan` via ``faults=``:
 machines can crash permanently, crash and recover after a downtime, or
 straggle through degraded-speed intervals (a running task's *remaining
 work* is rescaled at each speed boundary — no lost progress, no free
-speedup).  The legacy ``failures={machine: time}`` mapping is kept as a
-crash-stop shim and produces identical traces.
+speedup).
 
 Pass ``capabilities=`` (a :class:`~repro.registry.Capabilities`, normally
 looked up via :func:`repro.registry.capabilities_of`) to enforce the
@@ -50,7 +49,7 @@ cover.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 from repro.core.placement import Placement
 from repro.core.strategy import OnlinePolicy
@@ -80,7 +79,6 @@ def simulate(
     *,
     release_times: Sequence[float] | None = None,
     speeds: Sequence[float] | None = None,
-    failures: Mapping[int, float] | None = None,
     faults: FaultPlan | None = None,
     capabilities: Capabilities | None = None,
     label: str = "",
@@ -105,11 +103,6 @@ def simulate(
         exactly the throughput-inaccuracy reading of α in Section 4.
         Completion events still reveal the *work* :math:`p_j` (durations
         are machine-dependent, work is not).
-    failures:
-        Legacy crash-stop shim, equivalent to
-        ``faults=FaultPlan.from_failures(failures)``: each machine stops
-        permanently at its mapped time.  Mutually exclusive with
-        ``faults``.
     faults:
         A :class:`~repro.faults.plan.FaultPlan` of crash-stop,
         crash-recover, degraded-speed, and correlated faults.  A machine
@@ -166,13 +159,7 @@ def simulate(
             if r < 0:
                 raise SimulationError(f"release_times[{j}] must be >= 0, got {r}")
 
-    if failures is not None and faults is not None:
-        raise SimulationError("pass either failures= (legacy shim) or faults=, not both")
-    plan: FaultPlan | None = None
-    if failures:
-        plan = FaultPlan.from_failures(failures)
-    elif faults:
-        plan = faults
+    plan = faults or None
     if plan:
         try:
             plan.validate(m)

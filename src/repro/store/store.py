@@ -19,14 +19,13 @@ atomic and deduplicating: storing content that already exists under the
 same key writes nothing, which is what makes ``repro report`` idempotent.
 Hit/miss/store/corrupt counters mirror into the tracer's metrics
 registry as ``store.*`` (see docs/observability.md); :meth:`gc` prunes
-expired RAW entries, orphaned blobs, quarantined ``.corrupt`` debris,
-and (opt-in) pre-store legacy cache shards, reporting reclaimed bytes.
+expired RAW entries, orphaned blobs and quarantined ``.corrupt`` debris,
+reporting reclaimed bytes.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,9 +41,6 @@ __all__ = ["ArtifactStore", "GcReport", "DEFAULT_STORE_DIR", "default_store_root
 
 #: Directory name of the unified store (next to ``results/``).
 DEFAULT_STORE_DIR = ".repro-store"
-
-#: Pre-store cache shards: ``<aa>/<fingerprint>.json`` at the root.
-_LEGACY_SHARD = re.compile(r"^[0-9a-f]{2}/[0-9a-f]{64}\.json$")
 
 
 def default_store_root() -> Path:
@@ -66,21 +62,19 @@ class GcReport:
     expired_raw: int = 0
     orphan_blobs: int = 0
     swept_corrupt: int = 0
-    pruned_legacy: int = 0
     reclaimed_bytes: int = 0
     dry_run: bool = False
 
     @property
     def removed(self) -> int:
         """Total entries removed across every category."""
-        return self.expired_raw + self.orphan_blobs + self.swept_corrupt + self.pruned_legacy
+        return self.expired_raw + self.orphan_blobs + self.swept_corrupt
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "expired_raw": self.expired_raw,
             "orphan_blobs": self.orphan_blobs,
             "swept_corrupt": self.swept_corrupt,
-            "pruned_legacy": self.pruned_legacy,
             "reclaimed_bytes": self.reclaimed_bytes,
             "dry_run": self.dry_run,
         }
@@ -284,7 +278,6 @@ class ArtifactStore:
         self,
         *,
         max_age_days: float | None = None,
-        prune_legacy: bool = False,
         dry_run: bool = False,
     ) -> GcReport:
         """Prune the store; returns what was (or would be) reclaimed.
@@ -292,11 +285,7 @@ class ArtifactStore:
         * RAW manifests older than ``max_age_days`` (file mtime) are
           evicted — expired measurements recompute on next use;
         * blobs referenced by no manifest are orphans and are removed;
-        * ``.corrupt`` / ``.tmp`` debris is swept;
-        * with ``prune_legacy=True``, pre-store cache shards
-          (``<aa>/<fp>.json`` at the root) are removed — cold entries
-          that only lazy migration could still revive (warm entries
-          migrate on first reuse, see docs/artifacts.md).
+        * ``.corrupt`` / ``.tmp`` debris is swept.
 
         Local backends only (needs mtimes); ``dry_run`` counts without
         deleting.  Ticks ``store.gc_removed`` with the entry count.
@@ -331,9 +320,6 @@ class ArtifactStore:
                 report.reclaimed_bytes += _remove(path)
                 report.expired_raw += 1
                 self.counters.evicted += 1
-            elif prune_legacy and _LEGACY_SHARD.match(key):
-                report.reclaimed_bytes += _remove(path)
-                report.pruned_legacy += 1
 
         referenced: set[str] = set()
         for stage in Stage:

@@ -7,10 +7,9 @@ import json
 
 import pytest
 
-import repro.analysis.ratios as ratios_module
 from repro.analysis.cache import CACHE_SCHEMA_VERSION, CellCache, cell_fingerprint
 from repro.analysis.experiment import run_grid
-from repro.analysis.parallel import CellSpec, enumerate_cells, run_cell
+from repro.analysis.parallel import CellSpec, GroupMemo, enumerate_cells, run_cell
 from repro.core.strategies import LPTNoChoice, LPTNoRestriction, LSGroup
 from repro.uncertainty.realization import truthful_realization
 from repro.workloads.generators import uniform_instance
@@ -149,14 +148,14 @@ class TestCellCache:
         factory = lambda inst, seed: truthful_realization(inst)  # noqa: E731
         spec = _spec(instance, model=factory, model_name="truthful")
         assert cache.get(spec) is None
-        assert not cache.put(spec, run_cell(spec, realization=factory(instance, 0)))
+        assert not cache.put(spec, run_cell(spec))
         assert cache.lookups == 0 and cache.stores == 0
 
     def test_stats_shape(self, tmp_path):
         stats = CellCache(tmp_path).stats()
         assert set(stats) == {
-            "dir", "hits", "misses", "stores", "migrated", "corrupt",
-            "quarantined", "hit_rate",
+            "dir", "hits", "misses", "stores", "corrupt", "quarantined",
+            "hit_rate",
         }
 
 
@@ -226,84 +225,6 @@ class TestCorruptionQuarantine:
         assert cached.kind == "incompatible" and cached.attempts == 1
 
 
-class TestLegacyMigration:
-    """Warm v2 (pre-store) caches are reused losslessly, never recomputed."""
-
-    @staticmethod
-    def _write_legacy_shard(root, spec, outcome):
-        """Write a shard byte-compatible with the v2 cache's put()."""
-        from repro.analysis.cache import _legacy_fingerprint
-
-        fp = _legacy_fingerprint(spec)
-        payload = {"v": 2, "fingerprint": fp, "duration_s": outcome.duration_s}
-        if outcome.record is not None:
-            payload["kind"] = "record"
-            payload["record"] = outcome.record.to_cache_dict()
-        else:
-            payload["kind"] = "skipped"
-            payload["skipped"] = outcome.skipped.as_dict()
-        path = root / fp[:2] / f"{fp}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
-        return path
-
-    def test_v2_entry_is_a_hit_and_migrates(self, instance, tmp_path):
-        spec = _spec(instance)
-        outcome = run_cell(spec)
-        self._write_legacy_shard(tmp_path, spec, outcome)
-        cache = CellCache(tmp_path)
-        cached = cache.get(spec)
-        assert cached is not None and cached.record == outcome.record
-        assert (cache.hits, cache.misses, cache.migrated) == (1, 0, 1)
-        # Migrated in place: a fresh cache serves it natively at v3.
-        fresh = CellCache(tmp_path)
-        again = fresh.get(spec)
-        assert again is not None and again.record == outcome.record
-        assert (fresh.hits, fresh.migrated) == (1, 0)
-
-    def test_sibling_repro_cache_dir_is_a_migration_source(self, instance, tmp_path):
-        spec = _spec(instance)
-        outcome = run_cell(spec)
-        self._write_legacy_shard(tmp_path / ".repro-cache", spec, outcome)
-        cache = CellCache(tmp_path / ".repro-store")
-        cached = cache.get(spec)
-        assert cached is not None and cached.record == outcome.record
-        assert cache.migrated == 1
-
-    def test_skipped_cells_migrate_too(self, instance, tmp_path):
-        spec = _spec(instance, strategy=LSGroup(4))  # cannot split m=2
-        outcome = run_cell(spec)
-        assert outcome.skipped is not None
-        self._write_legacy_shard(tmp_path, spec, outcome)
-        cached = CellCache(tmp_path).get(spec)
-        assert cached.skipped == outcome.skipped
-
-    def test_corrupt_legacy_shard_is_ignored(self, instance, tmp_path):
-        spec = _spec(instance)
-        path = self._write_legacy_shard(tmp_path, spec, run_cell(spec))
-        path.write_text("{ truncated", encoding="utf-8")
-        cache = CellCache(tmp_path)
-        assert cache.get(spec) is None
-        assert (cache.misses, cache.migrated, cache.corrupt) == (1, 0, 0)
-
-    def test_warm_legacy_grid_recomputes_nothing(self, tmp_path, monkeypatch):
-        strategies = [LPTNoChoice(), LPTNoRestriction()]
-        instances = [uniform_instance(8, 2, alpha=1.5, seed=s) for s in range(2)]
-        for spec in enumerate_cells(strategies, instances, ["log_uniform"], (0,), 22):
-            self._write_legacy_shard(tmp_path, spec, run_cell(spec))
-
-        def _boom(*a, **k):  # pragma: no cover - failure mode
-            raise AssertionError("measured_ratio called with a warm legacy cache")
-
-        monkeypatch.setattr(ratios_module, "measured_ratio", _boom)
-        cache = CellCache(tmp_path)
-        run_grid(strategies, instances, ["log_uniform"], seeds=(0,), cache=cache)
-        assert cache.misses == 0 and cache.hits == 4 and cache.migrated == 4
-
-
 class TestGridIntegration:
     def _grid_args(self):
         strategies = [LPTNoChoice(), LPTNoRestriction()]
@@ -317,12 +238,13 @@ class TestGridIntegration:
         assert (cache.hits, cache.misses) == (0, 4)
         assert cache.stores == 4
 
-        # Warm rerun: every cell must come from disk — zero measured_ratio
-        # calls — and the records must be identical.
+        # Warm rerun: every cell must come from disk — no realization is
+        # sampled, on the batch or the kernel path — and the records must
+        # be identical.
         def _boom(*a, **k):  # pragma: no cover - failure mode
-            raise AssertionError("measured_ratio called on a warm-cache rerun")
+            raise AssertionError("a cell was recomputed on a warm-cache rerun")
 
-        monkeypatch.setattr(ratios_module, "measured_ratio", _boom)
+        monkeypatch.setattr(GroupMemo, "realization", _boom)
         warm_cache = CellCache(tmp_path / "grid-cache")
         warm = run_grid(*args, seeds=(0,), cache=warm_cache)
         assert warm == cold

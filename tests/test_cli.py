@@ -113,10 +113,10 @@ class TestReportAndCacheCommands:
 
     def test_cache_flags_parse(self):
         args = build_parser().parse_args(
-            ["cache", "gc", "--max-age-days", "7", "--prune-legacy", "--dry-run"]
+            ["cache", "gc", "--max-age-days", "7", "--dry-run"]
         )
         assert args.cache_command == "gc"
-        assert args.max_age_days == 7 and args.prune_legacy and args.dry_run
+        assert args.max_age_days == 7 and args.dry_run
         assert build_parser().parse_args(["cache", "stats"]).cache_command == "stats"
 
     def test_report_adopt_then_check_round_trip(self, redirected, tmp_path, capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.core.placement import everywhere_placement
 from repro.core.strategy import FixedOrderPolicy
 from repro.core.strategies import LPTNoRestriction, LSGroup
+from repro.faults import CrashStop, FaultPlan
 from repro.simulation.engine import SimulationError, simulate
 from repro.uncertainty.stochastic import sample_realization
 from repro.workloads.generators import uniform_instance
@@ -54,7 +55,7 @@ class TestSpeedsPlusFailures:
             real,
             FixedOrderPolicy(range(2)),
             speeds=[2.0, 1.0],
-            failures={0: 1.0},
+            faults=FaultPlan.of(CrashStop(0, 1.0)),
         )
         trace.validate(p, real, speeds=[2.0, 1.0])
         run0 = trace.runs[0]
@@ -78,7 +79,7 @@ class TestAllThreeExtensions:
             strategy.make_policy(inst, placement),
             release_times=releases,
             speeds=speeds,
-            failures={2: 8.0},
+            faults=FaultPlan.of(CrashStop(2, 8.0)),
         )
         trace.validate(placement, real, speeds=speeds)
         # No run on the failed machine extends past its failure time.
@@ -102,7 +103,7 @@ class TestAllThreeExtensions:
             real,
             strategy.make_policy(inst, placement),
             speeds=[1.0] * 6,
-            failures={1: 4.0},
+            faults=FaultPlan.of(CrashStop(1, 4.0)),
         )
         trace.validate(placement, real)
         groups = placement.meta["groups"]

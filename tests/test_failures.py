@@ -16,6 +16,7 @@ from repro.core.placement import everywhere_placement, single_machine_placement
 from repro.core.strategy import FixedOrderPolicy
 from repro.core.strategies import LPTNoChoice, LPTNoRestriction, LSGroup
 from repro.memory.abo import ABO
+from repro.faults import CrashStop, FaultPlan
 from repro.simulation.engine import SimulationError, simulate
 from repro.uncertainty.realization import truthful_realization
 from repro.uncertainty.stochastic import sample_realization
@@ -34,7 +35,8 @@ class TestReplicatedSurvival:
         real = truthful_realization(inst)
         # Machine 0 fails at t=1 while running task 0 (duration 4).
         trace = simulate(
-            p, real, FixedOrderPolicy(range(5)), failures={0: 1.0}
+            p, real, FixedOrderPolicy(range(5)),
+            faults=FaultPlan.of(CrashStop(0, 1.0)),
         )
         trace.validate(p, real)
         assert trace.machine_of(0) == 1  # restarted on the survivor
@@ -48,7 +50,10 @@ class TestReplicatedSurvival:
         """Restarts run from scratch — no partial credit."""
         p = everywhere_placement(inst)
         real = truthful_realization(inst)
-        trace = simulate(p, real, FixedOrderPolicy(range(5)), failures={0: 3.9})
+        trace = simulate(
+            p, real, FixedOrderPolicy(range(5)),
+            faults=FaultPlan.of(CrashStop(0, 3.9)),
+        )
         run0 = trace.runs[0]
         assert run0.duration == pytest.approx(4.0)
         assert run0.start >= 3.9
@@ -57,14 +62,20 @@ class TestReplicatedSurvival:
         p = everywhere_placement(inst)
         real = truthful_realization(inst)
         # Fails long after all work is done.
-        trace = simulate(p, real, FixedOrderPolicy(range(5)), failures={0: 100.0})
+        trace = simulate(
+            p, real, FixedOrderPolicy(range(5)),
+            faults=FaultPlan.of(CrashStop(0, 100.0)),
+        )
         assert not trace.aborted
 
     def test_failure_at_t0(self, inst):
         """A machine failing at t=0 never runs anything."""
         p = everywhere_placement(inst)
         real = truthful_realization(inst)
-        trace = simulate(p, real, FixedOrderPolicy(range(5)), failures={0: 0.0})
+        trace = simulate(
+            p, real, FixedOrderPolicy(range(5)),
+            faults=FaultPlan.of(CrashStop(0, 0.0)),
+        )
         assert all(r.machine == 1 for r in trace.runs)
         assert not trace.aborted
 
@@ -72,7 +83,10 @@ class TestReplicatedSurvival:
         p = everywhere_placement(inst)
         real = truthful_realization(inst)
         healthy = simulate(p, real, FixedOrderPolicy(range(5)))
-        degraded = simulate(p, real, FixedOrderPolicy(range(5)), failures={0: 2.0})
+        degraded = simulate(
+            p, real, FixedOrderPolicy(range(5)),
+            faults=FaultPlan.of(CrashStop(0, 2.0)),
+        )
         assert degraded.makespan >= healthy.makespan
         degraded.validate(p, real)
 
@@ -82,23 +96,33 @@ class TestPinnedDeath:
         p = single_machine_placement(inst, [0, 1, 0, 1, 0])
         real = truthful_realization(inst)
         with pytest.raises(SimulationError, match="lost to machine failures"):
-            simulate(p, real, FixedOrderPolicy(range(5)), failures={0: 1.0})
+            simulate(
+                p, real, FixedOrderPolicy(range(5)),
+                faults=FaultPlan.of(CrashStop(0, 1.0)),
+            )
 
     def test_all_machines_fail(self, inst):
         p = everywhere_placement(inst)
         real = truthful_realization(inst)
         with pytest.raises(SimulationError, match="lost to machine failures"):
             simulate(
-                p, real, FixedOrderPolicy(range(5)), failures={0: 1.0, 1: 1.0}
+                p, real, FixedOrderPolicy(range(5)),
+                faults=FaultPlan.of(CrashStop(0, 1.0), CrashStop(1, 1.0)),
             )
 
     def test_bad_failure_spec(self, inst):
         p = everywhere_placement(inst)
         real = truthful_realization(inst)
         with pytest.raises(SimulationError, match="outside"):
-            simulate(p, real, FixedOrderPolicy(range(5)), failures={9: 1.0})
+            simulate(
+                p, real, FixedOrderPolicy(range(5)),
+                faults=FaultPlan.of(CrashStop(9, 1.0)),
+            )
         with pytest.raises(SimulationError, match=">= 0"):
-            simulate(p, real, FixedOrderPolicy(range(5)), failures={0: -1.0})
+            simulate(
+                p, real, FixedOrderPolicy(range(5)),
+                faults=FaultPlan.of(CrashStop(0, -1.0)),
+            )
 
 
 class TestStrategyLevelSurvival:
@@ -108,7 +132,10 @@ class TestStrategyLevelSurvival:
         strategy = LSGroup(2)  # groups of 3 machines
         placement = strategy.place(inst)
         policy = strategy.make_policy(inst, placement)
-        trace = simulate(placement, real, policy, failures={0: 5.0})
+        trace = simulate(
+            placement, real, policy,
+            faults=FaultPlan.of(CrashStop(0, 5.0)),
+        )
         trace.validate(placement, real)
         assert all(r.machine != 0 or r.end <= 5.0 for r in trace.runs)
 
@@ -119,7 +146,7 @@ class TestStrategyLevelSurvival:
         placement = strategy.place(inst)
         policy = strategy.make_policy(inst, placement)
         with pytest.raises(SimulationError):
-            simulate(placement, real, policy, failures={0: 0.5})
+            simulate(placement, real, policy, faults=FaultPlan.of(CrashStop(0, 0.5)))
 
     def test_full_replication_survives_any_single_failure(self):
         inst = uniform_instance(20, 4, alpha=1.5, seed=5)
@@ -128,7 +155,10 @@ class TestStrategyLevelSurvival:
         for machine in range(4):
             placement = strategy.place(inst)
             policy = strategy.make_policy(inst, placement)
-            trace = simulate(placement, real, policy, failures={machine: 3.0})
+            trace = simulate(
+                placement, real, policy,
+                faults=FaultPlan.of(CrashStop(machine, 3.0)),
+            )
             trace.validate(placement, real)
 
     def test_abo_replicated_tasks_survive(self):
@@ -147,11 +177,17 @@ class TestStrategyLevelSurvival:
         if s2_on_2:
             # Failing machine 2 before its pinned tasks run strands them.
             with pytest.raises(SimulationError):
-                simulate(placement, real, policy, failures={2: 0.0})
+                simulate(
+                    placement, real, policy,
+                    faults=FaultPlan.of(CrashStop(2, 0.0)),
+                )
         # Failing *late* (after pinned tasks are done) always survives:
         # replicated tasks restart elsewhere.
         late = 1e6
-        trace = simulate(placement, real, policy, failures={2: late})
+        trace = simulate(
+            placement, real, policy,
+            faults=FaultPlan.of(CrashStop(2, late)),
+        )
         trace.validate(placement, real)
 
 
@@ -162,5 +198,8 @@ class TestAbortEpoch:
         p = everywhere_placement(inst)
         real = truthful_realization(inst)
         # Task 0 (first in order) aborts after the mark passed it.
-        trace = simulate(p, real, FixedOrderPolicy(range(5)), failures={0: 1.0})
+        trace = simulate(
+            p, real, FixedOrderPolicy(range(5)),
+            faults=FaultPlan.of(CrashStop(0, 1.0)),
+        )
         assert trace.runs[0].end > 1.0  # it did rerun

@@ -1,8 +1,8 @@
 """Tests for the unified fault-injection subsystem (repro.faults).
 
 Covers the fault-plan value objects and validation, the seeded scenario
-generators, back-compat trace identity with the legacy ``failures=``
-shim, and the engine semantics of recovery, degraded speed, and
+generators, crash-stop trace identity across fault kinds, and the
+engine semantics of recovery, degraded speed, and
 correlated failures — including the same-instant event-ordering edge
 cases the completion-token machinery exists for.
 """
@@ -57,8 +57,8 @@ class TestFaultPlan:
         _, _, trace = _run(inst, faults=FaultPlan())
         assert trace.runs == healthy.runs
 
-    def test_from_failures_preserves_order(self):
-        plan = FaultPlan.from_failures({3: 2.0, 1: 1.0})
+    def test_crashes_keep_declaration_order(self):
+        plan = FaultPlan.of(CrashStop(3, 2.0), CrashStop(1, 1.0))
         assert plan.crashes() == [(2.0, 3, math.inf), (1.0, 1, math.inf)]
 
     def test_crashes_expand_correlated(self):
@@ -126,27 +126,17 @@ class TestValidation:
         with pytest.raises(SimulationError, match="outside"):
             _run(inst, faults=FaultPlan.of(CrashStop(9, 1.0)))
 
-    def test_engine_rejects_both_fault_arguments(self, inst):
-        with pytest.raises(SimulationError, match="not both"):
-            _run(inst, failures={0: 1.0}, faults=FaultPlan.of(CrashStop(0, 1.0)))
-
 
 class TestBackCompatEquivalence:
-    """``faults=`` must reproduce the legacy ``failures=`` path exactly."""
-
-    def test_from_failures_trace_identical(self, inst):
-        _, _, legacy = _run(inst, failures={0: 1.0})
-        _, _, plan = _run(inst, faults=FaultPlan.from_failures({0: 1.0}))
-        assert plan.runs == legacy.runs
-        assert plan.aborted == legacy.aborted
+    """Fault kinds that mean a permanent crash play identical traces."""
 
     def test_infinite_downtime_recover_is_crash_stop(self, inst):
-        _, _, legacy = _run(inst, failures={0: 1.0})
+        _, _, crash = _run(inst, faults=FaultPlan.of(CrashStop(0, 1.0)))
         _, _, recover = _run(
             inst, faults=FaultPlan.of(CrashRecover(0, 1.0, math.inf))
         )
-        assert recover.runs == legacy.runs
-        assert recover.aborted == legacy.aborted
+        assert recover.runs == crash.runs
+        assert recover.aborted == crash.aborted
 
     def test_stranding_matches_legacy(self, inst):
         p = single_machine_placement(inst, [0, 1, 0, 1, 0])

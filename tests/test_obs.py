@@ -26,6 +26,7 @@ from repro.obs import (
 )
 from repro.obs.validate import main as validate_main
 from repro.obs.validate import validate_trace
+from repro.faults import CrashStop, FaultPlan
 from repro.simulation.engine import simulate
 from repro.simulation.metrics import metrics_summary
 
@@ -178,7 +179,10 @@ class TestEngineCounters:
     def test_restart_counted_under_injected_failure(self):
         inst, placement, policy, real = make_two_machine()
         with observed(MemorySink()) as tracer:
-            trace = simulate(placement, real, policy, failures={0: 1.0})
+            trace = simulate(
+                placement, real, policy,
+                faults=FaultPlan.of(CrashStop(0, 1.0)),
+            )
             counters = tracer.registry.counters
             assert counters["sim.machine_failures"].value == 1
             assert counters["sim.restarts"].value == len(trace.aborted) >= 1
@@ -343,7 +347,10 @@ class TestMetricsSummaryIntegration:
     def test_counters_merged_when_traced(self):
         inst, placement, policy, real = make_two_machine()
         with observed(MemorySink()):
-            trace = simulate(placement, real, policy, failures={0: 1.0})
+            trace = simulate(
+                placement, real, policy,
+                faults=FaultPlan.of(CrashStop(0, 1.0)),
+            )
             out = metrics_summary(trace, real, inst.m)
             assert out["events_processed"] > 0
             assert out["restarts"] == len(trace.aborted)

@@ -95,11 +95,6 @@ class TestParallelEquivalence:
         )
         assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
-    def test_explicit_chunk_size(self, instances):
-        serial = run_grid(_strategies(), instances, ["uniform"])
-        chunked = run_grid(_strategies(), instances, ["uniform"], workers=2, chunk_size=1)
-        assert serial == chunked
-
 
 class TestUnpicklableFallback:
     def test_custom_factory_runs_inline(self, instances):
@@ -117,7 +112,7 @@ class TestExecuteCells:
 
     def test_outcomes_sorted_by_index(self, instances):
         cells = enumerate_cells(_strategies(), instances, ["uniform"], (0,), 22)
-        outcomes, _ = execute_cells(cells, workers=2, chunk_size=1)
+        outcomes, _ = execute_cells(cells, workers=2)
         assert [o.index for o in outcomes] == list(range(len(cells)))
 
     def test_worker_traces_only_when_traced(self, instances):

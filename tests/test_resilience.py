@@ -183,7 +183,7 @@ class TestTimeouts:
             time.sleep(0.25)
             raise AssertionError("timed-out attempt must not be used")
 
-        monkeypatch.setattr(ratios_module, "measured_ratio", _slow)
+        monkeypatch.setattr(ratios_module, "run_strategy", _slow)
         (spec,) = enumerate_cells(
             [LPTNoChoice()], [uniform_instance(8, 2, alpha=1.5, seed=0)],
             ["log_uniform"], [0], 22,

@@ -226,16 +226,6 @@ class TestGc:
         assert report.expired_raw == 1
         assert not store.contains(Stage.RAW, "ab" * 32)
 
-    def test_prune_legacy_is_opt_in(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        shard = Path(tmp_path) / "ab" / ("ab" * 32 + ".json")
-        shard.parent.mkdir(parents=True)
-        shard.write_text('{"v": 2}')
-        assert store.gc().pruned_legacy == 0
-        assert shard.exists()
-        assert store.gc(prune_legacy=True).pruned_legacy == 1
-        assert not shard.exists()
-
     def test_empty_directories_removed(self, tmp_path):
         store, _ = self._store_with_debris(tmp_path)
         store.gc()
