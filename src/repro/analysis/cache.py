@@ -159,7 +159,7 @@ class CellCache:
 
     @property
     def root(self) -> Path:
-        """The store's root directory (local backends)."""
+        """The store's root directory."""
         return self.store.root
 
     @property
@@ -198,23 +198,24 @@ class CellCache:
         fingerprint = cell_fingerprint(spec)
         if fingerprint is None:
             return None
-        tracer = get_tracer()
-        existed = self.store.contains(Stage.RAW, fingerprint)
+        counters = self.store.counters
+        corrupt, quarantined = counters.corrupt, counters.quarantined
         artifact = self.store.get(Stage.RAW, fingerprint)
         outcome = None
         if artifact is not None:
             try:
-                outcome = self._decode(spec, fingerprint, artifact.payload)
+                outcome = self._decode(spec, artifact.payload)
             except (ValueError, KeyError, TypeError):
                 self.store.quarantine(Stage.RAW, fingerprint)
-                artifact = None
-        if artifact is None and existed:
-            # The entry was there but unusable: the store quarantined it.
+        # The store counts an unusable entry as corrupt, and as
+        # quarantined once it has been moved aside.
+        tracer = get_tracer()
+        if counters.corrupt > corrupt:
             self.corrupt += 1
             tracer.count("grid.cache_corrupt")
-            if not self.store.contains(Stage.RAW, fingerprint):
-                self.quarantined += 1
-                tracer.count("grid.cache_quarantined")
+        if counters.quarantined > quarantined:
+            self.quarantined += 1
+            tracer.count("grid.cache_quarantined")
         if outcome is None:
             self.misses += 1
             tracer.count("grid.cache_misses")
@@ -254,12 +255,12 @@ class CellCache:
         get_tracer().count("grid.cache_stores")
         return True
 
-    def _decode(
-        self, spec: CellSpec, fingerprint: str, payload: dict[str, Any]
-    ) -> CellOutcome:
-        """Rebuild a :class:`CellOutcome`; raises on any inconsistency."""
-        if fingerprint != cell_fingerprint(spec):  # pragma: no cover - defensive
-            raise ValueError("cache entry fingerprint mismatch")
+    def _decode(self, spec: CellSpec, payload: dict[str, Any]) -> CellOutcome:
+        """Rebuild a :class:`CellOutcome`; raises on any inconsistency.
+
+        The store has already checked that the manifest is named by this
+        cell's fingerprint and that its ID matches its content.
+        """
         duration = float(payload.get("duration_s", 0.0))
         kind = payload.get("kind")
         if kind == "record":

@@ -85,7 +85,7 @@ class ExperimentGrid:
         through :func:`repro.registry.make_strategy` on construction.
         Group strategies must match each instance's ``m`` — incompatible
         pairs are skipped and recorded as :class:`SkippedCell` entries in
-        :attr:`skipped`.
+        :attr:`skipped`, which each ``run()`` starts afresh.
     instances:
         The instances to run on.
     realization_models:
@@ -163,6 +163,8 @@ class ExperimentGrid:
         tracer = get_tracer()
         total = self.total_cells()
         self.batched_cells = 0
+        self.skipped = []
+        self.resilience = {"retries": 0, "timeouts": 0, "quarantined": 0}
         with tracer.span(
             "run_grid",
             strategies=len(self.strategies),

@@ -146,7 +146,7 @@ def render_report(
         )
     if not artifacts:
         raise FileNotFoundError(
-            f"no curated artifacts in the store ({store.stats().get('dir', 'remote')}); "
+            f"no curated artifacts in the store ({store.root}); "
             "run `pytest benchmarks/ --benchmark-only` or `repro report --adopt`"
         )
 

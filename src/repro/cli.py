@@ -1085,7 +1085,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         total += size
         if key.startswith("blobs/"):
             blobs += 1
-    print(f"store: {store.stats().get('dir', '<remote>')}")
+    print(f"store: {store.root}")
     for stage in Stage:
         print(f"  {stage.value:>7}: {len(store.names(stage))} artifacts")
     print(f"  {'blobs':>7}: {blobs} files")

@@ -55,6 +55,7 @@ EVENT_PAYLOAD_FIELDS: dict[str, tuple[str, ...]] = {
     "grid.cell_retry": ("strategy", "instance", "attempt", "error"),
     "grid.cell_quarantined": ("strategy", "instance", "attempts", "error"),
     "grid.batch_pack": ("strategy", "instance", "cells"),
+    "grid.cell_cached": ("strategy", "instance", "model", "seed"),
     "service.admit": ("task", "tenant", "t"),
     "service.dispatch": ("task", "machine", "t"),
     "service.complete": ("task", "machine", "t"),

@@ -75,6 +75,17 @@ __all__ = ["ServiceScheduler", "DURATION_MODELS"]
 DURATION_MODELS = ("truthful", "log_uniform", "bimodal_extreme")
 
 
+def _admission_number(field: str, value: Any, *, positive: bool) -> float:
+    """``value`` as a finite float (``> 0`` or ``>= 0``), else ``bad_<field>``."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise AdmissionError(f"bad_{field}", f"{field} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        bound = "> 0" if positive else ">= 0"
+        raise AdmissionError(f"bad_{field}", f"{field} must be finite and {bound}, got {value}")
+    return value
+
+
 class ServiceScheduler:
     """Online admission + placement + dispatch over a simulated cluster.
 
@@ -172,16 +183,8 @@ class ServiceScheduler:
             raise AdmissionError(
                 "draining", "the service is draining and admits no new tasks"
             )
-        if not isinstance(estimate, (int, float)) or isinstance(estimate, bool):
-            raise AdmissionError("bad_estimate", f"estimate must be a number, got {estimate!r}")
-        estimate = float(estimate)
-        if not math.isfinite(estimate) or estimate <= 0.0:
-            raise AdmissionError(
-                "bad_estimate", f"estimate must be finite and > 0, got {estimate}"
-            )
-        size = float(size)
-        if not math.isfinite(size) or size < 0.0:
-            raise AdmissionError("bad_size", f"size must be finite and >= 0, got {size}")
+        estimate = _admission_number("estimate", estimate, positive=True)
+        size = _admission_number("size", size, positive=False)
 
         tid = len(self.records)
         exclude: frozenset[int] = frozenset()

@@ -9,7 +9,7 @@ layout, identity rules, and the ``repro report`` pipeline built on top.
 """
 
 from repro.store.artifact import MANIFEST_VERSION, Artifact, Stage, compute_artifact_id
-from repro.store.backend import LocalDirBackend, StoreBackend, open_backend
+from repro.store.backend import LocalDirBackend
 from repro.store.canonical import canonical_json, content_hash, hash_bytes, hash_file
 from repro.store.publish import (
     SPECS,
@@ -45,7 +45,6 @@ __all__ = [
     "Ref",
     "RefRecorder",
     "SPECS",
-    "StoreBackend",
     "Stage",
     "adopt_results",
     "artifact_files",
@@ -58,7 +57,6 @@ __all__ = [
     "drain_raw_refs",
     "hash_bytes",
     "hash_file",
-    "open_backend",
     "publish_curated",
     "record_raw_ref",
     "recording",

@@ -1,62 +1,22 @@
-"""Pluggable key/value backends beneath the artifact store.
+"""The local directory beneath the artifact store.
 
 The store addresses everything by flat POSIX-style keys
-(``raw/ab/abcd….json``, ``blobs/12/1234…``); a backend maps those keys
-to durable bytes.  :class:`LocalDirBackend` is the shipping
-implementation — one file per key under a root directory, written
-atomically (temp file + rename) so a crashed writer can never leave a
-half-written entry behind.
-
-The interface is deliberately minimal (read / write / delete / list /
-size / quarantine) so a remote backend — an object store for multi-host
-grid fan-out, the ROADMAP's next step — can drop in without touching the
-store, the cache adapter, or the report pipeline.  :func:`open_backend`
-is the factory seam: local paths work today; URL schemes raise a clear
-``NotImplementedError`` naming this hook.
+(``raw/ab/abcd….json``, ``blobs/12/1234…``); :class:`LocalDirBackend`
+maps those keys to files under a root directory, written atomically
+(temp file + rename) so a crashed writer can never leave a
+half-written entry behind.  Reads never raise: an absent or
+unreadable key reads as ``None``.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections.abc import Iterator
 from pathlib import Path
 
-__all__ = ["StoreBackend", "LocalDirBackend", "open_backend"]
+__all__ = ["LocalDirBackend"]
 
 
-class StoreBackend(ABC):
-    """Minimal durable key/value contract the artifact store runs on."""
-
-    @abstractmethod
-    def read(self, key: str) -> bytes | None:
-        """The bytes at ``key``, or ``None`` when absent (never raises)."""
-
-    @abstractmethod
-    def write(self, key: str, data: bytes) -> bool:
-        """Atomically persist ``data`` at ``key``; False on I/O failure."""
-
-    @abstractmethod
-    def delete(self, key: str) -> int:
-        """Remove ``key``; returns the bytes reclaimed (0 when absent)."""
-
-    @abstractmethod
-    def exists(self, key: str) -> bool:
-        """Whether ``key`` currently holds a value."""
-
-    @abstractmethod
-    def size(self, key: str) -> int | None:
-        """Stored size in bytes, or ``None`` when absent."""
-
-    @abstractmethod
-    def list(self, prefix: str = "") -> Iterator[str]:
-        """All keys starting with ``prefix``, in sorted order."""
-
-    @abstractmethod
-    def quarantine(self, key: str) -> bool:
-        """Move a corrupt entry aside to ``<key>.corrupt``; False on failure."""
-
-
-class LocalDirBackend(StoreBackend):
+class LocalDirBackend:
     """One file per key under ``root``, with atomic tmp-then-rename writes."""
 
     def __init__(self, root: str | Path) -> None:
@@ -69,12 +29,14 @@ class LocalDirBackend(StoreBackend):
         return self.root.joinpath(*key.split("/"))
 
     def read(self, key: str) -> bytes | None:
+        """The bytes at ``key``, or ``None`` when absent (never raises)."""
         try:
             return self.path(key).read_bytes()
         except OSError:
             return None
 
     def write(self, key: str, data: bytes) -> bool:
+        """Atomically persist ``data`` at ``key``; False on I/O failure."""
         path = self.path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -85,25 +47,19 @@ class LocalDirBackend(StoreBackend):
             return False
         return True
 
-    def delete(self, key: str) -> int:
-        path = self.path(key)
-        try:
-            size = path.stat().st_size
-            path.unlink()
-        except OSError:
-            return 0
-        return size
-
     def exists(self, key: str) -> bool:
+        """Whether ``key`` currently holds a value."""
         return self.path(key).is_file()
 
     def size(self, key: str) -> int | None:
+        """Stored size in bytes, or ``None`` when absent."""
         try:
             return self.path(key).stat().st_size
         except OSError:
             return None
 
     def list(self, prefix: str = "") -> Iterator[str]:
+        """All keys starting with ``prefix``, in sorted order."""
         if not self.root.is_dir():
             return
         for path in sorted(p for p in self.root.rglob("*") if p.is_file()):
@@ -112,6 +68,7 @@ class LocalDirBackend(StoreBackend):
                 yield key
 
     def quarantine(self, key: str) -> bool:
+        """Move a corrupt entry aside to ``<key>.corrupt``; False on failure."""
         path = self.path(key)
         try:
             path.replace(path.with_name(path.name + ".corrupt"))
@@ -119,24 +76,3 @@ class LocalDirBackend(StoreBackend):
             return False
         return True
 
-
-def open_backend(location: "str | Path | StoreBackend") -> StoreBackend:
-    """Resolve a store location to a backend.
-
-    Accepts an already-constructed backend (passed through), a local
-    path (→ :class:`LocalDirBackend`), or a ``scheme://`` URL — the
-    extension point for remote backends, which currently raises
-    ``NotImplementedError`` so callers get a precise message instead of
-    a mangled local path.
-    """
-    if isinstance(location, StoreBackend):
-        return location
-    text = str(location)
-    if "://" in text:
-        scheme = text.split("://", 1)[0]
-        raise NotImplementedError(
-            f"remote store backend {scheme!r} is not implemented yet; "
-            "implement repro.store.backend.StoreBackend and pass the "
-            "instance to ArtifactStore (see docs/artifacts.md)"
-        )
-    return LocalDirBackend(location)

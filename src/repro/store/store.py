@@ -3,7 +3,7 @@
 One :class:`ArtifactStore` unifies what used to be three disconnected
 provenance systems — the grid cell cache, the ``results/*.manifest.json``
 sidecars, and the hand-assembled ``REPORT.md`` — behind a single
-backend-agnostic layout:
+directory layout (a :class:`~repro.store.backend.LocalDirBackend`):
 
 * ``raw/<aa>/<fingerprint>.json`` — RAW cell manifests (payload inline),
   sharded by the first two hex chars like the old cache;
@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
 from repro.obs.tracer import get_tracer
 from repro.store.artifact import Artifact, Stage
-from repro.store.backend import LocalDirBackend, StoreBackend, open_backend
+from repro.store.backend import LocalDirBackend
 from repro.store.canonical import hash_bytes
 from repro.store.refs import ArtifactRef, Ref
 
@@ -92,23 +92,12 @@ class _Counters:
     quarantined: int = 0
     evicted: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "deduped": self.deduped,
-            "corrupt": self.corrupt,
-            "quarantined": self.quarantined,
-            "evicted": self.evicted,
-        }
-
 
 class ArtifactStore:
-    """Staged, content-addressed artifact storage over a pluggable backend."""
+    """Staged, content-addressed artifact storage under one local directory."""
 
-    def __init__(self, location: str | Path | StoreBackend | None = None) -> None:
-        self.backend = open_backend(location if location is not None else default_store_root())
+    def __init__(self, location: str | Path | None = None) -> None:
+        self.backend = LocalDirBackend(location if location is not None else default_store_root())
         self.counters = _Counters()
 
     # -- key layout --------------------------------------------------------
@@ -126,15 +115,11 @@ class ArtifactStore:
 
     @property
     def root(self) -> Path:
-        """Filesystem root (local backends only)."""
-        if isinstance(self.backend, LocalDirBackend):
-            return self.backend.root
-        raise TypeError("store backend has no local root")
+        """The store's root directory."""
+        return self.backend.root
 
     def manifest_path(self, stage: str | Stage, name: str) -> Path:
-        """On-disk manifest location (local backends only; for tests/tools)."""
-        if not isinstance(self.backend, LocalDirBackend):
-            raise TypeError("store backend has no local paths")
+        """On-disk manifest location (for tests/tools)."""
         return self.backend.path(self._manifest_key(stage, name))
 
     # -- read path ---------------------------------------------------------
@@ -267,10 +252,7 @@ class ArtifactStore:
 
     def stats(self) -> dict[str, Any]:
         """JSON-ready counter snapshot (manifests, CLI summaries)."""
-        stats: dict[str, Any] = self.counters.as_dict()
-        if isinstance(self.backend, LocalDirBackend):
-            stats["dir"] = str(self.backend.root)
-        return stats
+        return {**asdict(self.counters), "dir": str(self.root)}
 
     # -- garbage collection ------------------------------------------------
 
@@ -287,13 +269,11 @@ class ArtifactStore:
         * blobs referenced by no manifest are orphans and are removed;
         * ``.corrupt`` / ``.tmp`` debris is swept.
 
-        Local backends only (needs mtimes); ``dry_run`` counts without
-        deleting.  Ticks ``store.gc_removed`` with the entry count.
+        ``dry_run`` counts without deleting.  Ticks ``store.gc_removed``
+        with the entry count.
         """
-        if not isinstance(self.backend, LocalDirBackend):
-            raise TypeError("gc requires a local store backend")
         report = GcReport(dry_run=dry_run)
-        root = self.backend.root
+        root = self.root
         if not root.is_dir():
             return report
         cutoff = time.time() - max_age_days * 86400.0 if max_age_days is not None else None

@@ -12,7 +12,7 @@ from repro.analysis.experiment import run_grid
 from repro.analysis.parallel import CellSpec, GroupMemo, enumerate_cells, run_cell
 from repro.core.strategies import LPTNoChoice, LPTNoRestriction, LSGroup
 from repro.uncertainty.realization import truthful_realization
-from repro.workloads.generators import uniform_instance
+from repro.workloads.generators import generate, uniform_instance
 
 
 @pytest.fixture
@@ -80,6 +80,20 @@ class TestFingerprint:
         factory = lambda inst, seed: truthful_realization(inst)  # noqa: E731
         spec = _spec(instance, model=factory, model_name="truthful")
         assert cell_fingerprint(spec) is None
+
+    def test_pinned_value(self):
+        # Pinned: a change here turns every stored cell into a miss.
+        spec = _spec(
+            generate("uniform", 20, 4, 1.5, 0),
+            strategy=LSGroup(2),
+            model="log_uniform",
+            model_name="log_uniform",
+            seed=1000,
+            exact_limit=22,
+        )
+        assert cell_fingerprint(spec) == (
+            "1854fa2686bddddbc477ccdeb5538bb52af5953be17db17f279884a2b65a0f0c"
+        )
 
 
 class TestCellCache:

@@ -5,9 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.experiment import ExperimentGrid, run_grid
+from repro.analysis.parallel import RetryPolicy
 from repro.core.strategies import LPTNoChoice, LSGroup
+from repro.faults import inject
+from repro.faults.inject import CellFaultSpec
 from repro.uncertainty.realization import truthful_realization
-from repro.workloads.generators import uniform_instance
+from repro.workloads.generators import generate, uniform_instance
 
 
 @pytest.fixture
@@ -64,3 +67,23 @@ class TestRunGrid:
         a = run_grid([LPTNoChoice()], instances, ["log_uniform"], seeds=(3,))
         b = run_grid([LPTNoChoice()], instances, ["log_uniform"], seeds=(3,))
         assert [r.ratio for r in a] == [r.ratio for r in b]
+
+    def test_second_run_reports_only_its_own_skips(self):
+        grid = ExperimentGrid(
+            strategies=["ls_group[k=3]", "lpt_no_choice"],  # k=3 cannot split m=4
+            instances=[generate("uniform", 12, 4, 1.5, 0)],
+            realization_models=["uniform"],
+            seeds=(0, 1),
+            retry=RetryPolicy(max_attempts=2, backoff_s=0.0),
+        )
+        inject.configure(CellFaultSpec(only=1, fails=-1))  # lpt_no_choice, seed 0
+        try:
+            for _ in range(2):
+                records = grid.run()
+                assert len(records) == 1
+                assert [s.kind for s in grid.skipped] == [
+                    "incompatible", "quarantined", "incompatible",
+                ]
+                assert grid.resilience == {"retries": 1, "timeouts": 0, "quarantined": 1}
+        finally:
+            inject.reset()

@@ -57,8 +57,10 @@ def test_admission_validation():
     for bad in (0.0, -1.0, float("nan"), float("inf"), "3", None, True):
         with pytest.raises(AdmissionError):
             sched.admit("a", bad)
-    with pytest.raises(AdmissionError):
-        sched.admit("a", 1.0, size=-2.0)
+    for bad in (-2.0, float("nan"), float("inf"), "big", None, [1.0], {"x": 1}, True):
+        with pytest.raises(AdmissionError) as err:
+            sched.admit("a", 1.0, size=bad)
+        assert err.value.code == "bad_size"
 
 
 def test_capability_gate_rejects_non_batch_strategies():

@@ -66,6 +66,8 @@ def test_http_error_codes():
         assert err.value.status == 400 and err.value.code == "bad_estimate"
         status, body = await client.request("POST", "/v1/tasks", {"estimate": 1, "bogus": 2})
         assert status == 400 and body["error"]["code"] == "unknown_field"
+        status, body = await client.request("POST", "/v1/tasks", {"estimate": 1, "size": "big"})
+        assert status == 400 and body["error"]["code"] == "bad_size"
         status, _ = await client.request("GET", "/v1/tasks/999")
         assert status == 404
         status, _ = await client.request("GET", "/nowhere")
