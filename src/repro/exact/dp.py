@@ -9,12 +9,12 @@ Two complementary DPs, both exact:
     of tasks, far beyond the branch-and-bound.
 
 ``dp_load_vector``
-    For general ``m``: enumerate reachable *sorted* load vectors after
-    each task (state = non-decreasing tuple of machine loads).  Sorting
-    collapses machine symmetry; dominance pruning (a vector dominated
-    component-wise by another is dropped) keeps the frontier small for the
-    tiny instances the property tests use for cross-validation against the
-    branch-and-bound.
+    For general ``m``: enumerate every reachable *sorted* load vector
+    after each task (state = non-decreasing tuple of machine loads).
+    Sorting collapses machine symmetry; nothing else is pruned, so the
+    oracle shares no pruning logic with the branch-and-bound it
+    cross-checks in the property tests.  At their sizes the frontier holds
+    a few thousand vectors.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ def dp_load_vector(times: Sequence[float], m: int, *, state_limit: int = 2_000_0
 
     Works on float durations directly.  States are the sorted tuples of
     machine loads reachable after placing a prefix of the tasks (largest
-    first); dominated states are pruned.  ``state_limit`` caps the frontier
-    to keep the solver honest about its applicable range.
+    first).  ``state_limit`` caps the frontier to keep the solver honest
+    about its applicable range.
     """
     ts = check_times(times)
     check_machine_count(m)
@@ -107,7 +107,7 @@ def dp_load_vector(times: Sequence[float], m: int, *, state_limit: int = 2_000_0
                 prev = state[i]
                 child = sorted(state[:i] + (state[i] + t,) + state[i + 1:])
                 nxt.add(tuple(child))
-        frontier = _prune_dominated(nxt)
+        frontier = nxt
         if len(frontier) > state_limit:
             raise RuntimeError(
                 f"dp_load_vector frontier exceeded {state_limit} states "
@@ -115,17 +115,3 @@ def dp_load_vector(times: Sequence[float], m: int, *, state_limit: int = 2_000_0
             )
     return min(max(state) for state in frontier)
 
-
-def _prune_dominated(states: set[tuple[float, ...]]) -> set[tuple[float, ...]]:
-    """Drop states dominated component-wise by another state.
-
-    Sorted load vectors compare meaningfully component-wise: if
-    ``a[i] <= b[i]`` for all ``i`` then any completion of ``b`` is matched
-    or beaten by the same completion of ``a``.
-    """
-    ordered = sorted(states)  # lexicographic; a dominator sorts earlier
-    kept: list[tuple[float, ...]] = []
-    for s in ordered:
-        if not any(all(k[i] <= s[i] for i in range(len(s))) for k in kept):
-            kept.append(s)
-    return set(kept)

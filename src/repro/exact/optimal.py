@@ -36,7 +36,8 @@ class OptimalValue:
 
     ``value`` is :math:`C^*_{max}` exactly when ``optimal`` is True, and a
     lower bound on it otherwise.  ``method`` records how it was obtained
-    (``"closed_form"``, ``"partition_dp"``, ``"bnb"``, ``"lower_bound"``).
+    (``"closed_form"``, ``"partition_dp"``, ``"bnb"``, ``"milp"``,
+    ``"lower_bound"``).
     """
 
     value: float
