@@ -21,7 +21,7 @@ from repro.analysis.csvio import results_dir, write_csv
 from repro.analysis.experiment import run_grid
 from repro.analysis.stats import summarize
 from repro.analysis.tables import format_table
-from repro.core.strategies import full_sweep
+from repro.registry import full_sweep
 from repro.workloads.suites import small_exact_suite
 
 

@@ -16,8 +16,9 @@ import time
 from benchmarks.conftest import emit
 from repro.analysis.experiment import ExperimentGrid, run_grid
 from repro.analysis.ratios import run_strategy
-from repro.core.strategies import LPTNoRestriction, LSGroup, full_sweep
+from repro.core.strategies import LPTNoRestriction, LSGroup
 from repro.exact.bnb import branch_and_bound
+from repro.registry import full_sweep
 from repro.schedulers.lpt import lpt_schedule
 from repro.schedulers.multifit import multifit_schedule
 from repro.uncertainty.stochastic import sample_realization

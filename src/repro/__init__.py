@@ -95,9 +95,6 @@ from repro.core.strategies import (
     NonClairvoyantLS,
     OverlappingWindows,
     SelectiveReplication,
-    full_sweep,
-    make_strategy,
-    strategy_names,
 )
 from repro.core.tradeoff import ratio_replication_series, tradeoff_findings
 from repro.exact import optimal_makespan
@@ -134,8 +131,11 @@ from repro.registry import (
     canonical_spec,
     capabilities_of,
     describe_strategy,
+    full_sweep,
+    make_strategy,
     select_strategies,
     strategy_entries,
+    strategy_names,
 )
 from repro.robust import RobustPinnedPlacement
 from repro.schedulers import PinnedBaseline

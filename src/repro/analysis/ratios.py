@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from repro.core.model import Instance
 from repro.core.placement import Placement
-from repro.core.strategies.registry import build_placement
 from repro.core.strategy import TwoPhaseStrategy
 from repro.exact.optimal import OptimalValue, optimal_makespan
 from repro.faults.plan import FaultPlan
@@ -35,11 +34,36 @@ from repro.uncertainty.realization import Realization
 __all__ = [
     "StrategyOutcome",
     "RatioRecord",
+    "build_placement",
     "run_strategy",
     "measured_ratio",
     "guarantee_of",
     "within_guarantee",
 ]
+
+
+def build_placement(strategy: TwoPhaseStrategy, instance: Instance) -> Placement:
+    """Run Phase 1 (``strategy.place``) under an observability span.
+
+    The instrumented entry point for placement builds: :func:`run_strategy`
+    and the batch compiler (:func:`repro.simulation.batch.build_plan`) look
+    it up here at call time, so every Phase-1 build shows up as a
+    ``phase1`` span with a ``phase1.placements`` counter, at zero cost when
+    tracing is off.
+    """
+    tracer = get_tracer()
+    if not tracer.enabled:
+        return strategy.place(instance)
+    with tracer.span(
+        "phase1", strategy=strategy.name, n=instance.n, m=instance.m
+    ) as span:
+        placement = strategy.place(instance)
+        span.set(
+            replication=placement.max_replication(),
+            total_replicas=placement.total_replicas(),
+        )
+    tracer.count("phase1.placements")
+    return placement
 
 
 def guarantee_of(strategy: TwoPhaseStrategy, instance: Instance) -> float | None:

@@ -56,10 +56,10 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.analysis import format_table, measured_ratio, summarize
-from repro.core.strategies import full_sweep, make_strategy
 from repro.obs import JsonlSink, MemorySink, get_tracer
 from repro.obs import disable as obs_disable
 from repro.obs import enable as obs_enable
+from repro.registry import full_sweep, make_strategy
 from repro.reporting import (
     fig1_report,
     fig2_report,

@@ -5,12 +5,6 @@ from repro.core.strategies.lpt_no_restriction import LPTNoRestriction
 from repro.core.strategies.ls_group import LPTGroup, LSGroup, equal_groups
 from repro.core.strategies.nonclairvoyant import NonClairvoyantLS
 from repro.core.strategies.overlapping import OverlappingWindows, window_machines
-from repro.core.strategies.registry import (
-    build_placement,
-    full_sweep,
-    make_strategy,
-    strategy_names,
-)
 from repro.core.strategies.selective import BudgetedReplication, SelectiveReplication
 
 __all__ = [
@@ -24,8 +18,4 @@ __all__ = [
     "OverlappingWindows",
     "window_machines",
     "NonClairvoyantLS",
-    "make_strategy",
-    "strategy_names",
-    "full_sweep",
-    "build_placement",
 ]

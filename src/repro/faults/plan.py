@@ -29,6 +29,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Union
 
+from repro._validation import check_non_negative_float, check_positive_float
+
 __all__ = [
     "CrashStop",
     "CrashRecover",
@@ -152,18 +154,18 @@ class FaultPlan:
     def validate(self, m: int) -> None:
         """Check the plan fits an ``m``-machine cluster; raise ``ValueError``.
 
-        Machine ids must be in ``0..m-1``, times non-negative, downtimes
-        positive (or infinite), degraded factors positive with
-        ``start < end``, and no two degraded intervals on the same machine
-        may overlap (the engine tracks one active factor per machine).
+        Machine ids must be in ``0..m-1``, failure and interval start times
+        finite and non-negative, downtimes positive (or infinite), degraded
+        factors finite and positive with ``start < end`` (``end`` may be
+        infinite), and no two degraded intervals on the same machine may
+        overlap (the engine tracks one active factor per machine).
         """
         for at, machine, downtime in self.crashes():
             if not 0 <= machine < m:
                 raise ValueError(
                     f"fault references machine {machine}, outside 0..{m - 1}"
                 )
-            if at < 0:
-                raise ValueError(f"failure time for machine {machine} must be >= 0")
+            check_non_negative_float(at, f"failure time for machine {machine}")
             if not downtime > 0:
                 raise ValueError(
                     f"downtime for machine {machine} must be > 0, got {downtime}"
@@ -174,20 +176,17 @@ class FaultPlan:
                 raise ValueError(
                     f"fault references machine {slow.machine}, outside 0..{m - 1}"
                 )
-            if slow.start < 0:
-                raise ValueError(
-                    f"degraded interval on machine {slow.machine} must start >= 0"
-                )
+            check_non_negative_float(
+                slow.start, f"degraded interval start on machine {slow.machine}"
+            )
             if not slow.start < slow.end:
                 raise ValueError(
                     f"degraded interval on machine {slow.machine} is empty: "
                     f"[{slow.start}, {slow.end})"
                 )
-            if not slow.factor > 0:
-                raise ValueError(
-                    f"degraded factor on machine {slow.machine} must be > 0, "
-                    f"got {slow.factor}"
-                )
+            check_positive_float(
+                slow.factor, f"degraded factor on machine {slow.machine}"
+            )
             by_machine.setdefault(slow.machine, []).append(slow)
         for machine, intervals in by_machine.items():
             intervals.sort(key=lambda s: s.start)

@@ -20,8 +20,7 @@ derives:
 * the generated ``docs/strategies.md`` catalog and the registry-driven
   ``unknown strategy spec`` help text.
 
-The old ``repro.core.strategies.registry`` API remains as thin shims over
-these functions.  Registration is decorator-driven::
+Registration is decorator-driven::
 
     @register_strategy(
         "ls_group",

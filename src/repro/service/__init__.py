@@ -20,8 +20,8 @@ long-running service that actually runs it:
   :class:`~repro.simulation.events.EventQueue` with the event kernel's
   same-instant semantics: a completion at time *t* is revealed before
   any dispatch decision at *t*.  On a batch of admissions the core's
-  trace is bit-identical to :class:`~repro.simulation.kernel.EventKernel`
-  (tests assert it).
+  trace is bit-identical to the offline
+  :func:`~repro.simulation.engine.simulate` run (tests assert it).
 * :mod:`repro.service.http` / :mod:`repro.service.daemon` — the asyncio
   shell: a dependency-free HTTP/1.1 server over TCP or a unix socket
   exposing admission/queue/status endpoints, live OpenMetrics at

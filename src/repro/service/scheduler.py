@@ -36,9 +36,9 @@ by ``(seed, tid)`` so results do not depend on draw order.
 The scheduler is also **failure-aware** (the chaos subsystem's
 substrate, see ``docs/chaos.md``): :meth:`~ServiceScheduler.
 inject_failure` schedules ``MACHINE_FAILURE``/``MACHINE_RECOVERY``
-events with the same same-instant discipline as
-:class:`~repro.simulation.kernel.FaultAwareKernel` — completions beat
-failures, overlapping outages union via ``down_until`` tracking, and
+events with the same same-instant discipline as the event kernel's
+fault plans (:class:`~repro.simulation.kernel.EventKernel`) — completions
+beat failures, overlapping outages union via ``down_until`` tracking, and
 attempt tokens invalidate completions of aborted attempts.  A task
 running on a failing machine goes back to ``QUEUED`` and is re-placed
 onto a surviving replica of its group (its data lives only on
@@ -54,6 +54,7 @@ from typing import Any
 
 import numpy as np
 
+from repro._validation import check_alpha
 from repro.obs import get_tracer
 from repro.service.placement import OnlinePlacer
 from repro.service.protocol import (
@@ -123,15 +124,14 @@ class ServiceScheduler:
         seed: int = 0,
         health: Any | None = None,
     ) -> None:
-        if alpha < 1.0:
-            raise ValueError(f"alpha must be >= 1, got {alpha}")
+        alpha = check_alpha(alpha)
         if model not in DURATION_MODELS:
             raise ValueError(
                 f"unknown duration model {model!r}; known: {DURATION_MODELS}"
             )
         self.placer = OnlinePlacer(strategy, m)
         self.m = m
-        self.alpha = float(alpha)
+        self.alpha = alpha
         self.model = model
         self.seed = int(seed)
         self.clock = 0.0
@@ -142,7 +142,7 @@ class ServiceScheduler:
         self.deduplicated = 0
         self.health = health
         # Chaos bookkeeping: machine -> down_until (inf = permanent), the
-        # same union-of-outages discipline as FaultAwareKernel.
+        # same union-of-outages discipline as the event kernel.
         self.down: dict[int, float] = {}
         self.shed = 0
         self.replaced = 0
@@ -275,7 +275,7 @@ class ServiceScheduler:
         record.started_at = now
         self.busy[machine] = tid
         # Attempt token: a failure-aborted attempt's completion event must
-        # not fire when it surfaces (FaultAwareKernel's staleness idiom).
+        # not fire when it surfaces (the event kernel's staleness idiom).
         token = self._token.get(machine, 0) + 1
         self._token[machine] = token
         # Unit-speed cluster: duration == actual, the kernel's p/1.0.
@@ -485,8 +485,8 @@ class ServiceScheduler:
         replica set: a queued task whose every group member is down with
         infinite downtime has no machine to run on, so ``drain`` returns
         with it still queued and ``stats()`` shows the stranding — the
-        same data-loss regime :class:`~repro.simulation.kernel.
-        FaultAwareKernel` reports as "lost to machine failures".
+        same data-loss regime :class:`~repro.simulation.kernel.EventKernel`
+        reports as "lost to machine failures".
         """
         steps = 0
         while self.step() is not None:

@@ -3,12 +3,7 @@
 from repro.simulation.engine import SimulationError, simulate
 from repro.simulation.events import Event, EventKind, EventQueue
 from repro.simulation.gantt import render_gantt
-from repro.simulation.kernel import (
-    EventKernel,
-    FaultAwareKernel,
-    SimulationObserver,
-    TracerObserver,
-)
+from repro.simulation.kernel import EventKernel
 from repro.simulation.metrics import (
     load_imbalance,
     machine_utilization,
@@ -24,9 +19,6 @@ __all__ = [
     "simulate",
     "SimulationError",
     "EventKernel",
-    "FaultAwareKernel",
-    "SimulationObserver",
-    "TracerObserver",
     "ScheduleTrace",
     "TaskRun",
     "EventQueue",

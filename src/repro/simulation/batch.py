@@ -201,34 +201,27 @@ def supports_batch(strategy: TwoPhaseStrategy) -> bool:
     return caps is not None and caps.supports_batch
 
 
-def build_plan(
-    strategy: TwoPhaseStrategy,
-    instance: Instance,
-    *,
-    placement: Placement | None = None,
-) -> Plan:
+def build_plan(strategy: TwoPhaseStrategy, instance: Instance) -> Plan:
     """Compile one (strategy, instance) pair into the cheapest plan.
 
-    Runs Phase 1 once (unless a prebuilt ``placement`` is supplied),
-    builds the Phase-2 policy once, and dispatches on its exact type:
-    :class:`FixedOrderPolicy` compiles to the closed-form sweep (or the
-    replay when the placement is not a partition), ``ABOPolicy`` to the
-    phase-split sweep, ``PinnedAwarePolicy`` to the replay.  Every
-    closed-form precondition is verified against the placement — the
-    capability flag is never trusted.  Raises
+    Runs Phase 1 once (through
+    :func:`~repro.analysis.ratios.build_placement`, traced like the
+    per-cell path's), builds the Phase-2 policy once, and dispatches on
+    its exact type: :class:`FixedOrderPolicy` compiles to the closed-form
+    sweep (or the replay when the placement is not a partition),
+    ``ABOPolicy`` to the phase-split sweep, ``PinnedAwarePolicy`` to the
+    replay.  Every closed-form precondition is verified against the
+    placement — the capability flag is never trusted.  Raises
     :class:`BatchUnsupported` when the pair must use the event kernel,
     and propagates ``ValueError`` from Phase 1 unchanged (e.g. a group
     strategy whose ``k`` does not divide ``m`` — the same error the
     per-cell path turns into a skipped cell).
     """
-    from repro.analysis.ratios import guarantee_of
+    from repro.analysis.ratios import build_placement, guarantee_of
     from repro.core.strategies.selective import PinnedAwarePolicy
     from repro.memory.abo import ABOPolicy
 
-    if placement is None:
-        from repro.core.strategies.registry import build_placement
-
-        placement = build_placement(strategy, instance)
+    placement = build_placement(strategy, instance)
     policy = strategy.make_policy(instance, placement)
     guarantee = guarantee_of(strategy, instance)
     if type(policy) is FixedOrderPolicy:

@@ -19,11 +19,9 @@ mechanically:
   machine, else the engine raises — a buggy policy cannot silently cheat.
 
 This module is the *orchestrator*: input validation, capability
-enforcement, kernel selection, and observability.  The event loop itself
-lives in :mod:`repro.simulation.kernel` — a fault-free run takes the fast
-:class:`~repro.simulation.kernel.EventKernel` (no fault bookkeeping at
-all), a run with a :class:`~repro.faults.plan.FaultPlan` takes the
-:class:`~repro.simulation.kernel.FaultAwareKernel`.
+enforcement, and observability.  The event loop itself is
+:class:`~repro.simulation.kernel.EventKernel`; a fault-free run is its
+``plan=None`` case.
 
 Optional ``release_times`` extend the model beyond the paper (all paper
 experiments use release 0); a machine that finds nothing to run re-polls
@@ -51,25 +49,18 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from repro._validation import check_non_negative_float, check_positive_float
 from repro.core.placement import Placement
 from repro.core.strategy import OnlinePolicy
 from repro.faults.plan import FaultPlan
 from repro.obs.provenance import run_manifest
 from repro.obs.tracer import get_tracer
 from repro.registry.capabilities import Capabilities, CapabilityError
-from repro.simulation.kernel import (
-    EventKernel,
-    FaultAwareKernel,
-    SimulationError,
-    SimulationObserver,
-    TracerObserver,
-)
+from repro.simulation.kernel import EventKernel, SimulationError
 from repro.simulation.trace import ScheduleTrace
 from repro.uncertainty.realization import Realization
 
 __all__ = ["simulate", "SimulationError"]
-
-_NO_OP_OBSERVER = SimulationObserver()
 
 
 def simulate(
@@ -136,35 +127,31 @@ def simulate(
     if realization.instance is not instance and realization.instance != instance:
         raise SimulationError("realization belongs to a different instance than placement")
     n, m = instance.n, instance.m
-
-    if speeds is None:
-        machine_speed = [1.0] * m
-    else:
-        if len(speeds) != m:
-            raise SimulationError(f"speeds must have length {m}, got {len(speeds)}")
-        machine_speed = [float(s) for s in speeds]
-        for i, s in enumerate(machine_speed):
-            if not s > 0:
-                raise SimulationError(f"speeds[{i}] must be > 0, got {s}")
-
-    if release_times is None:
-        releases = [0.0] * n
-    else:
-        if len(release_times) != n:
-            raise SimulationError(
-                f"release_times must cover all {n} tasks, got {len(release_times)}"
-            )
-        releases = [float(r) for r in release_times]
-        for j, r in enumerate(releases):
-            if r < 0:
-                raise SimulationError(f"release_times[{j}] must be >= 0, got {r}")
-
+    if speeds is not None and len(speeds) != m:
+        raise SimulationError(f"speeds must have length {m}, got {len(speeds)}")
+    if release_times is not None and len(release_times) != n:
+        raise SimulationError(
+            f"release_times must cover all {n} tasks, got {len(release_times)}"
+        )
     plan = faults or None
-    if plan:
-        try:
+    try:
+        machine_speed = (
+            [1.0] * m
+            if speeds is None
+            else [check_positive_float(s, f"speeds[{i}]") for i, s in enumerate(speeds)]
+        )
+        releases = (
+            [0.0] * n
+            if release_times is None
+            else [
+                check_non_negative_float(r, f"release_times[{j}]")
+                for j, r in enumerate(release_times)
+            ]
+        )
+        if plan:
             plan.validate(m)
-        except ValueError as exc:
-            raise SimulationError(str(exc)) from exc
+    except ValueError as exc:
+        raise SimulationError(str(exc)) from exc
 
     if capabilities is not None:
         if plan is not None and not capabilities.supports_faults:
@@ -181,36 +168,19 @@ def simulate(
             )
 
     tracer = get_tracer()
-    obs = tracer.enabled  # hoisted: the hot loop pays one bool check per event
-    observer = TracerObserver(tracer) if obs else _NO_OP_OBSERVER
-
-    if plan:
-        kernel: EventKernel = FaultAwareKernel(
-            placement,
-            realization,
-            policy,
-            releases=releases,
-            machine_speed=machine_speed,
-            observer=observer,
-            plan=plan,
-        )
-    else:
-        kernel = EventKernel(
-            placement,
-            realization,
-            policy,
-            releases=releases,
-            machine_speed=machine_speed,
-            observer=observer,
-        )
-
+    obs = tracer.enabled
+    kernel = EventKernel(
+        placement,
+        realization,
+        policy,
+        releases=releases,
+        machine_speed=machine_speed,
+        tracer=tracer,
+        plan=plan,
+    )
     with tracer.span("simulate", label=label, n=n, m=m) as sim_span:
-        result = kernel.run()
-        trace = ScheduleTrace(
-            tuple(result.runs),  # type: ignore[arg-type]
-            label=label,
-            aborted=tuple(result.aborted),
-        )
+        runs, aborted = kernel.run()
+        trace = ScheduleTrace(tuple(runs), label=label, aborted=tuple(aborted))
         if obs:
             sim_span.set(makespan=trace.makespan)
             _record_run_telemetry(tracer, trace, instance, label)

@@ -68,7 +68,7 @@ class EventQueue:
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
         """Schedule an event; returns it (mainly for tests)."""
-        if time < 0:
+        if not time >= 0:  # also rejects NaN, which would break the heap order
             raise ValueError(f"event time must be >= 0, got {time}")
         ev = Event(float(time), kind, next(self._counter), payload)
         heapq.heappush(self._heap, ev)

@@ -1,104 +1,43 @@
 """The event kernel behind :func:`repro.simulation.engine.simulate`.
 
-:mod:`repro.simulation.engine` used to be one 380-line function; this
-module is its decomposition into orthogonal pieces:
+:class:`EventKernel` plays releases, completions, idle polls and the
+faults of an optional :class:`~repro.faults.plan.FaultPlan`: crash-stop,
+crash-recover and degraded-speed intervals, with attempt tokens so an
+aborted or rescheduled completion is ignored when it surfaces.  A
+fault-free run is simply the ``plan=None`` case: no failure or speed
+event is ever queued, every completion's token is current, and every
+machine runs at its base speed.
 
-* :class:`EventKernel` — the **fast path**: releases, completions and
-  dispatch only.  No failure sets, no degrade multipliers, no attempt
-  tokens — a fault-free run pays for none of the fault machinery.  Since
-  the effective machine speed is constant, ``p / s`` here equals the
-  fault path's ``p / (s * 1.0)`` bit-for-bit (IEEE), so the two kernels
-  produce identical traces on fault-free input.
-* :class:`FaultAwareKernel` — the **full path**: crash-stop,
-  crash-recover, degraded-speed intervals, attempt-token staleness, and
-  the abort/restart cycle.  Selected only when a
-  :class:`~repro.faults.plan.FaultPlan` is present.
-* :class:`SimulationObserver` — the observation hook.  The kernel calls
-  ``count``/``event`` at the same points the monolith called the tracer;
-  the no-op base class keeps untraced runs cheap and
-  :class:`TracerObserver` forwards to :mod:`repro.obs` with byte-exact
-  parity (same counter names, same event fields, same order).
-
-Both kernels preserve the monolith's event-queue discipline exactly:
-seeding order (pending releases, then plan events, then the ``t = 0``
-idle polls) and the :class:`~repro.simulation.events.EventKind`
-priorities fix the ``seq`` tie-break, so traces are reproducible to the
-byte across the refactor.
+The kernel narrates its run through the :mod:`repro.obs` tracer it is
+given (counters and events at fixed points, only when
+``tracer.enabled``).  The event-queue discipline is part of the trace
+contract: seeding order (pending releases, then the plan's crashes, then
+its slowdowns, then the ``t = 0`` idle polls) and the
+:class:`~repro.simulation.events.EventKind` priorities fix the ``seq``
+tie-break, so traces are reproducible to the byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.core.placement import Placement
 from repro.core.strategy import OnlinePolicy, SchedulerView
 from repro.faults.plan import FaultPlan
+from repro.obs.tracer import Tracer
 from repro.simulation.events import EventKind, EventQueue
 from repro.simulation.trace import TaskRun
 from repro.uncertainty.realization import Realization
 
-__all__ = [
-    "SimulationError",
-    "SimulationObserver",
-    "TracerObserver",
-    "KernelResult",
-    "EventKernel",
-    "FaultAwareKernel",
-]
+__all__ = ["SimulationError", "EventKernel"]
 
 
 class SimulationError(RuntimeError):
     """Raised when a policy misbehaves or the run cannot complete."""
 
 
-class SimulationObserver:
-    """No-op observation hook; the kernel narrates its run through one.
-
-    ``enabled`` is hoisted into a class attribute so the hot loop pays a
-    single attribute check per event, exactly as the monolithic engine
-    hoisted ``tracer.enabled``.
-    """
-
-    enabled = False
-
-    def count(self, name: str) -> None:
-        """Increment counter ``name`` (no-op here)."""
-
-    def event(self, name: str, **fields: object) -> None:
-        """Record a structured event (no-op here)."""
-
-
-class TracerObserver(SimulationObserver):
-    """Forwards kernel observations to a :mod:`repro.obs` tracer."""
-
-    enabled = True
-
-    def __init__(self, tracer) -> None:
-        self._tracer = tracer
-
-    def count(self, name: str) -> None:
-        self._tracer.count(name)
-
-    def event(self, name: str, **fields: object) -> None:
-        self._tracer.event(name, **fields)
-
-
-@dataclass
-class KernelResult:
-    """What a kernel run produces, before trace assembly."""
-
-    runs: list[TaskRun]
-    aborted: list[TaskRun]
-
-
 class EventKernel:
-    """Fault-free discrete-event kernel (the fast path).
-
-    Plays releases, completions and idle polls against the policy.  All
-    machine-health state is absent by construction: a run without a
-    :class:`~repro.faults.plan.FaultPlan` cannot produce failure,
-    recovery or speed events, so their handlers only exist as guards.
+    """Discrete-event kernel: one Phase-2 run, with or without faults.
 
     Parameters
     ----------
@@ -109,8 +48,11 @@ class EventKernel:
         Per-task release times (already validated by the engine).
     machine_speed:
         Per-machine speed factors (already validated by the engine).
-    observer:
-        Observation hook; :class:`SimulationObserver` for untraced runs.
+    tracer:
+        The :mod:`repro.obs` tracer the run reports to.
+    plan:
+        The validated :class:`~repro.faults.plan.FaultPlan` driving the
+        failure, recovery and speed events; ``None`` for a fault-free run.
     """
 
     def __init__(
@@ -121,7 +63,8 @@ class EventKernel:
         *,
         releases: list[float],
         machine_speed: list[float],
-        observer: SimulationObserver,
+        tracer: Tracer,
+        plan: FaultPlan | None = None,
     ) -> None:
         instance = placement.instance
         self.placement = placement
@@ -129,7 +72,7 @@ class EventKernel:
         self.policy = policy
         self.releases = releases
         self.machine_speed = machine_speed
-        self.observer = observer
+        self.tracer = tracer
         self.n = instance.n
         self.m = instance.m
 
@@ -140,10 +83,25 @@ class EventKernel:
         self.task_start: dict[int, float] = {}  # tid -> start of current attempt
         self.runs: list[TaskRun | None] = [None] * self.n
         self.aborted: list[TaskRun] = []
+        # When each failed machine comes back (inf = permanent); a machine
+        # is down exactly while it has an entry.  Overlapping outages —
+        # e.g. merged plans hitting one machine — keep it down for the
+        # *union* of the windows instead of letting the first (possibly
+        # shorter) outage's recovery resurrect it.
+        self.down_until: dict[int, float] = {}
+        # Effective speed per machine: base speed × the active degraded
+        # factor (``s * 1.0 == s`` exactly, so a healthy machine runs at
+        # its base speed bit for bit).
+        self.speed: list[float] = list(machine_speed)
+        # Each dispatch and each speed change bumps its machine's token,
+        # so a superseded completion event is ignored when it surfaces.
+        self.attempt_token: list[int] = [0] * self.m
+        # Completion time of each busy machine's current attempt.
+        self.scheduled_end: list[float] = [0.0] * self.m
 
         # Seeding order is part of the trace contract: pending releases,
-        # then the fault plan's events (subclass hook), then the t=0 idle
-        # polls — the queue's seq tie-break preserves this order forever.
+        # then the plan's crashes and slowdowns, then the t=0 idle polls —
+        # the queue's seq tie-break preserves this order forever.
         self.pending_releases = sorted(
             (r, j) for j, r in enumerate(releases) if r > 0.0
         )
@@ -154,47 +112,32 @@ class EventKernel:
             self.view._enable_release_tracking(self.released)
         for r, j in self.pending_releases:
             self.queue.push(r, EventKind.TASK_RELEASE, j)
-        self._seed_plan()
+        if plan is not None:
+            for at, machine, downtime in plan.crashes():
+                self.queue.push(at, EventKind.MACHINE_FAILURE, (machine, downtime))
+            for slow in plan.slowdowns():
+                self.queue.push(
+                    slow.start, EventKind.MACHINE_SPEED, (slow.machine, slow.factor)
+                )
+                if math.isfinite(slow.end):
+                    self.queue.push(
+                        slow.end, EventKind.MACHINE_SPEED, (slow.machine, 1.0)
+                    )
         for i in range(self.m):
             self.queue.push(0.0, EventKind.MACHINE_IDLE, i)
 
-    # -- hooks the fault-aware subclass overrides --------------------------
-    def _seed_plan(self) -> None:
-        """Push the fault plan's events (fast path: there is no plan)."""
-
-    def _machine_down(self, machine: int) -> bool:
-        """Whether ``machine`` is currently failed (fast path: never)."""
-        return False
-
-    def _effective_speed(self, machine: int) -> float:
-        """Current effective speed of ``machine`` (fast path: constant)."""
-        return self.machine_speed[machine]
-
-    def _begin_attempt(self, tid: int, machine: int, end: float) -> tuple:
-        """Book-keep a new attempt; returns the completion payload."""
-        return (tid, machine)
-
-    def _completion_is_stale(self, payload: tuple) -> bool:
-        """Whether a surfacing completion was superseded (fast path: no
-        aborts or speed changes exist to supersede one)."""
-        tid, machine = payload[0], payload[1]
-        return self.busy.get(machine) != tid
-
-    def _end_attempt(self, machine: int) -> None:
-        """Clear per-attempt state beyond ``busy`` (fast path: none)."""
-
     # -- the event loop ----------------------------------------------------
-    def run(self) -> KernelResult:
-        """Drain the queue; returns the completed and aborted runs."""
-        obs = self.observer.enabled
-        observer = self.observer
+    def run(self) -> tuple[list[TaskRun], list[TaskRun]]:
+        """Drain the queue; returns the completed and the aborted runs."""
+        traced = self.tracer.enabled
+        tracer = self.tracer
         queue = self.queue
         view = self.view
         while queue:
             ev = queue.pop()
             view._advance(ev.time)
-            if obs:
-                observer.count("sim.events_processed")
+            if traced:
+                tracer.count("sim.events_processed")
 
             if ev.kind == EventKind.TASK_RELEASE:
                 self._on_release(ev)
@@ -209,48 +152,105 @@ class EventKernel:
             else:  # MACHINE_IDLE
                 self._on_idle(ev)
         self._check_complete()
-        return KernelResult(self.runs, self.aborted)  # type: ignore[arg-type]
+        return self.runs, self.aborted  # type: ignore[return-value]
 
     # -- handlers ----------------------------------------------------------
     def _on_release(self, ev) -> None:
         self.released.add(ev.payload)
         self.view._mark_released(ev.payload)
-        if self.observer.enabled:
-            self.observer.count("sim.releases")
+        if self.tracer.enabled:
+            self.tracer.count("sim.releases")
 
     def _on_completion(self, ev) -> None:
-        if self._completion_is_stale(ev.payload):
+        tid, machine, token = ev.payload
+        if self.busy.get(machine) != tid or self.attempt_token[machine] != token:
             # Stale: the attempt was aborted by a failure, or a speed
             # change rescheduled its completion.
             return
-        tid, machine = ev.payload[0], ev.payload[1]
         self.view._mark_completed(tid, self.realization.actual(tid))
         self.runs[tid] = TaskRun(tid, machine, self.task_start.pop(tid), ev.time)
         del self.busy[machine]
-        self._end_attempt(machine)
         self.queue.push(ev.time, EventKind.MACHINE_IDLE, machine)
-        if self.observer.enabled:
-            self.observer.count("sim.completions")
-            self.observer.event("completion", task=tid, machine=machine, t=ev.time)
+        if self.tracer.enabled:
+            self.tracer.count("sim.completions")
+            self.tracer.event("completion", task=tid, machine=machine, t=ev.time)
 
     def _on_failure(self, ev) -> None:
-        raise SimulationError(
-            "machine-failure event in a fault-free run (kernel selection bug)"
-        )
+        machine, downtime = ev.payload
+        until = ev.time + downtime if math.isfinite(downtime) else math.inf
+        if machine in self.down_until:
+            # Overlapping outage on an already-down machine (merged plans
+            # can produce these): extend the downtime to the union of the
+            # windows.  The superseded recovery event is ignored by
+            # :meth:`_on_recovery`'s ``down_until`` check.
+            if until > self.down_until[machine]:
+                self.down_until[machine] = until
+                if math.isfinite(until):
+                    self.queue.push(until, EventKind.MACHINE_RECOVERY, machine)
+            return
+        self.down_until[machine] = until
+        self.view._mark_machine_failed(machine)
+        if math.isfinite(downtime):
+            self.queue.push(ev.time + downtime, EventKind.MACHINE_RECOVERY, machine)
+        if self.tracer.enabled:
+            self.tracer.count("sim.machine_failures")
+            self.tracer.event("machine_failure", machine=machine, t=ev.time)
+        running = self.busy.pop(machine, None)
+        if running is not None:
+            # Abort the attempt: the task reverts to unstarted and must
+            # rerun from scratch elsewhere.
+            self.aborted.append(
+                TaskRun(running, machine, self.task_start.pop(running), ev.time)
+            )
+            self.view._mark_aborted(running)
+            if self.tracer.enabled:
+                self.tracer.count("sim.restarts")
+                self.tracer.event("restart", task=running, machine=machine, t=ev.time)
+            # Wake every healthy idle machine: one of them must pick the
+            # orphaned task up (they may have retired with None before
+            # the abort existed).
+            for i in range(self.m):
+                if i not in self.down_until and i not in self.busy:
+                    self.queue.push(ev.time, EventKind.MACHINE_IDLE, i)
 
     def _on_recovery(self, ev) -> None:
-        raise SimulationError(
-            "machine-recovery event in a fault-free run (kernel selection bug)"
-        )
+        machine = ev.payload
+        if ev.time < self.down_until.get(machine, math.inf):
+            return  # already up, or superseded by a longer overlapping outage
+        del self.down_until[machine]
+        self.view._mark_machine_recovered(machine)
+        if self.tracer.enabled:
+            self.tracer.count("sim.machine_recoveries")
+            self.tracer.event("machine_recovery", machine=machine, t=ev.time)
+        self.queue.push(ev.time, EventKind.MACHINE_IDLE, machine)
 
     def _on_speed(self, ev) -> None:
-        raise SimulationError(
-            "machine-speed event in a fault-free run (kernel selection bug)"
-        )
+        machine, factor = ev.payload
+        old_eff = self.speed[machine]
+        new_eff = self.speed[machine] = self.machine_speed[machine] * factor
+        if self.tracer.enabled:
+            if factor != 1.0:
+                self.tracer.count("sim.machine_degraded")
+            self.tracer.event(
+                "machine_degraded", machine=machine, factor=factor, t=ev.time
+            )
+        running = self.busy.get(machine)
+        if running is not None and new_eff != old_eff:
+            # Rescale the remaining work onto the new speed and supersede
+            # the previously scheduled completion.
+            remaining_work = (self.scheduled_end[machine] - ev.time) * old_eff
+            new_end = ev.time + remaining_work / new_eff
+            self.attempt_token[machine] += 1
+            self.scheduled_end[machine] = new_end
+            self.queue.push(
+                new_end,
+                EventKind.TASK_COMPLETION,
+                (running, machine, self.attempt_token[machine]),
+            )
 
     def _on_idle(self, ev) -> None:
         machine = ev.payload
-        if machine in self.busy or self._machine_down(machine):
+        if machine in self.busy or machine in self.down_until:
             # Stale poll (a dispatch or failure raced this event).
             return
         choice = self.policy.select(machine, self.view)
@@ -284,197 +284,27 @@ class EventKernel:
                 f"policy sent task {tid} to machine {machine}, but its data is only on "
                 f"{sorted(self.placement.machines_for(tid))}"
             )
-        duration = self.realization.actual(tid) / self._effective_speed(machine)
-        end = now + duration
+        end = now + self.realization.actual(tid) / self.speed[machine]
         self.task_start[tid] = now
         self.view._mark_started(tid, machine)
         self.busy[machine] = tid
-        payload = self._begin_attempt(tid, machine, end)
-        self.queue.push(end, EventKind.TASK_COMPLETION, payload)
-        if self.observer.enabled:
-            self.observer.count("sim.dispatches")
-            self.observer.event("dispatch", task=tid, machine=machine, t=now)
+        token = self.attempt_token[machine] + 1
+        self.attempt_token[machine] = token
+        self.scheduled_end[machine] = end
+        self.queue.push(end, EventKind.TASK_COMPLETION, (tid, machine, token))
+        if self.tracer.enabled:
+            self.tracer.count("sim.dispatches")
+            self.tracer.event("dispatch", task=tid, machine=machine, t=now)
 
     # -- post-loop invariants ----------------------------------------------
     def _check_complete(self) -> None:
         missing = [j for j, r in enumerate(self.runs) if r is None]
-        if missing:
-            self._raise_incomplete(missing)
-
-    def _raise_incomplete(self, missing: list[int]) -> None:
-        raise SimulationError(
-            f"simulation ended with {len(missing)} unscheduled tasks "
-            f"(first few: {missing[:5]}); the policy retired machines "
-            "that still had eligible work"
-        )
-
-
-class FaultAwareKernel(EventKernel):
-    """The full kernel: crash-stop, crash-recover and degraded intervals.
-
-    Extends the fast path with the machinery faults need: the failed-set,
-    per-machine degrade multipliers, and completion-event staleness via
-    attempt tokens (aborts and speed changes bump a machine's token so a
-    superseded completion event is ignored when it surfaces).
-
-    Parameters
-    ----------
-    plan:
-        The validated :class:`~repro.faults.plan.FaultPlan` driving the
-        failure, recovery and speed events.
-    """
-
-    def __init__(
-        self,
-        placement: Placement,
-        realization: Realization,
-        policy: OnlinePolicy,
-        *,
-        releases: list[float],
-        machine_speed: list[float],
-        observer: SimulationObserver,
-        plan: FaultPlan,
-    ) -> None:
-        self.plan = plan
-        self.failed: set[int] = set()
-        # When each failed machine comes back (inf = permanent).  Tracked
-        # so overlapping outages — e.g. merged plans hitting one machine —
-        # keep it down for the *union* of the windows instead of letting
-        # the first (possibly shorter) outage's recovery resurrect it.
-        self.down_until: dict[int, float] = {}
-        # Degraded-interval multiplier per machine (1.0 = healthy base speed).
-        self.degrade: list[float] = [1.0] * placement.instance.m
-        self.attempt_token: dict[int, int] = {}
-        self.scheduled_end: dict[int, float] = {}  # machine -> completion time
-        super().__init__(
-            placement,
-            realization,
-            policy,
-            releases=releases,
-            machine_speed=machine_speed,
-            observer=observer,
-        )
-
-    # -- hook overrides ----------------------------------------------------
-    def _seed_plan(self) -> None:
-        for at, machine, downtime in self.plan.crashes():
-            self.queue.push(at, EventKind.MACHINE_FAILURE, (machine, downtime))
-        for slow in self.plan.slowdowns():
-            self.queue.push(
-                slow.start, EventKind.MACHINE_SPEED, (slow.machine, slow.factor)
-            )
-            if math.isfinite(slow.end):
-                self.queue.push(slow.end, EventKind.MACHINE_SPEED, (slow.machine, 1.0))
-
-    def _machine_down(self, machine: int) -> bool:
-        return machine in self.failed
-
-    def _effective_speed(self, machine: int) -> float:
-        return self.machine_speed[machine] * self.degrade[machine]
-
-    def _begin_attempt(self, tid: int, machine: int, end: float) -> tuple:
-        self.attempt_token[machine] = self.attempt_token.get(machine, 0) + 1
-        self.scheduled_end[machine] = end
-        return (tid, machine, self.attempt_token[machine])
-
-    def _completion_is_stale(self, payload: tuple) -> bool:
-        tid, machine, token = payload
-        return (
-            self.busy.get(machine) != tid
-            or self.attempt_token.get(machine) != token
-        )
-
-    def _end_attempt(self, machine: int) -> None:
-        self.scheduled_end.pop(machine, None)
-
-    # -- fault handlers ----------------------------------------------------
-    def _on_failure(self, ev) -> None:
-        machine, downtime = ev.payload
-        until = ev.time + downtime if math.isfinite(downtime) else math.inf
-        if machine in self.failed:
-            # Overlapping outage on an already-down machine (merged plans
-            # can produce these): extend the downtime to the union of the
-            # windows.  The superseded recovery event is ignored by
-            # :meth:`_on_recovery`'s ``down_until`` check.
-            if until > self.down_until.get(machine, math.inf):
-                self.down_until[machine] = until
-                if math.isfinite(until):
-                    self.queue.push(until, EventKind.MACHINE_RECOVERY, machine)
+        if not missing:
             return
-        self.failed.add(machine)
-        self.down_until[machine] = until
-        self.view._mark_machine_failed(machine)
-        if math.isfinite(downtime):
-            self.queue.push(ev.time + downtime, EventKind.MACHINE_RECOVERY, machine)
-        if self.observer.enabled:
-            self.observer.count("sim.machine_failures")
-            self.observer.event("machine_failure", machine=machine, t=ev.time)
-        running = self.busy.pop(machine, None)
-        if running is not None:
-            # Abort the attempt: the task reverts to unstarted and must
-            # rerun from scratch elsewhere.
-            self.aborted.append(
-                TaskRun(running, machine, self.task_start.pop(running), ev.time)
-            )
-            self.scheduled_end.pop(machine, None)
-            self.view._mark_aborted(running)
-            if self.observer.enabled:
-                self.observer.count("sim.restarts")
-                self.observer.event(
-                    "restart", task=running, machine=machine, t=ev.time
-                )
-            # Wake every healthy idle machine: one of them must pick the
-            # orphaned task up (they may have retired with None before
-            # the abort existed).
-            for i in range(self.m):
-                if i not in self.failed and i not in self.busy:
-                    self.queue.push(ev.time, EventKind.MACHINE_IDLE, i)
-
-    def _on_recovery(self, ev) -> None:
-        machine = ev.payload
-        if machine not in self.failed:
-            return
-        if ev.time < self.down_until.get(machine, 0.0):
-            return  # superseded by a longer overlapping outage
-        self.failed.discard(machine)
-        self.down_until.pop(machine, None)
-        self.view._mark_machine_recovered(machine)
-        if self.observer.enabled:
-            self.observer.count("sim.machine_recoveries")
-            self.observer.event("machine_recovery", machine=machine, t=ev.time)
-        self.queue.push(ev.time, EventKind.MACHINE_IDLE, machine)
-
-    def _on_speed(self, ev) -> None:
-        machine, factor = ev.payload
-        old_eff = self.machine_speed[machine] * self.degrade[machine]
-        self.degrade[machine] = factor
-        new_eff = self.machine_speed[machine] * factor
-        if self.observer.enabled:
-            if factor != 1.0:
-                self.observer.count("sim.machine_degraded")
-            self.observer.event(
-                "machine_degraded", machine=machine, factor=factor, t=ev.time
-            )
-        running = self.busy.get(machine)
-        if running is not None and new_eff != old_eff:
-            # Rescale the remaining work onto the new speed and supersede
-            # the previously scheduled completion.
-            remaining_work = (self.scheduled_end[machine] - ev.time) * old_eff
-            new_end = ev.time + remaining_work / new_eff
-            self.attempt_token[machine] += 1
-            self.scheduled_end[machine] = new_end
-            self.queue.push(
-                new_end,
-                EventKind.TASK_COMPLETION,
-                (running, machine, self.attempt_token[machine]),
-            )
-
-    # -- post-loop invariants ----------------------------------------------
-    def _raise_incomplete(self, missing: list[int]) -> None:
         stranded = [
             j
             for j in missing
-            if all(i in self.failed for i in self.placement.machines_for(j))
+            if all(i in self.down_until for i in self.placement.machines_for(j))
         ]
         if stranded:
             raise SimulationError(
@@ -482,4 +312,8 @@ class FaultAwareKernel(EventKernel):
                 f"{stranded[:5]}): every machine holding their data failed — "
                 "replication would have kept them runnable"
             )
-        super()._raise_incomplete(missing)
+        raise SimulationError(
+            f"simulation ended with {len(missing)} unscheduled tasks "
+            f"(first few: {missing[:5]}); the policy retired machines "
+            "that still had eligible work"
+        )

@@ -25,9 +25,9 @@ root) so the repository carries its own performance trajectory:
   the batch backend off (isolates pool overhead + per-cell kernel);
 * ``tracer_overhead`` — the cost of the *disabled* tracer path: one
   untraced reference run counts how many span/event/count calls actually
-  reach the disabled tracer (the kernel's hot loop routes per-event
-  counters through a null observer, so only un-hoisted call sites —
-  grid orchestration spans and analysis counters — hit it), then the
+  reach the disabled tracer (the kernel checks ``tracer.enabled`` before
+  each per-event counter, so only unguarded call sites — grid
+  orchestration spans and analysis counters — hit it), then the
   scenario times that many disabled-path calls back-to-back.  The
   derived ``tracer_overhead_pct`` (relative to the event-kernel sweep)
   is gated at <:data:`DEFAULT_OVERHEAD_LIMIT_PCT`% in ``--check`` — a
@@ -218,8 +218,8 @@ def _count_tracer_calls(reference_run: Callable[[], Any]) -> dict[str, int]:
 
     Wraps the disabled singleton's span/event/count entry points with
     tallying shims and runs ``reference_run`` once.  Only the call sites
-    that do *not* hoist ``tracer.enabled`` reach the tracer with tracing
-    off (the kernel's per-event counters go through a null observer), so
+    that do *not* check ``tracer.enabled`` reach the tracer with tracing
+    off (the kernel checks it before its per-event counters), so
     this is exactly the instrumentation work an untraced sweep pays —
     the work the ``tracer_overhead`` scenario then times.
     """

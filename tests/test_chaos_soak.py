@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -187,14 +188,14 @@ class TestRunSoakDeterminism:
         report = run_soak(_small_config(topo))
         paths = report.write_artifacts(tmp_path / "soak")
         curve, report_path = paths["curve"], paths["report"]
-        header = open(curve, encoding="utf-8").readline().strip()
+        header = Path(curve).read_text(encoding="utf-8").splitlines()[0]
         assert header.split(",")[:2] == ["t", "availability"]
-        body = json.loads(open(report_path, encoding="utf-8").read())
+        body = json.loads(Path(report_path).read_text(encoding="utf-8"))
         assert body["decision_digest"] == report.digest
         assert body["summary"]["tasks_done"] == report.summary["tasks_done"]
         for path in (curve, report_path):
             sidecar = json.loads(
-                open(path[: path.rfind(".")] + ".manifest.json", encoding="utf-8").read()
+                Path(path).with_suffix(".manifest.json").read_text(encoding="utf-8")
             )
             assert sidecar["kind"] == "chaos"
 

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.model import make_instance
 from repro.core.placement import everywhere_placement, single_machine_placement
+from repro.core.strategies import LSGroup
 from repro.core.strategy import FixedOrderPolicy, SchedulerView
+from repro.faults import CrashStop, DegradedInterval, FaultPlan
 from repro.simulation.engine import SimulationError, simulate
 from repro.uncertainty.realization import factors_realization, truthful_realization
+from repro.uncertainty.stochastic import sample_realization
+from repro.workloads.generators import uniform_instance
 
 
 @pytest.fixture
@@ -195,3 +201,33 @@ class TestReleaseTimes:
                 Eager(),
                 release_times=[0.0, 0.0, 10.0, 0.0],
             )
+
+
+class TestNonFiniteInputs:
+    """NaN and infinite inputs raise instead of giving a wrong makespan."""
+
+    @staticmethod
+    def _run(**kwargs):
+        inst = uniform_instance(n=8, m=3, alpha=1.5, seed=1)
+        real = sample_realization(inst, "log_uniform", seed=2)
+        strategy = LSGroup(k=1)
+        placement = strategy.place(inst)
+        return simulate(placement, real, strategy.make_policy(inst, placement), **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"release_times": [0.0] * 3 + [math.inf] + [0.0] * 4}, r"release_times\[3\] must be finite"),
+            ({"release_times": [0.0] * 3 + [math.nan] + [0.0] * 4}, r"release_times\[3\] must be finite"),
+            ({"speeds": [1.0, math.inf, 1.0]}, r"speeds\[1\] must be finite"),
+            ({"faults": FaultPlan.of(CrashStop(0, math.nan))}, "failure time for machine 0 must be finite"),
+            (
+                {"faults": FaultPlan.of(DegradedInterval(0, 1.0, 5.0, math.inf))},
+                "degraded factor on machine 0 must be finite",
+            ),
+        ],
+        ids=["inf-release", "nan-release", "inf-speed", "nan-crash", "inf-factor"],
+    )
+    def test_rejected_as_simulation_error(self, kwargs, match):
+        with pytest.raises(SimulationError, match=match):
+            self._run(**kwargs)

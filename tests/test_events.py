@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.simulation.events import Event, EventKind, EventQueue
@@ -60,6 +62,11 @@ class TestQueueBasics:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             EventQueue().push(-1.0, EventKind.MACHINE_IDLE)
+
+    def test_nan_time_rejected(self):
+        # A NaN compares false against everything and would break the heap.
+        with pytest.raises(ValueError, match="must be >= 0"):
+            EventQueue().push(math.nan, EventKind.MACHINE_IDLE)
 
     def test_push_returns_event(self):
         ev = EventQueue().push(1.5, EventKind.TASK_COMPLETION, (1, 2))

@@ -108,6 +108,19 @@ class TestValidation:
                 ),
                 "overlap",
             ),
+            # NaN breaks the event heap's order; an infinite failure time
+            # or factor has no meaning.
+            (FaultPlan.of(CrashStop(0, math.nan)), "failure time for machine 0 must be finite"),
+            (FaultPlan.of(CrashStop(0, math.inf)), "failure time for machine 0 must be finite"),
+            (FaultPlan.of(CrashRecover(1, math.nan, 2.0)), "failure time for machine 1 must be finite"),
+            (
+                FaultPlan.of(CorrelatedFailure((0, 1), math.nan)),
+                "failure time for machine 0 must be finite",
+            ),
+            (
+                FaultPlan.of(DegradedInterval(0, 0.0, 2.0, math.inf)),
+                "degraded factor on machine 0 must be finite",
+            ),
         ],
     )
     def test_rejects_malformed(self, plan, match):

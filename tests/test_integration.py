@@ -12,10 +12,11 @@ import pytest
 
 from repro.analysis.experiment import run_grid
 from repro.analysis.ratios import measured_ratio, run_strategy
-from repro.core.strategies import LPTNoChoice, LPTNoRestriction, LSGroup, full_sweep
+from repro.core.strategies import LPTNoChoice, LPTNoRestriction, LSGroup
 from repro.exact.optimal import optimal_makespan
 from repro.memory.abo import ABO
 from repro.memory.sabo import SABO
+from repro.registry import full_sweep
 from repro.schedulers.list_scheduling import greedy_assign_heap
 from repro.simulation.engine import simulate
 from repro.uncertainty.realization import truthful_realization

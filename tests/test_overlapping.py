@@ -77,7 +77,7 @@ class TestStrategy:
         assert totals["overlap"] <= totals["disjoint"] * 1.02
 
     def test_registry_round_trip(self):
-        from repro.core.strategies import make_strategy
+        from repro.registry import make_strategy
 
         s = OverlappingWindows(3, overlap=2)
         assert make_strategy(s.name).name == s.name

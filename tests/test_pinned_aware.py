@@ -22,10 +22,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.ratios import run_strategy
+from repro.analysis.ratios import build_placement, run_strategy
 from repro.core.model import make_instance
 from repro.core.placement import Placement
-from repro.core.strategies.registry import build_placement
 from repro.core.strategies.selective import PinnedAwarePolicy
 from repro.core.strategy import SchedulerView, TwoPhaseStrategy
 from repro.faults import CrashRecover, CrashStop, FaultPlan

@@ -1,18 +1,11 @@
-"""Unit tests for repro.core.strategies.registry."""
+"""Unit tests for spec parsing and sweeps in repro.registry."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.strategies import (
-    LPTGroup,
-    LPTNoChoice,
-    LPTNoRestriction,
-    LSGroup,
-    full_sweep,
-    make_strategy,
-    strategy_names,
-)
+from repro.core.strategies import LPTGroup, LPTNoChoice, LPTNoRestriction, LSGroup
+from repro.registry import full_sweep, make_strategy, strategy_names
 
 
 class TestMakeStrategy:

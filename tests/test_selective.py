@@ -45,7 +45,7 @@ class TestSelectiveEndpoints:
             SelectiveReplication(1.5)
 
     def test_name_round_trip(self):
-        from repro.core.strategies import make_strategy
+        from repro.registry import make_strategy
 
         s = SelectiveReplication(0.25)
         assert make_strategy(s.name).name == s.name

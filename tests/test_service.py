@@ -63,6 +63,12 @@ def test_admission_validation():
         assert err.value.code == "bad_size"
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_non_finite_alpha_rejected(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        ServiceScheduler("ls_group[k=2]", m=4, alpha=alpha)
+
+
 def test_capability_gate_rejects_non_batch_strategies():
     with pytest.raises(CapabilityError):
         OnlinePlacer("sabo[delta=0.5]", 4)
