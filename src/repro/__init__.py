@@ -35,274 +35,149 @@ Layers
 * :mod:`repro.analysis` — experiment harness, stats, tables, plots;
 * :mod:`repro.obs` — structured observability: spans, metrics, run
   provenance (no-op unless enabled).
+
+Every name below, and every subpackage, is imported on first access
+(PEP 562), so ``import repro`` loads nothing a command does not use.
 """
 
-from repro.adaptive import AdaptiveRefinement, EstimateRefiner, IterativeSession
-from repro.analysis import (
-    ExperimentGrid,
-    ExperimentRecord,
-    FaultRunRecord,
-    Series,
-    Summary,
-    availability_curve,
-    format_markdown_table,
-    format_table,
-    inflation_summary,
-    measured_ratio,
-    render_plot,
-    run_fault_grid,
-    run_grid,
-    run_strategy,
-    run_under_faults,
-    summarize,
-    survival_rate,
-    write_csv,
-)
-from repro.core import (
-    FixedOrderPolicy,
-    Instance,
-    Placement,
-    Task,
-    TwoPhaseStrategy,
-    everywhere_placement,
-    group_placement,
-    make_instance,
-    single_machine_placement,
-)
-from repro.core.adversary import (
-    exhaustive_worst_case,
-    greedy_worst_case,
-    theorem1_instance,
-    theorem1_realization,
-)
-from repro.core.bounds import (
-    divisors,
-    lb_no_replication,
-    lb_no_replication_limit,
-    ub_graham_ls,
-    ub_lpt_classic,
-    ub_lpt_no_choice,
-    ub_lpt_no_restriction,
-    ub_lpt_no_restriction_raw,
-    ub_ls_group,
-)
-from repro.core.strategies import (
-    BudgetedReplication,
-    LPTGroup,
-    LPTNoChoice,
-    LPTNoRestriction,
-    LSGroup,
-    NonClairvoyantLS,
-    OverlappingWindows,
-    SelectiveReplication,
-)
-from repro.core.tradeoff import ratio_replication_series, tradeoff_findings
-from repro.exact import optimal_makespan
-from repro.faults import (
-    CorrelatedFailure,
-    CrashRecover,
-    CrashStop,
-    DegradedInterval,
-    FaultModel,
-    FaultPlan,
-    RackFailure,
-    RandomCrashes,
-    StragglerSlowdowns,
-    merge_plans,
-)
-from repro.hetero import (
-    HeteroUncertainty,
-    RiskAwareReplication,
-    hetero_realization,
-    hetero_workload,
-)
-from repro.obs import (
-    JsonlSink,
-    MemorySink,
-    MetricsRegistry,
-    RunManifest,
-    Tracer,
-    get_tracer,
-    observed,
-)
-from repro.registry import (
-    Capabilities,
-    CapabilityError,
-    canonical_spec,
-    capabilities_of,
-    describe_strategy,
-    full_sweep,
-    make_strategy,
-    select_strategies,
-    strategy_entries,
-    strategy_names,
-)
-from repro.robust import RobustPinnedPlacement
-from repro.schedulers import PinnedBaseline
-from repro.memory import (
-    ABO,
-    SABO,
-    abo_curve,
-    impossibility_curve,
-    memory_lower_bound,
-    pareto_front,
-    sabo_curve,
-    sbo_split,
-)
-from repro.simulation import ScheduleTrace, SimulationError, render_gantt, simulate
-from repro.theory import ProofCheck, verify_all
-from repro.uncertainty import (
-    Realization,
-    UncertaintyBand,
-    band_from_interval,
-    factors_realization,
-    sample_realization,
-    truthful_realization,
-)
-from repro.workloads import (
-    bimodal_instance,
-    bounded_pareto_instance,
-    exponential_instance,
-    generate,
-    identical_instance,
-    planted_two_class,
-    staircase_instance,
-    uniform_instance,
-)
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    # model
-    "Task",
-    "Instance",
-    "make_instance",
-    "Placement",
-    "single_machine_placement",
-    "everywhere_placement",
-    "group_placement",
-    "TwoPhaseStrategy",
-    "FixedOrderPolicy",
-    # strategies
-    "LPTNoChoice",
-    "LPTNoRestriction",
-    "LSGroup",
-    "LPTGroup",
-    "SelectiveReplication",
-    "BudgetedReplication",
-    "OverlappingWindows",
-    "NonClairvoyantLS",
-    "PinnedBaseline",
-    "AdaptiveRefinement",
-    "make_strategy",
-    "strategy_names",
-    "full_sweep",
-    # registry
-    "Capabilities",
-    "CapabilityError",
-    "describe_strategy",
-    "canonical_spec",
-    "capabilities_of",
-    "select_strategies",
-    "strategy_entries",
-    # bounds
-    "lb_no_replication",
-    "lb_no_replication_limit",
-    "ub_lpt_no_choice",
-    "ub_lpt_no_restriction",
-    "ub_lpt_no_restriction_raw",
-    "ub_graham_ls",
-    "ub_lpt_classic",
-    "ub_ls_group",
-    "divisors",
-    # tradeoff
-    "ratio_replication_series",
-    "tradeoff_findings",
-    # adversary
-    "theorem1_instance",
-    "theorem1_realization",
-    "exhaustive_worst_case",
-    "greedy_worst_case",
-    # exact
-    "optimal_makespan",
-    # simulation
-    "simulate",
-    "SimulationError",
-    "ScheduleTrace",
-    "render_gantt",
-    # theory
-    "verify_all",
-    "ProofCheck",
-    # adaptive
-    "EstimateRefiner",
-    "IterativeSession",
-    # heterogeneous uncertainty
-    "HeteroUncertainty",
-    "hetero_realization",
-    "hetero_workload",
-    "RiskAwareReplication",
-    "RobustPinnedPlacement",
-    # uncertainty
-    "UncertaintyBand",
-    "band_from_interval",
-    "Realization",
-    "truthful_realization",
-    "factors_realization",
-    "sample_realization",
-    # memory
-    "SABO",
-    "ABO",
-    "sbo_split",
-    "sabo_curve",
-    "abo_curve",
-    "impossibility_curve",
-    "pareto_front",
-    "memory_lower_bound",
-    # workloads
-    "uniform_instance",
-    "exponential_instance",
-    "bounded_pareto_instance",
-    "bimodal_instance",
-    "identical_instance",
-    "staircase_instance",
-    "planted_two_class",
-    "generate",
-    # observability
-    "Tracer",
-    "get_tracer",
-    "observed",
-    "MetricsRegistry",
-    "MemorySink",
-    "JsonlSink",
-    "RunManifest",
-    # analysis
-    "run_strategy",
-    "measured_ratio",
-    "run_grid",
-    "ExperimentGrid",
-    "ExperimentRecord",
-    "summarize",
-    "Summary",
-    "format_table",
-    "format_markdown_table",
-    "Series",
-    "render_plot",
-    "write_csv",
-    # faults + robustness
-    "FaultPlan",
-    "CrashStop",
-    "CrashRecover",
-    "DegradedInterval",
-    "CorrelatedFailure",
-    "merge_plans",
-    "FaultModel",
-    "RandomCrashes",
-    "RackFailure",
-    "StragglerSlowdowns",
-    "FaultRunRecord",
-    "run_under_faults",
-    "run_fault_grid",
-    "survival_rate",
-    "inflation_summary",
-    "availability_curve",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.adaptive": ("AdaptiveRefinement", "EstimateRefiner", "IterativeSession"),
+        "repro.analysis": (
+            "ExperimentGrid",
+            "ExperimentRecord",
+            "FaultRunRecord",
+            "Series",
+            "Summary",
+            "availability_curve",
+            "format_markdown_table",
+            "format_table",
+            "inflation_summary",
+            "measured_ratio",
+            "render_plot",
+            "run_fault_grid",
+            "run_grid",
+            "run_strategy",
+            "run_under_faults",
+            "summarize",
+            "survival_rate",
+            "write_csv",
+        ),
+        "repro.core": (
+            "FixedOrderPolicy",
+            "Instance",
+            "Placement",
+            "Task",
+            "TwoPhaseStrategy",
+            "everywhere_placement",
+            "group_placement",
+            "make_instance",
+            "single_machine_placement",
+        ),
+        "repro.core.adversary": (
+            "exhaustive_worst_case",
+            "greedy_worst_case",
+            "theorem1_instance",
+            "theorem1_realization",
+        ),
+        "repro.core.bounds": (
+            "divisors",
+            "lb_no_replication",
+            "lb_no_replication_limit",
+            "ub_graham_ls",
+            "ub_lpt_classic",
+            "ub_lpt_no_choice",
+            "ub_lpt_no_restriction",
+            "ub_lpt_no_restriction_raw",
+            "ub_ls_group",
+        ),
+        "repro.core.strategies": (
+            "BudgetedReplication",
+            "LPTGroup",
+            "LPTNoChoice",
+            "LPTNoRestriction",
+            "LSGroup",
+            "NonClairvoyantLS",
+            "OverlappingWindows",
+            "SelectiveReplication",
+        ),
+        "repro.core.tradeoff": ("ratio_replication_series", "tradeoff_findings"),
+        "repro.exact": ("optimal_makespan",),
+        "repro.faults": (
+            "CorrelatedFailure",
+            "CrashRecover",
+            "CrashStop",
+            "DegradedInterval",
+            "FaultModel",
+            "FaultPlan",
+            "RackFailure",
+            "RandomCrashes",
+            "StragglerSlowdowns",
+            "merge_plans",
+        ),
+        "repro.hetero": (
+            "HeteroUncertainty",
+            "RiskAwareReplication",
+            "hetero_realization",
+            "hetero_workload",
+        ),
+        "repro.obs": (
+            "JsonlSink",
+            "MemorySink",
+            "MetricsRegistry",
+            "RunManifest",
+            "Tracer",
+            "get_tracer",
+            "observed",
+        ),
+        "repro.registry": (
+            "Capabilities",
+            "CapabilityError",
+            "canonical_spec",
+            "capabilities_of",
+            "describe_strategy",
+            "full_sweep",
+            "make_strategy",
+            "select_strategies",
+            "strategy_entries",
+            "strategy_names",
+        ),
+        "repro.robust": ("RobustPinnedPlacement",),
+        "repro.schedulers": ("PinnedBaseline",),
+        "repro.memory": (
+            "ABO",
+            "SABO",
+            "abo_curve",
+            "impossibility_curve",
+            "memory_lower_bound",
+            "pareto_front",
+            "sabo_curve",
+            "sbo_split",
+        ),
+        "repro.simulation": ("ScheduleTrace", "SimulationError", "render_gantt", "simulate"),
+        "repro.theory": ("ProofCheck", "verify_all"),
+        "repro.uncertainty": (
+            "Realization",
+            "UncertaintyBand",
+            "band_from_interval",
+            "factors_realization",
+            "sample_realization",
+            "truthful_realization",
+        ),
+        "repro.workloads": (
+            "bimodal_instance",
+            "bounded_pareto_instance",
+            "exponential_instance",
+            "generate",
+            "identical_instance",
+            "planted_two_class",
+            "staircase_instance",
+            "uniform_instance",
+        ),
+    },
+)

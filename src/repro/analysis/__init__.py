@@ -5,106 +5,70 @@ driver (:mod:`~repro.analysis.experiment`) with its parallel backend
 (:mod:`~repro.analysis.parallel`) and on-disk cell cache
 (:mod:`~repro.analysis.cache`), the per-cell measurement kernel
 (:mod:`~repro.analysis.ratios`), and the reporting stack the benches
-render artifacts with.
+render artifacts with.  Each name below is imported on first access
+(PEP 562), so importing one submodule does not load the others.
 """
 
-from repro.analysis.ascii_plot import Series, render_plot
-from repro.analysis.calibration import (
-    alpha_from_residual_model,
-    calibration_report,
-    fit_alpha,
-)
-from repro.analysis.comparison import PairedComparison, compare_strategies, sign_test_pvalue
-from repro.analysis.cache import CellCache, cell_fingerprint
-from repro.analysis.csvio import read_csv, results_dir, write_csv
-from repro.analysis.experiment import (
-    ExperimentGrid,
-    ExperimentRecord,
-    RetryPolicy,
-    SkippedCell,
-    run_grid,
-)
-from repro.analysis.ratios import RatioRecord, StrategyOutcome, measured_ratio, run_strategy
-from repro.analysis.robustness import (
-    FaultRunRecord,
-    availability_curve,
-    inflation_summary,
-    restart_total,
-    run_fault_grid,
-    run_under_faults,
-    survival_rate,
-)
-from repro.analysis.regret import (
-    ScenarioEvaluation,
-    build_scenarios,
-    evaluate_scenarios,
-    minmax_regret_choice,
-)
-from repro.analysis.regimes import (
-    alpha_crossovers,
-    clairvoyance_value,
-    dominant_strategy_map,
-    replication_value,
-)
-from repro.analysis.sensitivity import (
-    robustness_radius,
-    single_task_sensitivity,
-    slack_profile,
-    worst_single_inflation,
-)
-from repro.analysis.stats import Summary, ci_halfwidth, summarize
-from repro.analysis.svg_plot import SvgSeries, render_svg_chart, render_svg_gantt
-from repro.analysis.tables import format_markdown_table, format_table, format_value
+from repro._exports import lazy_exports
 
-__all__ = [
-    "run_strategy",
-    "measured_ratio",
-    "dominant_strategy_map",
-    "alpha_crossovers",
-    "clairvoyance_value",
-    "replication_value",
-    "single_task_sensitivity",
-    "worst_single_inflation",
-    "slack_profile",
-    "robustness_radius",
-    "compare_strategies",
-    "PairedComparison",
-    "sign_test_pvalue",
-    "fit_alpha",
-    "calibration_report",
-    "alpha_from_residual_model",
-    "SvgSeries",
-    "render_svg_chart",
-    "render_svg_gantt",
-    "build_scenarios",
-    "evaluate_scenarios",
-    "minmax_regret_choice",
-    "ScenarioEvaluation",
-    "StrategyOutcome",
-    "RatioRecord",
-    "ExperimentGrid",
-    "ExperimentRecord",
-    "RetryPolicy",
-    "SkippedCell",
-    "CellCache",
-    "cell_fingerprint",
-    "run_grid",
-    "FaultRunRecord",
-    "run_under_faults",
-    "run_fault_grid",
-    "survival_rate",
-    "inflation_summary",
-    "restart_total",
-    "availability_curve",
-    "Summary",
-    "summarize",
-    "ci_halfwidth",
-    "format_table",
-    "format_markdown_table",
-    "format_value",
-    "Series",
-    "render_plot",
-    "write_csv",
-    "read_csv",
-    "results_dir",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.analysis.ascii_plot": ("Series", "render_plot"),
+        "repro.analysis.cache": ("CellCache", "cell_fingerprint"),
+        "repro.analysis.calibration": (
+            "alpha_from_residual_model",
+            "calibration_report",
+            "fit_alpha",
+        ),
+        "repro.analysis.comparison": (
+            "PairedComparison",
+            "compare_strategies",
+            "sign_test_pvalue",
+        ),
+        "repro.analysis.csvio": ("read_csv", "results_dir", "write_csv"),
+        "repro.analysis.experiment": (
+            "ExperimentGrid",
+            "ExperimentRecord",
+            "RetryPolicy",
+            "SkippedCell",
+            "run_grid",
+        ),
+        "repro.analysis.ratios": (
+            "RatioRecord",
+            "StrategyOutcome",
+            "measured_ratio",
+            "run_strategy",
+        ),
+        "repro.analysis.regimes": (
+            "alpha_crossovers",
+            "clairvoyance_value",
+            "dominant_strategy_map",
+            "replication_value",
+        ),
+        "repro.analysis.regret": (
+            "ScenarioEvaluation",
+            "build_scenarios",
+            "evaluate_scenarios",
+            "minmax_regret_choice",
+        ),
+        "repro.analysis.robustness": (
+            "FaultRunRecord",
+            "availability_curve",
+            "inflation_summary",
+            "restart_total",
+            "run_fault_grid",
+            "run_under_faults",
+            "survival_rate",
+        ),
+        "repro.analysis.sensitivity": (
+            "robustness_radius",
+            "single_task_sensitivity",
+            "slack_profile",
+            "worst_single_inflation",
+        ),
+        "repro.analysis.stats": ("Summary", "ci_halfwidth", "summarize"),
+        "repro.analysis.svg_plot": ("SvgSeries", "render_svg_chart", "render_svg_gantt"),
+        "repro.analysis.tables": ("format_markdown_table", "format_table", "format_value"),
+    },
+)

@@ -45,47 +45,51 @@ attributes and the grid manifest).  Long traces rotate with
 The figure/table commands delegate to the same code paths the benchmark
 suite uses (`benchmarks/` merely wraps them with pytest-benchmark), so CLI
 output and bench output always agree.
+
+Each subcommand names its handler in the parser (``set_defaults``), and
+each handler imports only what it runs: ``repro sweep`` never loads the
+service, the chaos harness or the figure code.  ``repro bench`` hands its
+arguments unchanged to :mod:`repro.tools.perfbench`'s own parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections.abc import Sequence
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.analysis import format_table, measured_ratio, summarize
-from repro.obs import JsonlSink, MemorySink, get_tracer
-from repro.obs import disable as obs_disable
-from repro.obs import enable as obs_enable
-from repro.registry import full_sweep, make_strategy
-from repro.reporting import (
-    fig1_report,
-    fig2_report,
-    fig3_report,
-    fig4_report,
-    fig5_report,
-    fig6_report,
-    table1_report,
-    table2_report,
-)
-from repro.uncertainty import sample_realization
-from repro.workloads import generate
-
 __all__ = ["main", "build_parser"]
 
 
+def _count(text: str) -> int:
+    """Argparse type of the count flags: a positive integer (else exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for tests and docs)."""
+    """The CLI argument parser (exposed for tests and docs).
+
+    Every subcommand sets ``handler``, the function :func:`main` calls
+    with the parsed arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce tables/figures of 'Replicated Data Placement "
         "for Uncertain Scheduling' and run its algorithms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(_command, sub)
 
-    for cmd, doc in [
+    for name, doc in [
         ("table1", "Table 1: replication-bound guarantees"),
         ("table2", "Table 2: memory-aware guarantees"),
         ("fig1", "Figure 1: Theorem-1 adversary example"),
@@ -93,10 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("fig4", "Figure 4: SABO schedule example"),
         ("fig5", "Figure 5: ABO schedule example"),
     ]:
-        sub.add_parser(cmd, help=doc)
+        command(name, _cmd_artifact, doc)
 
-    fig3 = sub.add_parser("fig3", help="Figure 3: ratio-replication tradeoff")
-    fig3.add_argument("--m", type=int, default=210, help="machine count (paper: 210)")
+    fig3 = command("fig3", _cmd_artifact, "Figure 3: ratio-replication tradeoff")
+    fig3.add_argument("--m", type=_count, default=210, help="machine count (paper: 210)")
     fig3.add_argument(
         "--alpha",
         type=float,
@@ -105,31 +109,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="uncertainty factors (paper: 1.1 1.5 2)",
     )
 
-    fig6 = sub.add_parser("fig6", help="Figure 6: memory-makespan tradeoff")
-    fig6.add_argument("--m", type=int, default=5, help="machine count (paper: 5)")
+    fig6 = command("fig6", _cmd_artifact, "Figure 6: memory-makespan tradeoff")
+    fig6.add_argument("--m", type=_count, default=5, help="machine count (paper: 5)")
 
-    run = sub.add_parser("run", help="run one strategy end to end")
+    run = command("run", _cmd_run, "run one strategy end to end")
     run.add_argument("strategy", help="e.g. lpt_no_choice, ls_group[k=2]")
-    run.add_argument("--family", default="uniform", help="workload family")
-    run.add_argument("--n", type=int, default=40)
-    run.add_argument("--m", type=int, default=6)
-    run.add_argument("--alpha", type=float, default=1.5)
-    run.add_argument("--seed", type=int, default=0)
+    _add_instance_flags(run, n=40, m=6)
     run.add_argument("--model", default="log_uniform", help="realization model")
     run.add_argument("--gantt", action="store_true", help="print the Gantt chart")
     _add_obs_flags(run)
 
-    sweep = sub.add_parser("sweep", help="ratio sweep over all strategies")
-    sweep.add_argument("--family", default="uniform")
-    sweep.add_argument("--n", type=int, default=16)
-    sweep.add_argument("--m", type=int, default=4)
-    sweep.add_argument("--alpha", type=float, default=1.5)
-    sweep.add_argument("--seed", type=int, default=0, help="workload generator seed")
-    sweep.add_argument("--seeds", type=int, default=5, help="realization seeds per strategy")
+    sweep = command("sweep", _cmd_sweep, "ratio sweep over all strategies")
+    _add_instance_flags(sweep, n=16, m=4)
+    sweep.add_argument("--seeds", type=_count, default=5, help="realization seeds per strategy")
     sweep.add_argument("--model", default="bimodal_extreme")
     sweep.add_argument(
         "--workers",
-        type=int,
+        type=_count,
         default=1,
         metavar="N",
         help="grid worker processes (1 = serial; results are identical)",
@@ -153,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--retries",
-        type=int,
+        type=_count,
         default=3,
         metavar="N",
         help="attempts per grid cell before quarantining it (default: 3)",
@@ -183,16 +179,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--profile-top",
-        type=int,
+        type=_count,
         default=5,
         metavar="N",
         help="profile rows kept per cell (default: 5)",
     )
     _add_obs_flags(sweep)
 
-    strategies = sub.add_parser(
+    strategies = command(
         "strategies",
-        help="list the registered strategy plugins, or describe one spec",
+        _cmd_strategies,
+        "list the registered strategy plugins, or describe one spec",
     )
     strategies.add_argument(
         "spec",
@@ -202,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     strategies.add_argument(
         "--m",
-        type=int,
+        type=_count,
         default=None,
         metavar="M",
         help="also print the sweep specs enumerated for M machines",
@@ -217,16 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
         "repeatable",
     )
 
-    obs = sub.add_parser(
-        "obs",
-        help="traced demo run: JSONL trace out, metrics summary table",
+    obs = command(
+        "obs", _cmd_obs, "traced demo run: JSONL trace out, metrics summary table"
     )
     obs.add_argument("--strategy", default="lpt_no_choice")
-    obs.add_argument("--family", default="uniform")
-    obs.add_argument("--n", type=int, default=40)
-    obs.add_argument("--m", type=int, default=6)
-    obs.add_argument("--alpha", type=float, default=1.5)
-    obs.add_argument("--seed", type=int, default=0)
+    _add_instance_flags(obs, n=40, m=6)
     obs.add_argument("--model", default="log_uniform")
     obs.add_argument(
         "--trace-out", default=None, metavar="PATH", help="write the JSONL trace here"
@@ -246,9 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     obs_sub = obs.add_subparsers(dest="obs_command", required=False)
-    analyze = obs_sub.add_parser(
+    analyze = _command(
+        obs_sub,
         "analyze",
-        help="span aggregates, self-time, and the critical path of a trace",
+        _cmd_obs_analyze,
+        "span aggregates, self-time, and the critical path of a trace",
     )
     analyze.add_argument("trace", help="path to the trace .jsonl file")
     analyze.add_argument(
@@ -261,9 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="critical-path rows to show before folding the tail (default: 15)",
     )
-    export = obs_sub.add_parser(
+    export = _command(
+        obs_sub,
         "export",
-        help="rebuild metrics from a trace and print/write OpenMetrics text",
+        _cmd_obs_export,
+        "rebuild metrics from a trace and print/write OpenMetrics text",
     )
     export.add_argument("trace", help="path to the trace .jsonl file")
     export.add_argument(
@@ -279,26 +275,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the exposition here instead of stdout",
     )
 
-    proofs = sub.add_parser(
-        "proofs", help="replay every proof's inequalities on a concrete instance"
+    proofs = command(
+        "proofs", _cmd_proofs, "replay every proof's inequalities on a concrete instance"
     )
-    proofs.add_argument("--family", default="uniform")
-    proofs.add_argument("--n", type=int, default=12)
-    proofs.add_argument("--m", type=int, default=4)
-    proofs.add_argument("--alpha", type=float, default=1.5)
-    proofs.add_argument("--seed", type=int, default=0)
+    _add_instance_flags(proofs, n=12, m=4)
 
-    regimes = sub.add_parser(
-        "regimes", help="clairvoyance/replication regime analysis for (alpha, m)"
+    regimes = command(
+        "regimes", _cmd_regimes, "clairvoyance/replication regime analysis for (alpha, m)"
     )
-    regimes.add_argument("--m", type=int, default=30)
+    regimes.add_argument("--m", type=_count, default=30)
     regimes.add_argument(
         "--alpha", type=float, nargs="+", default=[1.1, 1.3, 1.5, 2.0]
     )
 
-    report = sub.add_parser(
+    report = command(
         "report",
-        help="render results/ and REPORT.md from the content-addressed "
+        _cmd_report,
+        "render results/ and REPORT.md from the content-addressed "
         "artifact store (see docs/artifacts.md)",
     )
     report.add_argument(
@@ -313,20 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="first bless the on-disk results/ tree into the store "
         "(fresh-clone bootstrap)",
     )
-    report.add_argument(
-        "--store",
-        default=None,
-        metavar="PATH",
-        help="artifact store root (default: .repro-store)",
-    )
+    _add_store_flag(report)
 
     cache = sub.add_parser(
         "cache", help="inspect and maintain the artifact store / cell cache"
     )
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    cache_gc = cache_sub.add_parser(
+    cache_gc = _command(
+        cache_sub,
         "gc",
-        help="prune expired raw cells, orphaned blobs and corrupt debris",
+        _cmd_cache_gc,
+        "prune expired raw cells, orphaned blobs and corrupt debris",
     )
     cache_gc.add_argument(
         "--max-age-days",
@@ -340,75 +330,30 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report what would be removed without deleting anything",
     )
-    cache_gc.add_argument(
-        "--store",
-        default=None,
-        metavar="PATH",
-        help="artifact store root (default: .repro-store)",
+    _add_store_flag(cache_gc)
+    cache_stats = _command(
+        cache_sub,
+        "stats",
+        _cmd_cache_stats,
+        "per-stage entry counts and on-disk size of the store",
     )
-    cache_stats = cache_sub.add_parser(
-        "stats", help="per-stage entry counts and on-disk size of the store"
-    )
-    cache_stats.add_argument(
-        "--store",
-        default=None,
-        metavar="PATH",
-        help="artifact store root (default: .repro-store)",
-    )
+    _add_store_flag(cache_stats)
 
-    bench = sub.add_parser(
+    command(
         "bench",
-        help="time the perf scenarios and write/check BENCH_perf.json",
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="small grid, 3 repeats (the CI mode)"
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=None, help="timing repeats per scenario"
-    )
-    bench.add_argument(
-        "--out", default=None, metavar="PATH", help="artifact path override"
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="re-measure and gate batch_speedup_x against --baseline",
-    )
-    bench.add_argument(
-        "--baseline", default=None, metavar="PATH", help="baseline for --check"
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="relative batch_speedup_x band for --check (default 0.30)",
-    )
-    bench.add_argument(
-        "--floor",
-        type=float,
-        default=None,
-        help="absolute batch_speedup_x floor for --check (default 2.0)",
-    )
-    bench.add_argument(
-        "--history",
-        default=None,
-        metavar="PATH",
-        help="perf-trajectory JSONL (default: results/BENCH_history.jsonl)",
-    )
-    bench.add_argument(
-        "--no-history",
-        action="store_true",
-        help="skip appending the perf-trajectory row",
+        _cmd_bench,
+        "time the perf scenarios and write/check BENCH_perf.json "
+        "(flags: python -m repro.tools.perfbench --help)",
+        add_help=False,
     )
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the placement-as-a-service daemon (see docs/service.md)",
+    serve = command(
+        "serve", _cmd_serve, "run the placement-as-a-service daemon (see docs/service.md)"
     )
     serve.add_argument(
         "--strategy", default="ls_group[k=2]", help="placement family spec"
     )
-    serve.add_argument("--m", type=int, default=8, help="simulated machine count")
+    serve.add_argument("--m", type=_count, default=8, help="simulated machine count")
     serve.add_argument("--alpha", type=float, default=1.5)
     serve.add_argument(
         "--model",
@@ -444,9 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_obs_flags(serve)
 
-    loadgen = sub.add_parser(
-        "loadgen",
-        help="drive seeded synthetic tenants against a running daemon",
+    loadgen = command(
+        "loadgen", _cmd_loadgen, "drive seeded synthetic tenants against a running daemon"
     )
     loadgen.add_argument("--tenants", type=int, default=100)
     loadgen.add_argument(
@@ -478,9 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="PATH", help="write the full report as JSON"
     )
 
-    soak = sub.add_parser(
-        "soak",
-        help="chaos soak: sustained load + scheduled faults (docs/chaos.md)",
+    soak = command(
+        "soak", _cmd_soak, "chaos soak: sustained load + scheduled faults (docs/chaos.md)"
     )
     soak.add_argument("--zones", type=int, default=1, help="fleet zones")
     soak.add_argument("--racks-per-zone", type=int, default=4)
@@ -562,6 +505,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command(
+    subparsers, name: str, handler, doc: str, **kwargs
+) -> argparse.ArgumentParser:
+    """Declare subcommand ``name``, run by ``handler(args)``."""
+    cmd = subparsers.add_parser(name, help=doc, **kwargs)
+    cmd.set_defaults(handler=handler)
+    return cmd
+
+
+def _add_instance_flags(sub_parser: argparse.ArgumentParser, *, n: int, m: int) -> None:
+    """The generated-instance flags of ``run``, ``sweep``, ``obs`` and ``proofs``."""
+    sub_parser.add_argument("--family", default="uniform", help="workload family")
+    sub_parser.add_argument("--n", type=_count, default=n, help="task count")
+    sub_parser.add_argument("--m", type=_count, default=m, help="machine count")
+    sub_parser.add_argument("--alpha", type=float, default=1.5)
+    sub_parser.add_argument("--seed", type=int, default=0, help="workload generator seed")
+
+
+def _add_store_flag(sub_parser: argparse.ArgumentParser) -> None:
+    sub_parser.add_argument(
+        "--store",
+        default=None,
+        metavar="PATH",
+        help="artifact store root (default: .repro-store)",
+    )
+
+
 def _add_obs_flags(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
         "--trace",
@@ -584,7 +554,17 @@ def _add_obs_flags(sub_parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _instance(args: argparse.Namespace):
+    """The instance the ``--family --n --m --alpha --seed`` flags describe."""
+    from repro.workloads import generate
+
+    return generate(args.family, args.n, args.m, args.alpha, args.seed)
+
+
 def _print_metrics() -> None:
+    from repro.analysis.tables import format_table
+    from repro.obs import get_tracer
+
     rows = get_tracer().registry.rows()
     if rows:
         print()
@@ -593,27 +573,30 @@ def _print_metrics() -> None:
 
 @contextmanager
 def _observability(
-    trace_path: str | None,
-    want_metrics: bool,
+    args: argparse.Namespace,
     *,
     metrics_out: str | None = None,
-    max_bytes: int | None = None,
     force: bool = False,
 ) -> Iterator[None]:
     """Enable the global tracer for one CLI command if asked to.
 
-    ``--trace PATH`` attaches a JSONL sink (rotating past ``max_bytes``
-    when set); ``--metrics`` / ``--metrics-out`` / ``force`` alone use a
-    memory sink just to light the counters up.  The teardown is
-    exception-safe: even when the command (or the counter snapshot)
-    raises, the sinks are flushed and closed, so a crashed traced run
-    still leaves a valid, ``obs.validate``-clean trace on disk.
+    ``--trace PATH`` attaches a JSONL sink (rotating past
+    ``--trace-max-bytes`` when set); ``--metrics`` / ``metrics_out`` /
+    ``force`` alone use a memory sink just to light the counters up.  The
+    teardown is exception-safe: even when the command (or the counter
+    snapshot) raises, the sinks are flushed and closed, so a crashed
+    traced run still leaves a valid, ``obs.validate``-clean trace on disk.
     """
+    trace_path, want_metrics = args.trace, args.metrics
     if not trace_path and not want_metrics and not metrics_out and not force:
         yield
         return
+    from repro.obs import JsonlSink, MemorySink, get_tracer
+    from repro.obs import disable as obs_disable
+    from repro.obs import enable as obs_enable
+
     sinks = (
-        [JsonlSink(trace_path, max_bytes=max_bytes)]
+        [JsonlSink(trace_path, max_bytes=args.trace_max_bytes)]
         if trace_path
         else [MemorySink()]
     )
@@ -638,44 +621,83 @@ def _observability(
                 print(f"\ntrace written to {trace_path}")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    instance = generate(args.family, args.n, args.m, args.alpha, args.seed)
-    realization = sample_realization(instance, args.model, args.seed + 1)
-    strategy = make_strategy(args.strategy)
-    record = measured_ratio(strategy, instance, realization)
-    out = record.outcome
-    print(f"strategy     : {out.strategy_name}")
-    print(f"instance     : {instance.name} (alpha={instance.alpha})")
-    print(f"realization  : {realization.label}")
-    print(f"replication  : {out.replication} (total replicas {out.placement.total_replicas()})")
-    print(f"makespan     : {out.makespan:.6g}")
-    print(
-        f"optimum      : {record.optimum.value:.6g} "
-        f"({record.optimum.method}{'' if record.optimum.optimal else ', lower bound'})"
-    )
-    print(f"ratio        : {record.ratio:.4f}")
-    if record.guarantee is not None:
-        print(f"guarantee    : {record.guarantee:.4f} (within: {record.within_guarantee})")
-    if args.gantt:
-        from repro.simulation import render_gantt
+def _cmd_artifact(args: argparse.Namespace) -> int:
+    """``repro table1`` … ``repro fig6``: print one paper table or figure."""
+    from repro import reporting
 
-        print()
-        print(render_gantt(out.trace, instance.m))
+    options = {}
+    if args.command == "fig3":
+        options = {"m": args.m, "alphas": tuple(args.alpha)}
+    elif args.command == "fig6":
+        options = {"m": args.m}
+    print(getattr(reporting, f"{args.command}_report")(**options))
+    return 0
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.analysis.ratios import measured_ratio
+    from repro.registry import make_strategy
+    from repro.uncertainty import sample_realization
+
+    with _observability(args):
+        instance = _instance(args)
+        realization = sample_realization(instance, args.model, args.seed + 1)
+        strategy = make_strategy(args.strategy)
+        record = measured_ratio(strategy, instance, realization)
+        out = record.outcome
+        print(f"strategy     : {out.strategy_name}")
+        print(f"instance     : {instance.name} (alpha={instance.alpha})")
+        print(f"realization  : {realization.label}")
+        print(f"replication  : {out.replication} (total replicas {out.placement.total_replicas()})")
+        print(f"makespan     : {out.makespan:.6g}")
+        print(
+            f"optimum      : {record.optimum.value:.6g} "
+            f"({record.optimum.method}{'' if record.optimum.optimal else ', lower bound'})"
+        )
+        print(f"ratio        : {record.ratio:.4f}")
+        if record.guarantee is not None:
+            print(f"guarantee    : {record.guarantee:.4f} (within: {record.within_guarantee})")
+        if args.gantt:
+            from repro.simulation import render_gantt
+
+            print()
+            print(render_gantt(out.trace, instance.m))
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Ratio sweep through :func:`repro.analysis.run_grid`.
+    """Ratio sweep through :class:`repro.analysis.ExperimentGrid`.
 
     One instance (from ``--seed``), every strategy applicable to ``m``,
     ``--seeds`` realization draws — fanned over ``--workers`` processes
     and served from the cell cache when warm (``--no-cache`` opts out).
     Crashing cells are retried ``--retries`` times (quarantined after);
-    ``--cell-timeout`` bounds each attempt's wall clock.
+    ``--cell-timeout`` bounds each attempt's wall clock.  ``--profile``
+    profiles every cell through the environment the pool workers inherit.
     """
-    from repro.analysis import CellCache, ExperimentGrid, RetryPolicy
+    import os
 
-    instance = generate(args.family, args.n, args.m, args.alpha, args.seed)
+    from repro.obs import profiling
+
+    if args.profile:
+        os.environ[profiling.ENV_VAR] = f"top={args.profile_top}"
+    try:
+        with _observability(args, metrics_out=args.metrics_out, force=args.profile):
+            return _sweep(args)
+    finally:
+        if args.profile:
+            os.environ.pop(profiling.ENV_VAR, None)
+            profiling.reset()
+
+
+def _sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.cache import CellCache
+    from repro.analysis.experiment import ExperimentGrid, RetryPolicy
+    from repro.analysis.stats import summarize
+    from repro.analysis.tables import format_table
+    from repro.registry import full_sweep
+
+    instance = _instance(args)
     strategies = full_sweep(args.m)
     cache = None
     if not args.no_cache:
@@ -687,7 +709,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seeds=tuple(1000 + s for s in range(args.seeds)),
         workers=args.workers,
         cache=cache,
-        retry=RetryPolicy(max_attempts=max(1, args.retries), timeout_s=args.cell_timeout),
+        retry=RetryPolicy(max_attempts=args.retries, timeout_s=args.cell_timeout),
         batch=not args.no_batch,
     )
     records = grid.run()
@@ -742,82 +764,39 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_params(entry) -> None:
-    if entry.params:
-        print("parameters   :")
-        for p in entry.params:
-            default = "" if p.required else f" (default {p.default!r})"
-            print(f"  {p.key:10s} {p.describe():24s}{default}  {p.doc}")
-
-
 def _cmd_strategies(args: argparse.Namespace) -> int:
     """List the registered plugins, or describe one spec in detail."""
     import repro.registry as registry
+    from repro.analysis.tables import format_table
 
     if args.spec is not None:
-        try:
-            entry = registry.get_entry(args.spec)
-        except KeyError:
-            entry = None
-        if entry is not None and any(p.required for p in entry.params):
-            # A bare family name whose spec needs parameters: show the
-            # entry's help instead of a parse error.
-            print(f"name         : {entry.name}")
-            print(f"spec         : {entry.template()}")
-            print(f"class        : {entry.cls.__module__}.{entry.cls.__qualname__}")
-            print(f"family       : {entry.family}")
-            print(f"paper        : {entry.theorem or '—'}")
-            print(f"summary      : {entry.summary}")
-            print(f"capabilities : {', '.join(entry.capabilities.flags()) or '—'}")
-            print(f"replication  : {entry.capabilities.replication_factor}")
-            _print_params(entry)
-            return 0
-        try:
-            strategy = registry.make_strategy(args.spec)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        entry = registry.entry_for(strategy)
-        caps = registry.capabilities_of(strategy)
-        print(f"spec         : {args.spec}")
-        print(f"canonical    : {registry.describe_strategy(strategy)}")
-        print(f"class        : {type(strategy).__module__}.{type(strategy).__qualname__}")
-        print(f"family       : {entry.family}")
-        print(f"paper        : {entry.theorem or '—'}")
-        print(f"summary      : {entry.summary}")
-        print(f"capabilities : {', '.join(caps.flags()) or '—'}")
-        print(f"replication  : {caps.replication_factor}")
-        _print_params(entry)
-        return 0
-
-    wanted = None
-    if args.capability:
-        valid = {"supports_faults", "supports_releases", "supports_hetero", "memory_aware"}
-        bad = [c for c in args.capability if c not in valid]
-        if bad:
-            print(
-                f"unknown capability flag(s): {', '.join(bad)} "
-                f"(valid: {', '.join(sorted(valid))})",
-                file=sys.stderr,
-            )
-            return 1
-        wanted = set(args.capability)
-    rows = []
-    for entry in registry.strategy_entries():
-        caps = entry.capabilities
-        if wanted and not wanted.issubset(caps.flags()):
-            continue
-        rows.append(
-            {
-                "name": entry.name,
-                "family": entry.family,
-                "spec": entry.template(),
-                "capabilities": ",".join(caps.flags()) or "—",
-                "replication": caps.replication_factor,
-                "paper": entry.theorem or "—",
-            }
+        return _describe_spec(args.spec)
+    wanted = set(args.capability or ())
+    valid = {"supports_faults", "supports_releases", "supports_hetero", "memory_aware"}
+    bad = sorted(wanted - valid)
+    if bad:
+        print(
+            f"unknown capability flag(s): {', '.join(bad)} "
+            f"(valid: {', '.join(sorted(valid))})",
+            file=sys.stderr,
         )
-    print(format_table(rows, title=f"{len(rows)} registered strategy plugins"))
+        return 1
+    rows = [
+        {
+            "name": entry.name,
+            "family": entry.family,
+            "spec": entry.template(),
+            "capabilities": ",".join(entry.capabilities.flags()) or "—",
+            "replication": entry.capabilities.replication_factor,
+            "paper": entry.theorem or "—",
+        }
+        for entry in registry.strategy_entries()
+        if wanted.issubset(entry.capabilities.flags())
+    ]
+    if rows:
+        print(format_table(rows, title=f"{len(rows)} registered strategy plugins"))
+    else:
+        print(f"no registered strategy plugin has all of: {', '.join(sorted(wanted))}")
     if args.m is not None:
         print()
         print(f"sweep specs for m={args.m}:")
@@ -826,10 +805,53 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
     return 0
 
 
+def _describe_spec(spec: str) -> int:
+    """``repro strategies SPEC``: one block, for a spec or a family name.
+
+    A bare family name whose spec needs parameters shows the entry's
+    template instead of a parse error.
+    """
+    import repro.registry as registry
+
+    try:
+        entry = registry.get_entry(spec)
+    except KeyError:
+        entry = None
+    if entry is not None and any(p.required for p in entry.params):
+        cls, caps = entry.cls, entry.capabilities
+        head = [("name", entry.name), ("spec", entry.template())]
+    else:
+        try:
+            strategy = registry.make_strategy(spec)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 1
+        entry, cls = registry.entry_for(strategy), type(strategy)
+        caps = registry.capabilities_of(strategy)
+        head = [("spec", spec), ("canonical", registry.describe_strategy(strategy))]
+    for label, value in [
+        *head,
+        ("class", f"{cls.__module__}.{cls.__qualname__}"),
+        ("family", entry.family),
+        ("paper", entry.theorem or "—"),
+        ("summary", entry.summary),
+        ("capabilities", ", ".join(caps.flags()) or "—"),
+        ("replication", caps.replication_factor),
+    ]:
+        print(f"{label:12s} : {value}")
+    if entry.params:
+        print("parameters   :")
+        for p in entry.params:
+            default = "" if p.required else f" (default {p.default!r})"
+            print(f"  {p.key:10s} {p.describe():24s}{default}  {p.doc}")
+    return 0
+
+
 def _cmd_proofs(args: argparse.Namespace) -> int:
     from repro.theory import verify_all
+    from repro.uncertainty import sample_realization
 
-    instance = generate(args.family, args.n, args.m, args.alpha, args.seed)
+    instance = _instance(args)
     realization = sample_realization(instance, "bimodal_extreme", args.seed + 1)
     checks = verify_all(instance, realization)
     for check in checks:
@@ -850,7 +872,13 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     the SLO verdict, making this a one-command end-to-end check of the
     faults + obs + SLO stack.
     """
+    from repro.analysis.ratios import measured_ratio
     from repro.faults import inject
+    from repro.obs import JsonlSink, MemorySink
+    from repro.obs import disable as obs_disable
+    from repro.obs import enable as obs_enable
+    from repro.registry import make_strategy
+    from repro.uncertainty import sample_realization
 
     try:
         injected = (
@@ -864,7 +892,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     tracer = obs_enable(*sinks)
     memory = sinks[0] if isinstance(sinks[0], MemorySink) else None
     try:
-        instance = generate(args.family, args.n, args.m, args.alpha, args.seed)
+        instance = _instance(args)
         realization = sample_realization(instance, args.model, args.seed + 1)
         strategy = make_strategy(args.strategy)
         record = measured_ratio(strategy, instance, realization)
@@ -904,8 +932,10 @@ def _obs_inject_demo(args, instance, strategy, spec) -> bool:
     ``grid.cell_retry`` events and retry counters rather than failures;
     the SLO report then asserts the recovery actually happened.
     """
-    from repro.analysis import ExperimentGrid, RetryPolicy
+    from repro.analysis.experiment import ExperimentGrid, RetryPolicy
+    from repro.analysis.tables import format_table
     from repro.faults import inject
+    from repro.obs import get_tracer
     from repro.obs.slo import evaluate
 
     inject.configure(spec)
@@ -948,6 +978,7 @@ def _cmd_obs_analyze(args: argparse.Namespace) -> int:
     """``repro obs analyze trace.jsonl`` — tables or ``--json``."""
     import json as json_mod
 
+    from repro.analysis.tables import format_table
     from repro.obs.analyze import analyze_file
 
     try:
@@ -1009,6 +1040,7 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
 
 def _cmd_regimes(args: argparse.Namespace) -> int:
     from repro.analysis.regimes import clairvoyance_value, dominant_strategy_map
+    from repro.analysis.tables import format_table
 
     rows = []
     for entry in dominant_strategy_map(args.alpha, args.m):
@@ -1033,6 +1065,12 @@ def _cmd_regimes(args: argparse.Namespace) -> int:
     return 0
 
 
+def _store(args: argparse.Namespace):
+    from repro.store import ArtifactStore
+
+    return ArtifactStore(args.store) if args.store else ArtifactStore()
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     """``repro report [--check] [--adopt]`` — the store-backed report pipeline."""
     from repro.analysis.report import (
@@ -1040,9 +1078,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         check_report,
         generate_report,
     )
-    from repro.store import ArtifactStore
 
-    store = ArtifactStore(args.store) if args.store else ArtifactStore()
+    store = _store(args)
     try:
         if args.check:
             problems = check_report(store=store, adopt=args.adopt)
@@ -1061,22 +1098,24 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return 1
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    """``repro cache gc|stats`` — artifact-store maintenance."""
-    from repro.store import ArtifactStore, Stage
+def _cmd_cache_gc(args: argparse.Namespace) -> int:
+    """``repro cache gc`` — prune the artifact store."""
+    report = _store(args).gc(max_age_days=args.max_age_days, dry_run=args.dry_run)
+    verb = "would reclaim" if args.dry_run else "reclaimed"
+    print(
+        f"cache gc: {report.expired_raw} expired raw entries, "
+        f"{report.orphan_blobs} orphan blobs, "
+        f"{report.swept_corrupt} corrupt/tmp files — "
+        f"{verb} {report.reclaimed_bytes} bytes"
+    )
+    return 0
 
-    store = ArtifactStore(args.store) if args.store else ArtifactStore()
-    if args.cache_command == "gc":
-        report = store.gc(max_age_days=args.max_age_days, dry_run=args.dry_run)
-        verb = "would reclaim" if args.dry_run else "reclaimed"
-        print(
-            f"cache gc: {report.expired_raw} expired raw entries, "
-            f"{report.orphan_blobs} orphan blobs, "
-            f"{report.swept_corrupt} corrupt/tmp files — "
-            f"{verb} {report.reclaimed_bytes} bytes"
-        )
-        return 0
-    # stats
+
+def _cmd_cache_stats(args: argparse.Namespace) -> int:
+    """``repro cache stats`` — per-stage counts and on-disk size."""
+    from repro.store import Stage
+
+    store = _store(args)
     backend = store.backend
     total = 0
     blobs = 0
@@ -1091,6 +1130,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     print(f"  {'blobs':>7}: {blobs} files")
     print(f"  {'size':>7}: {total} bytes")
     return 0
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """``repro bench ARGS`` — ARGS go to perfbench's own parser unchanged."""
+    from repro.tools import perfbench
+
+    return perfbench.main(args.argv)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1130,9 +1176,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         await server
 
-    with _observability(
-        args.trace, args.metrics, max_bytes=args.trace_max_bytes, force=True
-    ):
+    with _observability(args, force=True):
         try:
             asyncio.run(_run())
         except KeyboardInterrupt:
@@ -1195,185 +1239,100 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     from repro.chaos import ChaosSchedule, FleetTopology, SoakConfig
     from repro.chaos.soak import run_soak, run_soak_live
 
-    topology = FleetTopology(
-        zones=args.zones,
-        racks_per_zone=args.racks_per_zone,
-        machines_per_rack=args.machines_per_rack,
-    )
-    schedule = ChaosSchedule()
-    for spec in args.chaos or []:
+    with _observability(args):
+        topology = FleetTopology(
+            zones=args.zones,
+            racks_per_zone=args.racks_per_zone,
+            machines_per_rack=args.machines_per_rack,
+        )
+        schedule = ChaosSchedule()
+        for spec in args.chaos or []:
+            try:
+                schedule = schedule.merge(ChaosSchedule.parse(spec, topology))
+            except ValueError as exc:
+                print(f"soak: {exc}", file=sys.stderr)
+                return 2
+        config_kw = dict(
+            topology=topology,
+            strategy=args.strategy,
+            alpha=args.alpha,
+            model=args.model,
+            seed=args.seed,
+            duration=args.duration,
+            rate=args.rate,
+            est_low=args.est_low,
+            est_high=args.est_high,
+            sample_every=args.sample_every,
+            schedule=schedule,
+        )
+        if args.objective:
+            config_kw["objectives"] = tuple(args.objective)
         try:
-            schedule = schedule.merge(ChaosSchedule.parse(spec, topology))
+            config = SoakConfig(**config_kw)
         except ValueError as exc:
             print(f"soak: {exc}", file=sys.stderr)
             return 2
-    config_kw = dict(
-        topology=topology,
-        strategy=args.strategy,
-        alpha=args.alpha,
-        model=args.model,
-        seed=args.seed,
-        duration=args.duration,
-        rate=args.rate,
-        est_low=args.est_low,
-        est_high=args.est_high,
-        sample_every=args.sample_every,
-        schedule=schedule,
-    )
-    if args.objective:
-        config_kw["objectives"] = tuple(args.objective)
-    try:
-        config = SoakConfig(**config_kw)
-    except ValueError as exc:
-        print(f"soak: {exc}", file=sys.stderr)
-        return 2
-    if args.live:
-        report = run_soak_live(
-            config,
-            socket_path=args.socket,
-            pace=args.pace,
-            bulkhead_capacity=args.bulkhead,
-            breaker=args.breaker,
-        )
-    else:
-        report = run_soak(config)
-    summary = report.summary
-    mode = "live" if report.live else "virtual"
-    print(
-        f"soak ({mode}): {topology.describe()}, "
-        f"{len(schedule.actions)} chaos action(s), seed {config.seed}"
-    )
-    print(
-        f"tasks        : {summary['tasks_admitted']} admitted, "
-        f"{summary['tasks_done']} done, {summary['shed']} shed, "
-        f"{summary['stranded']} stranded"
-    )
-    print(
-        f"failures     : {summary['machine_failures']} machine failures, "
-        f"{summary['replaced']} tasks re-placed, "
-        f"{summary['restarts']} restarts"
-    )
-    print(
-        f"availability : min {summary['min_availability']:.3f}, "
-        f"mean {summary['mean_availability']:.3f} "
-        f"(diversity rack {summary['diversity_rack']:.2f} / "
-        f"zone {summary['diversity_zone']:.2f})"
-    )
-    print(
-        f"makespan     : {summary['makespan']:.3f} vs control "
-        f"{summary['control_makespan']:.3f} "
-        f"(inflation {summary['inflation']:.3f}, "
-        f"capacity bound {summary['capacity_bound']:.3f})"
-    )
-    print(f"digest       : {report.digest[:16]}…")
-    for row in report.slo.rows():
+        if args.live:
+            report = run_soak_live(
+                config,
+                socket_path=args.socket,
+                pace=args.pace,
+                bulkhead_capacity=args.bulkhead,
+                breaker=args.breaker,
+            )
+        else:
+            report = run_soak(config)
+        summary = report.summary
+        mode = "live" if report.live else "virtual"
         print(
-            f"slo          : {row['status']}  {row['objective']} "
-            f"(observed {row['observed']}, need {row['threshold']})"
+            f"soak ({mode}): {topology.describe()}, "
+            f"{len(schedule.actions)} chaos action(s), seed {config.seed}"
         )
-    if args.out:
-        paths = report.write_artifacts(args.out)
-        print(f"artifacts    : {paths['curve']} and {paths['report']}")
-    if args.check and not report.passed:
-        return 1
-    return 0
+        print(
+            f"tasks        : {summary['tasks_admitted']} admitted, "
+            f"{summary['tasks_done']} done, {summary['shed']} shed, "
+            f"{summary['stranded']} stranded"
+        )
+        print(
+            f"failures     : {summary['machine_failures']} machine failures, "
+            f"{summary['replaced']} tasks re-placed, "
+            f"{summary['restarts']} restarts"
+        )
+        print(
+            f"availability : min {summary['min_availability']:.3f}, "
+            f"mean {summary['mean_availability']:.3f} "
+            f"(diversity rack {summary['diversity_rack']:.2f} / "
+            f"zone {summary['diversity_zone']:.2f})"
+        )
+        print(
+            f"makespan     : {summary['makespan']:.3f} vs control "
+            f"{summary['control_makespan']:.3f} "
+            f"(inflation {summary['inflation']:.3f}, "
+            f"capacity bound {summary['capacity_bound']:.3f})"
+        )
+        print(f"digest       : {report.digest[:16]}…")
+        for row in report.slo.rows():
+            print(
+                f"slo          : {row['status']}  {row['objective']} "
+                f"(observed {row['observed']}, need {row['threshold']})"
+            )
+        if args.out:
+            paths = report.write_artifacts(args.out)
+            print(f"artifacts    : {paths['curve']} and {paths['report']}")
+        if args.check and not report.passed:
+            return 1
+        return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    command = args.command
-    if command == "table1":
-        print(table1_report())
-    elif command == "table2":
-        print(table2_report())
-    elif command == "fig1":
-        print(fig1_report())
-    elif command == "fig2":
-        print(fig2_report())
-    elif command == "fig3":
-        print(fig3_report(m=args.m, alphas=tuple(args.alpha)))
-    elif command == "fig4":
-        print(fig4_report())
-    elif command == "fig5":
-        print(fig5_report())
-    elif command == "fig6":
-        print(fig6_report(m=args.m))
-    elif command == "run":
-        with _observability(args.trace, args.metrics, max_bytes=args.trace_max_bytes):
-            return _cmd_run(args)
-    elif command == "sweep":
-        import os
-
-        from repro.obs import profiling
-
-        profile_env_set = False
-        if args.profile:
-            os.environ[profiling.ENV_VAR] = f"top={max(1, args.profile_top)}"
-            profile_env_set = True
-        try:
-            with _observability(
-                args.trace,
-                args.metrics,
-                metrics_out=args.metrics_out,
-                max_bytes=args.trace_max_bytes,
-                force=args.profile,
-            ):
-                return _cmd_sweep(args)
-        finally:
-            if profile_env_set:
-                os.environ.pop(profiling.ENV_VAR, None)
-                profiling.reset()
-    elif command == "strategies":
-        return _cmd_strategies(args)
-    elif command == "obs":
-        obs_command = getattr(args, "obs_command", None)
-        if obs_command == "analyze":
-            return _cmd_obs_analyze(args)
-        if obs_command == "export":
-            return _cmd_obs_export(args)
-        return _cmd_obs(args)
-    elif command == "proofs":
-        return _cmd_proofs(args)
-    elif command == "regimes":
-        return _cmd_regimes(args)
-    elif command == "report":
-        return _cmd_report(args)
-    elif command == "cache":
-        return _cmd_cache(args)
-    elif command == "bench":
-        from repro.tools.perfbench import main as perfbench_main
-
-        forwarded: list[str] = []
-        if args.quick:
-            forwarded.append("--quick")
-        if args.repeats is not None:
-            forwarded.extend(["--repeats", str(args.repeats)])
-        if args.out:
-            forwarded.extend(["--out", args.out])
-        if args.check:
-            forwarded.append("--check")
-        if args.baseline:
-            forwarded.extend(["--baseline", args.baseline])
-        if args.tolerance is not None:
-            forwarded.extend(["--tolerance", str(args.tolerance)])
-        if args.floor is not None:
-            forwarded.extend(["--floor", str(args.floor)])
-        if args.history:
-            forwarded.extend(["--history", args.history])
-        if args.no_history:
-            forwarded.append("--no-history")
-        return perfbench_main(forwarded)
-    elif command == "serve":
-        return _cmd_serve(args)
-    elif command == "loadgen":
-        return _cmd_loadgen(args)
-    elif command == "soak":
-        with _observability(args.trace, args.metrics, max_bytes=args.trace_max_bytes):
-            return _cmd_soak(args)
-    else:  # pragma: no cover — argparse enforces the choices
-        raise AssertionError(f"unhandled command {command}")
-    return 0
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "bench":  # perfbench parses these itself
+        args.argv = rest
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -63,8 +63,8 @@ class ABOPolicy:
         """Per-machine pinned dispatch queues (read-only view).
 
         The batch backend (:mod:`repro.simulation.batch`) compiles these,
-        together with :attr:`replicated_order`, into the phase-split
-        completion sweep instead of replaying events.
+        together with :attr:`replicated_order`, into one task order for
+        its closed-form completion sweep instead of replaying events.
         """
         return {i: tuple(q) for i, q in self._pinned.items()}
 

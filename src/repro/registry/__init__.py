@@ -119,7 +119,7 @@ def canonical_spec(spec: str) -> str:
 
 
 def strategy_entries() -> list[StrategyEntry]:
-    """Every registered entry, stable order."""
+    """Every registered entry, in name order."""
     _builtins.load()
     return _entry.entries()
 

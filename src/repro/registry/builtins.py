@@ -7,10 +7,9 @@ the first query.  The public API in :mod:`repro.registry` calls
 cycle-free and cheap while guaranteeing a fully-populated table by the
 time anyone parses a spec.
 
-Import order here is deterministic and fixed, which (together with the
-explicit :class:`~repro.registry.entry.SweepRule` orders) keeps
-``strategy_names`` output stable no matter which module a process
-happened to import first.
+Import order does not matter: entries are listed in name order and the
+sweep follows each :class:`~repro.registry.entry.SweepRule`'s ``order``,
+so every listing is the same whichever module a process imported first.
 """
 
 from __future__ import annotations

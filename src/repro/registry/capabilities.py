@@ -62,9 +62,9 @@ class Capabilities:
         The fault-free run of this strategy compiles to one of the batch
         backend's plan tiers (:mod:`repro.simulation.batch`): a fully
         vectorized completion sweep for partition-structured fixed
-        orders, a phase-split sweep for barrier-free ABO, or a replay
-        of the policy's own ``select`` for overlapping ranges and
-        pinned-aware policies — all bit-identical to the event kernel.  The flag is a
+        orders and barrier-free ABO, or a replay of the policy's own
+        ``select`` for overlapping ranges and pinned-aware policies —
+        all bit-identical to the event kernel.  The flag is a
         *claim*, not a bypass: ``build_plan`` re-verifies the structure
         and raises ``BatchUnsupported`` for configurations it cannot
         replay (e.g. the ABO barrier ablation), which fall back to the

@@ -1,7 +1,8 @@
 """The strategy registry proper: entries, registration, parse/describe.
 
-One insertion-ordered table maps spec names to :class:`StrategyEntry`
-records.  Family modules register their classes with the
+One table maps spec names to :class:`StrategyEntry` records, read back
+in name order so no listing depends on which family module a process
+imported first.  Family modules register their classes with the
 :func:`register_strategy` decorator; the registry derives from each entry
 
 * the **parser** (``parse``/``build``) for that family's spec strings,
@@ -133,7 +134,7 @@ class StrategyEntry:
         factory = self.builder if self.builder is not None else self.cls
         return factory(**kwargs)
 
-#: name -> entry, in registration order (builtins load deterministically).
+#: name -> entry; :func:`entries` reads it back in name order.
 _ENTRIES: dict[str, StrategyEntry] = {}
 #: exact class -> entry, for describe()/capability lookups.
 _BY_CLASS: dict[type, StrategyEntry] = {}
@@ -187,8 +188,8 @@ def register_strategy(
 
 
 def entries() -> list[StrategyEntry]:
-    """All registered entries, registration order."""
-    return list(_ENTRIES.values())
+    """All registered entries, in name order (never import order)."""
+    return sorted(_ENTRIES.values(), key=lambda e: e.name)
 
 
 def get_entry(name: str) -> StrategyEntry:
@@ -369,8 +370,8 @@ def canonical(spec: str) -> str:
 
 
 def spec_help() -> str:
-    """Generated accepted-forms list, one template per registered entry."""
-    return ", ".join(repr(e.template()) for e in _ENTRIES.values())
+    """Generated accepted-forms list, one template per entry, name order."""
+    return ", ".join(repr(e.template()) for e in entries())
 
 
 def unknown_spec_error(spec: str) -> str:

@@ -11,12 +11,10 @@ compiles the pair into the cheapest *plan* its decision structure admits:
 
 * :class:`BatchPlan` — the closed-form completion sweep for
   :class:`~repro.core.strategy.FixedOrderPolicy` over a machine
-  *partition*: ``n`` vectorized argmin+add steps replace ``B × n``
-  Python event cycles.
-* :class:`PhaseSplitPlan` — the closed form for ABO's fixed phase split
-  (pinned queues run back-to-back from ``t = 0``; the replicated tasks
-  are list-scheduled in a fixed global order), again ``n`` vectorized
-  steps for the whole pack.
+  *partition*, and for ABO's fixed phase split (the pinned queues first,
+  each on its one machine, then the replicated tasks over every
+  machine): ``n`` vectorized argmin+add steps replace ``B × n`` Python
+  event cycles.
 * :class:`ReplayPlan` — everything with no closed form: a fixed order
   over an *arbitrary* placement (overlapping windows, gaps) and the
   :class:`~repro.core.strategies.selective.PinnedAwarePolicy` families
@@ -26,7 +24,7 @@ compiles the pair into the cheapest *plan* its decision structure admits:
   across the pack.
 
 **Exactness contract.**  Every plan is bit-identical to the
-:class:`EventKernel`, never merely close.  The closed forms perform, per
+:class:`EventKernel`, never merely close.  The closed-form sweep performs, per
 machine, the *same* IEEE additions in the *same* left-to-right order as
 the kernel (each task's end is ``min-load + p_j``; argmin ties go to the
 lowest machine index, the kernel's ``t = 0`` seeding order, and
@@ -75,7 +73,6 @@ from repro.core.strategy import (
 __all__ = [
     "BatchUnsupported",
     "BatchPlan",
-    "PhaseSplitPlan",
     "ReplayPlan",
     "Plan",
     "supports_batch",
@@ -106,11 +103,13 @@ class BatchPlan:
         The Phase-1 placement (computed once, shared by every realization
         in the pack; carries the replication metrics records need).
     order:
-        Phase-2 dispatch order — task ids in the order the fixed-order
-        policy would issue them.
+        Task ids in the order the sweep places them: the fixed-order
+        policy's dispatch order, or ABO's pinned queues then its
+        replicated order.
     lo, hi:
         Per-task allowed machine range ``[lo[j], hi[j])`` derived from the
-        placement; verified contiguous and partition-structured.
+        placement; verified contiguous and partition-structured, or ABO's
+        ``[i, i + 1)`` pins and ``[0, m)`` replicas.
     guarantee:
         ``strategy.guarantee(instance)`` if defined, else ``None``.
     """
@@ -120,37 +119,6 @@ class BatchPlan:
     order: tuple[int, ...]
     lo: np.ndarray
     hi: np.ndarray
-    guarantee: float | None
-
-    @property
-    def instance(self) -> Instance:
-        return self.placement.instance
-
-
-@dataclass(frozen=True)
-class PhaseSplitPlan:
-    """ABO's fixed phase split compiled to a closed-form sweep.
-
-    Each machine runs its pinned queue back-to-back from ``t = 0`` (the
-    policy always prefers its own pinned backlog), so its availability
-    for replicated work is its pinned load sum; the replicated tasks are
-    then list-scheduled in their fixed global order onto the currently
-    least-loaded machine.  Both stages are vectorized across the pack.
-
-    Attributes
-    ----------
-    pinned_queues:
-        Per machine (index = machine id), the pinned task ids in the
-        policy's dispatch order.
-    replicated:
-        The replicated task ids (placed on *every* machine, verified) in
-        the policy's fixed global order.
-    """
-
-    strategy_name: str
-    placement: Placement
-    pinned_queues: tuple[tuple[int, ...], ...]
-    replicated: tuple[int, ...]
     guarantee: float | None
 
     @property
@@ -185,7 +153,7 @@ class ReplayPlan:
 #: Everything :func:`build_plan` can return; all variants share the
 #: ``strategy_name`` / ``placement`` / ``guarantee`` / ``instance`` surface
 #: the pack executor consumes.
-Plan = Union[BatchPlan, PhaseSplitPlan, ReplayPlan]
+Plan = Union[BatchPlan, ReplayPlan]
 
 
 def supports_batch(strategy: TwoPhaseStrategy) -> bool:
@@ -209,8 +177,8 @@ def build_plan(strategy: TwoPhaseStrategy, instance: Instance) -> Plan:
     per-cell path's), builds the Phase-2 policy once, and dispatches on
     its exact type: :class:`FixedOrderPolicy` compiles to the closed-form
     sweep (or the replay when the placement is not a partition),
-    ``ABOPolicy`` to the phase-split sweep, ``PinnedAwarePolicy`` to the
-    replay.  Every closed-form precondition is verified against the
+    ``ABOPolicy`` to the closed-form sweep over its phase split,
+    ``PinnedAwarePolicy`` to the replay.  Every closed-form precondition is verified against the
     placement — the capability flag is never trusted.  Raises
     :class:`BatchUnsupported` when the pair must use the event kernel,
     and propagates ``ValueError`` from Phase 1 unchanged (e.g. a group
@@ -299,7 +267,17 @@ def _compile_phase_split(
     placement: Placement,
     policy,
     guarantee: float | None,
-) -> PhaseSplitPlan:
+) -> BatchPlan:
+    """ABO's phase split as a :class:`BatchPlan` over one task order.
+
+    Each machine runs its pinned queue back to back from ``t = 0``, so
+    its pinned tasks are ranges ``[i, i + 1)`` summed left to right; the
+    replicated tasks follow in the policy's global order over ``[0, m)``.
+    A machine competes for replicated work exactly when its total load is
+    minimal, so the argmin sweep reproduces the kernel's event order
+    (``t = 0`` ties go to the lowest machine index, and later exact ties
+    are between machines interchangeable for all remaining work).
+    """
     if policy.barrier:
         raise BatchUnsupported(
             f"{strategy.name}: the global-barrier Phase 2 stalls machines on "
@@ -308,8 +286,9 @@ def _compile_phase_split(
         )
     n, m = instance.n, instance.m
     all_machines = frozenset(range(m))
-    queues: list[tuple[int, ...]] = [()] * m
-    covered: list[int] = []
+    order: list[int] = []
+    lo = np.zeros(n, dtype=np.intp)
+    hi = np.full(n, m, dtype=np.intp)
     for i, queue in policy.pinned_queues.items():
         if not 0 <= i < m:
             raise BatchUnsupported(
@@ -321,8 +300,8 @@ def _compile_phase_split(
                     f"{strategy.name}: task {j} is queued on machine {i} but "
                     "not pinned there by the placement"
                 )
-        queues[i] = tuple(queue)
-        covered.extend(queue)
+            lo[j], hi[j] = i, i + 1
+        order.extend(queue)
     replicated = tuple(policy.replicated_order)
     for j in replicated:
         if placement.machines_for(j) != all_machines:
@@ -330,13 +309,14 @@ def _compile_phase_split(
                 f"{strategy.name}: replicated task {j} is not placed on every "
                 "machine — the unrestricted argmin would misplace it"
             )
-    covered.extend(replicated)
-    _check_permutation(strategy.name, covered, n)
-    return PhaseSplitPlan(
+    order.extend(replicated)
+    _check_permutation(strategy.name, order, n)
+    return BatchPlan(
         strategy_name=strategy.name,
         placement=placement,
-        pinned_queues=tuple(queues),
-        replicated=replicated,
+        order=tuple(order),
+        lo=lo,
+        hi=hi,
         guarantee=guarantee,
     )
 
@@ -359,13 +339,11 @@ def sweep_makespans(plan: Plan, actuals: np.ndarray) -> np.ndarray:
         )
     if isinstance(plan, BatchPlan):
         return _fixed_order_makespans(plan, actuals)
-    if isinstance(plan, PhaseSplitPlan):
-        return _phase_split_makespans(plan, actuals)
     return _replay_makespans(plan, actuals)
 
 
 def _fixed_order_makespans(plan: BatchPlan, actuals: np.ndarray) -> np.ndarray:
-    """The heap-free completion sweep for partition placements.
+    """The heap-free completion sweep for partitions and ABO's phase split.
 
     Machine loads start at zero; each task (in dispatch order) lands on
     the least-loaded machine of its allowed range, ties to the lowest
@@ -386,32 +364,6 @@ def _fixed_order_makespans(plan: BatchPlan, actuals: np.ndarray) -> np.ndarray:
         else:
             chosen = a + np.argmin(loads[:, a:b], axis=1)
             loads[rows, chosen] += actuals[:, j]
-    return loads.max(axis=1)
-
-
-def _phase_split_makespans(plan: PhaseSplitPlan, actuals: np.ndarray) -> np.ndarray:
-    """ABO's two stages as one sweep.
-
-    Stage 1 accumulates each machine's pinned queue left to right — the
-    same additions the kernel performs dispatching the queue back to
-    back.  Stage 2 list-schedules the replicated order: in the kernel, a
-    machine competes for replicated work exactly when its total load is
-    minimal (its pinned prefix runs without gaps), so assigning each
-    replicated task to ``argmin(loads)`` reproduces the event order;
-    ``t = 0`` ties resolve to the lowest machine index (the kernel's
-    seeding order), and later exact ties are between machines that are
-    interchangeable for all remaining replicated work, so the makespan
-    is unaffected.
-    """
-    B = actuals.shape[0]
-    loads = np.zeros((B, plan.instance.m), dtype=np.float64)
-    rows = np.arange(B)
-    for i, queue in enumerate(plan.pinned_queues):
-        for j in queue:
-            loads[:, i] += actuals[:, j]
-    for j in plan.replicated:
-        chosen = np.argmin(loads, axis=1)
-        loads[rows, chosen] += actuals[:, j]
     return loads.max(axis=1)
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -109,3 +112,28 @@ def sized_instance() -> Instance:
         alpha=1.4,
         sizes=[1.0, 0.5, 6.0, 5.0, 4.0, 4.0],
     )
+
+
+# ---------------------------------------------------------------------------
+# Fresh interpreters
+# ---------------------------------------------------------------------------
+
+def run_python(code: str, cwd: Path | None = None) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout; its stdout.
+
+    For what only a new process shows: which modules an import loads, or
+    an order that depends on which module was imported first.
+    """
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

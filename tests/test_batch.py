@@ -26,7 +26,6 @@ from repro.registry import capabilities_of, full_sweep, make_strategy, strategy_
 from repro.simulation.batch import (
     BatchPlan,
     BatchUnsupported,
-    PhaseSplitPlan,
     ReplayPlan,
     batch_makespans,
     build_plan,
@@ -75,7 +74,7 @@ PERFORMANCE_DOC_TIERS: dict[str, type | None] = {
     "robust_pinned": BatchPlan,
     "nonclairvoyant_ls[shuffle=1]": BatchPlan,
     "refined[ls_group[k=5],eta=0.5]": BatchPlan,
-    "abo[delta=1]": PhaseSplitPlan,
+    "abo[delta=1]": BatchPlan,
     "overlap_windows[k=5,w=2]": ReplayPlan,
     "capped[C=1000]": ReplayPlan,
     "selective[0.25,count]": ReplayPlan,
@@ -252,7 +251,7 @@ class TestBuildPlan:
         tiers = {
             "lpt_group[k=2]": BatchPlan,
             "sabo[delta=1]": BatchPlan,
-            "abo[delta=1]": PhaseSplitPlan,
+            "abo[delta=1]": BatchPlan,
             "selective[0.3,count]": ReplayPlan,
             "risk_aware[0.4]": ReplayPlan,
         }

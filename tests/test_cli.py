@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from tests.conftest import run_python
 
 
 class TestParser:
@@ -28,6 +29,40 @@ class TestParser:
         )
         assert args.strategy == "ls_group[k=2]"
         assert args.gantt
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--seeds", "0"],
+            ["sweep", "--seeds", "-3"],
+            ["sweep", "--workers", "0"],
+            ["sweep", "--retries", "0"],
+            ["sweep", "--profile-top", "0"],
+            ["sweep", "--n", "0"],
+            ["sweep", "--m", "0"],
+            ["run", "lpt_no_choice", "--n", "0"],
+            ["run", "lpt_no_choice", "--m", "0"],
+            ["obs", "--n", "0"],
+            ["proofs", "--m", "0"],
+            ["fig3", "--m", "0"],
+            ["regimes", "--m", "x"],
+            ["strategies", "--m", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_counts_must_be_positive(self, argv, capsys):
+        """A zero, negative or non-integer count is a usage error (exit 2),
+        not a traceback from deep inside the command."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+
+    def test_unknown_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 class TestMain:
@@ -69,6 +104,36 @@ class TestMain:
         out = capsys.readouterr().out
         assert "lpt_no_choice" in out
         assert "ls_group[k=2]" in out
+
+    def test_bench_passes_its_arguments_through(self, monkeypatch):
+        """``repro bench ARGS`` reaches perfbench's own parser unchanged."""
+        import repro.tools.perfbench as perfbench
+
+        seen = []
+        monkeypatch.setattr(perfbench, "main", lambda argv: seen.append(argv) or 0)
+        argv = ["--quick", "--repeats", "2", "--out", "x.json", "--check", "-h"]
+        assert main(["bench", *argv]) == 0
+        assert seen == [argv]
+
+    def test_strategies_filter_matching_nothing(self, capsys):
+        argv = ["strategies", "--capability", "supports_hetero", "--capability", "memory_aware"]
+        assert main(argv) == 0
+        assert "no registered strategy plugin has all of" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "spec, first",
+        [
+            ("ls_group[k=2]", "spec         : ls_group[k=2]"),
+            ("ls_group", "name         : ls_group"),
+        ],
+    )
+    def test_strategies_describes_one_spec(self, spec, first, capsys):
+        """A full spec and a bare family name both print one block."""
+        assert main(["strategies", spec]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == first
+        assert sum(line.startswith("class ") for line in lines) == 1
+        assert "class        : repro.core.strategies.ls_group.LSGroup" in lines
 
     def test_bad_strategy_raises(self):
         with pytest.raises(ValueError):
@@ -153,3 +218,35 @@ class TestReportAndCacheCommands:
         assert main(["cache", "gc", "--store", str(store_dir)]) == 0
         assert "reclaimed" in capsys.readouterr().out
         assert not (store_dir / "junk.corrupt").exists()
+
+
+class TestImports:
+    def test_commands_import_only_what_they_run(self, tmp_path):
+        """``import repro.cli`` loads neither scipy nor numpy nor the
+        service or chaos packages, and a sweep loads none of scipy, the
+        service, the chaos harness or the figure code."""
+        out = run_python(
+            "import sys\n"
+            "import repro.cli\n"
+            "print([m for m in ('scipy', 'numpy', 'repro.service', 'repro.chaos')"
+            " if m in sys.modules])\n"
+            "repro.cli.main(['sweep', '--n', '8', '--m', '2', '--seeds', '1', '--no-cache'])\n"
+            "print([m for m in ('scipy', 'repro.service', 'repro.chaos', 'repro.reporting')"
+            " if m in sys.modules])\n",
+            cwd=tmp_path,
+        )
+        lines = out.splitlines()
+        assert lines[0] == "[]"
+        assert lines[-1] == "[]"
+
+    def test_every_export_resolves(self):
+        """The lazy export tables name real objects, and an unknown name
+        is an AttributeError, not an import error."""
+        import repro
+        import repro.analysis
+
+        for package in (repro, repro.analysis):
+            for name in package.__all__:
+                assert getattr(package, name) is not None, name
+            assert not hasattr(package, "no_such_name")
+        assert repro.obs.read_jsonl is not None

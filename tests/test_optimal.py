@@ -47,24 +47,6 @@ class TestMethodSelection:
         assert r.method == "lower_bound"
         assert not r.optimal
 
-    def test_milp_regime(self):
-        """With milp_limit enabled, medium instances get exact optima from
-        the MILP path and agree with branch-and-bound."""
-        times = [float(3 + (j * 13) % 7) for j in range(26)]
-        r = optimal_makespan(times, 4, exact_limit=10, milp_limit=30)
-        assert r.method == "milp"
-        assert r.optimal
-        # Sandwich the MILP optimum between the combined lower bound and
-        # LPT (agreement with B&B is covered at smaller n, where B&B's
-        # node budget survives the heavy value ties of this instance).
-        assert combined_lower_bound(times, 4) <= r.value * (1 + 1e-9)
-        assert r.value <= lpt_schedule(times, 4).makespan * (1 + 1e-9)
-
-    def test_milp_disabled_by_default(self):
-        times = [float(3 + (j * 13) % 7) for j in range(26)]
-        r = optimal_makespan(times, 4, exact_limit=10)
-        assert r.method == "lower_bound"
-
 
 class TestSoundness:
     @given(estimates_strategy(1, 10), st.integers(min_value=1, max_value=4))

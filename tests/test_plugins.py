@@ -337,6 +337,20 @@ class TestCompleteness:
     def test_required_sentinel_repr(self):
         assert repr(REQUIRED) == "<required>"
 
+    def test_entry_order_ignores_import_order(self):
+        """A family module imported before the registry keeps its place:
+        entries list in name order, whatever a process imported first."""
+        from tests.conftest import run_python
+
+        out = run_python(
+            "import repro.memory.abo\n"
+            "from repro.registry import strategy_entries\n"
+            "print(' '.join(e.name for e in strategy_entries()))\n"
+        )
+        names = out.split()
+        assert names == sorted(names)
+        assert names == [e.name for e in strategy_entries()]
+
     def test_catalog_is_fresh(self):
         from pathlib import Path
 
