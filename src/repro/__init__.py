@@ -19,8 +19,7 @@ Layers
 ------
 * :mod:`repro.core` — model, placements, the paper's strategies, bounds,
   adversaries, tradeoff analysis;
-* :mod:`repro.schedulers` — classical LS/LPT/MULTIFIT/dual-approximation
-  substrate;
+* :mod:`repro.schedulers` — classical LS/LPT/MULTIFIT substrate;
 * :mod:`repro.exact` — exact clairvoyant optimum (the ratio denominator);
 * :mod:`repro.simulation` — discrete-event semi-clairvoyant executor;
 * :mod:`repro.uncertainty` — the α-band, adversarial and stochastic

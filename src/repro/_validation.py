@@ -138,8 +138,22 @@ def check_group_count(k: Any, m: int) -> int:
 
 
 def check_times(times: Iterable[Any], name: str = "processing times") -> list[float]:
-    """Validate a sequence of processing times: non-empty, finite, > 0."""
-    out = [check_finite(t, f"{name}[{i}]") for i, t in enumerate(times)]
+    """Validate a sequence of processing times: non-empty, finite, > 0.
+
+    Valid input costs one ``float()`` pass plus ``min`` and ``sum``: the
+    minimum is positive unless some ``t <= 0`` (or ``-inf``), and the sum
+    is finite unless some ``t`` is NaN or ``+inf``.  Only a rejected input
+    (or a sum that overflows) pays for the element-by-element loop, which
+    names the first offending element.
+    """
+    values = list(times)
+    try:
+        out = [float(t) for t in values]
+    except (TypeError, ValueError, ArithmeticError):
+        out = []  # the loop below raises the canonical error
+    if out and min(out) > 0.0 and sum(out) < math.inf:
+        return out
+    out = [check_finite(t, f"{name}[{i}]") for i, t in enumerate(values)]
     if not out:
         raise ValueError(f"{name} must be non-empty")
     for i, t in enumerate(out):

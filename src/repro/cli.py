@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -73,6 +74,22 @@ def _count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
+
+
+def _alpha(text: str) -> float:
+    """Argparse type of the ``--alpha`` flags: a finite factor >= 1 (else exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 1.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite alpha >= 1, got {text!r}")
+    return value
+
+
+#: The families :func:`repro.workloads.generate` accepts, spelled out so
+#: that parsing loads no numpy; ``tests/test_cli.py`` keeps it in step.
+FAMILIES = ("bimodal", "bounded_pareto", "exponential", "uniform", "identical", "staircase")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig3.add_argument("--m", type=_count, default=210, help="machine count (paper: 210)")
     fig3.add_argument(
         "--alpha",
-        type=float,
+        type=_alpha,
         nargs="+",
         default=[1.1, 1.5, 2.0],
         help="uncertainty factors (paper: 1.1 1.5 2)",
@@ -285,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     regimes.add_argument("--m", type=_count, default=30)
     regimes.add_argument(
-        "--alpha", type=float, nargs="+", default=[1.1, 1.3, 1.5, 2.0]
+        "--alpha", type=_alpha, nargs="+", default=[1.1, 1.3, 1.5, 2.0]
     )
 
     report = command(
@@ -354,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", default="ls_group[k=2]", help="placement family spec"
     )
     serve.add_argument("--m", type=_count, default=8, help="simulated machine count")
-    serve.add_argument("--alpha", type=float, default=1.5)
+    serve.add_argument("--alpha", type=_alpha, default=1.5)
     serve.add_argument(
         "--model",
         default="log_uniform",
@@ -425,13 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
     soak = command(
         "soak", _cmd_soak, "chaos soak: sustained load + scheduled faults (docs/chaos.md)"
     )
-    soak.add_argument("--zones", type=int, default=1, help="fleet zones")
-    soak.add_argument("--racks-per-zone", type=int, default=4)
-    soak.add_argument("--machines-per-rack", type=int, default=2)
+    soak.add_argument("--zones", type=_count, default=1, help="fleet zones")
+    soak.add_argument("--racks-per-zone", type=_count, default=4)
+    soak.add_argument("--machines-per-rack", type=_count, default=2)
     soak.add_argument(
         "--strategy", default="ls_group[k=2]", help="placement family spec"
     )
-    soak.add_argument("--alpha", type=float, default=1.5)
+    soak.add_argument("--alpha", type=_alpha, default=1.5)
     soak.add_argument(
         "--model",
         default="log_uniform",
@@ -516,10 +533,12 @@ def _command(
 
 def _add_instance_flags(sub_parser: argparse.ArgumentParser, *, n: int, m: int) -> None:
     """The generated-instance flags of ``run``, ``sweep``, ``obs`` and ``proofs``."""
-    sub_parser.add_argument("--family", default="uniform", help="workload family")
+    sub_parser.add_argument(
+        "--family", choices=FAMILIES, default="uniform", help="workload family"
+    )
     sub_parser.add_argument("--n", type=_count, default=n, help="task count")
     sub_parser.add_argument("--m", type=_count, default=m, help="machine count")
-    sub_parser.add_argument("--alpha", type=float, default=1.5)
+    sub_parser.add_argument("--alpha", type=_alpha, default=1.5)
     sub_parser.add_argument("--seed", type=int, default=0, help="workload generator seed")
 
 

@@ -35,6 +35,10 @@ from repro._validation import (
 
 __all__ = ["Task", "Instance", "make_instance"]
 
+#: Relative slack :meth:`Task.admits` grants each band edge, absorbing the
+#: rounding of multiplying and dividing by ``alpha``.
+BAND_REL_TOL = 1e-9
+
 
 @dataclass(frozen=True, slots=True)
 class Task:
@@ -67,7 +71,7 @@ class Task:
         a = check_alpha(alpha)
         return (self.estimate / a, self.estimate * a)
 
-    def admits(self, actual: float, alpha: float, *, rel_tol: float = 1e-9) -> bool:
+    def admits(self, actual: float, alpha: float, *, rel_tol: float = BAND_REL_TOL) -> bool:
         """Whether ``actual`` is an admissible realization under ``alpha``.
 
         A small relative tolerance absorbs floating-point noise from

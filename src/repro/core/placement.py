@@ -53,7 +53,14 @@ class Placement:
             raise ValueError(
                 f"placement must cover all {inst.n} tasks, got {len(self.machine_sets)}"
             )
+        # Strategies share one set object among many tasks (a group, or
+        # every machine); checking each object once names the same first
+        # offending task.
+        checked: set[int] = set()
         for j, ms in enumerate(self.machine_sets):
+            if id(ms) in checked:
+                continue
+            checked.add(id(ms))
             if not isinstance(ms, frozenset):
                 raise TypeError(f"machine_sets[{j}] must be a frozenset, got {type(ms).__name__}")
             if not ms:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from repro._validation import check_machine_count, check_non_negative_int, check_times
 from repro.exact.bnb import branch_and_bound
 from repro.exact.dp import dp_two_machines
-from repro.schedulers.lower_bounds import combined_lower_bound
+from repro.schedulers.lower_bounds import bound_of_checked
 
 __all__ = ["OptimalValue", "optimal_makespan"]
 
@@ -83,4 +83,4 @@ def optimal_makespan(
             return OptimalValue(res.makespan, True, "bnb")
         except RuntimeError:
             pass
-    return OptimalValue(combined_lower_bound(ts, m), False, "lower_bound")
+    return OptimalValue(bound_of_checked(ts, m), False, "lower_bound")

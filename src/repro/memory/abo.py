@@ -104,7 +104,7 @@ class ABOPolicy:
         Flag("barrier", doc="strict global-barrier Phase 2 (ablation)"),
         Choice(
             "pi1",
-            values=("lpt", "multifit", "dual_approx"),
+            values=("lpt", "multifit"),
             attr="pi1_method",
             default="lpt",
             bare=False,

@@ -22,7 +22,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.model import Instance
-from repro.schedulers.dual_approx import dual_approx_schedule
 from repro.schedulers.lower_bounds import lp_bound
 from repro.schedulers.lpt import lpt_assignment_by_task
 from repro.schedulers.multifit import multifit_schedule
@@ -76,10 +75,6 @@ PI1_METHODS = {
     "multifit": (
         lambda ts, m: list(multifit_schedule(ts, m).assignment),
         lambda m: 13.0 / 11.0,
-    ),
-    "dual_approx": (
-        lambda ts, m: list(dual_approx_schedule(ts, m, eps=0.1).assignment),
-        lambda m: 1.2,  # 1 + 2*eps with eps=0.1
     ),
 }
 

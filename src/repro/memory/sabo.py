@@ -32,7 +32,7 @@ __all__ = ["SABO"]
         Float("delta", gt=0.0, doc="threshold Δ trading makespan vs memory"),
         Choice(
             "pi1",
-            values=("lpt", "multifit", "dual_approx"),
+            values=("lpt", "multifit"),
             attr="pi1_method",
             default="lpt",
             bare=False,

@@ -366,7 +366,8 @@ def fig3_report(*, m: int = 210, alphas: Sequence[float] = (1.1, 1.5, 2.0)) -> s
         )
         (results_dir() / f"fig3_alpha_{alpha:g}.svg").write_text(svg)
     path = write_csv(results_dir() / "fig3_ratio_replication.csv", all_rows)
-    chunks.append(f"[data: {path}; SVG panels alongside]")
+    # Relative to results/, so the text names no checkout path.
+    chunks.append(f"[data: {path.name}; SVG panels alongside]")
     return "\n\n".join(chunks)
 
 
@@ -527,5 +528,5 @@ def fig6_report(*, m: int = 5, mem_cap: float = 40.0, make_cap: float = 25.0) ->
         )
         (results_dir() / f"fig6_a2_{a2:g}_rho_{rho:.3g}.svg").write_text(svg)
     path = write_csv(results_dir() / "fig6_memory_makespan.csv", fig6_series_rows(m))
-    chunks.append(f"[data: {path}; SVG panels alongside]")
+    chunks.append(f"[data: {path.name}; SVG panels alongside]")
     return "\n\n".join(chunks)

@@ -1,4 +1,4 @@
-"""Classical scheduling substrate: LS, LPT, MULTIFIT, dual approximation."""
+"""Classical scheduling substrate: LS, LPT, MULTIFIT and lower bounds."""
 
 from repro.schedulers.baselines import (
     PinnedBaseline,
@@ -7,7 +7,6 @@ from repro.schedulers.baselines import (
     single_machine_pile,
     spt_schedule,
 )
-from repro.schedulers.dual_approx import dual_approx_schedule, dual_feasible_schedule
 from repro.schedulers.list_scheduling import AssignmentResult, balance_gap, list_schedule
 from repro.schedulers.lower_bounds import (
     average_load_bound,
@@ -31,8 +30,6 @@ __all__ = [
     "multifit_schedule",
     "ffd_pack",
     "MULTIFIT_RATIO",
-    "dual_approx_schedule",
-    "dual_feasible_schedule",
     "average_load_bound",
     "max_task_bound",
     "pair_bound",

@@ -40,6 +40,7 @@ __all__ = [
     "kth_group_bound",
     "lp_bound",
     "combined_lower_bound",
+    "bound_of_checked",
 ]
 
 
@@ -98,9 +99,21 @@ def combined_lower_bound(times: Sequence[float], m: int) -> float:
     optimum is out of reach.  It is always ≤ :math:`C^*_{max}`, so
     measured ratios computed against it are ≥ the true competitive ratio.
     """
-    return max(
-        average_load_bound(times, m),
-        max_task_bound(times),
-        pair_bound(times, m),
-        kth_group_bound(times, m),
-    )
+    return bound_of_checked(check_times(times), check_machine_count(m))
+
+
+def bound_of_checked(ts: list[float], m: int) -> float:
+    """:func:`combined_lower_bound` of times that passed :func:`check_times`.
+
+    One sort serves all four bounds, so the result equals
+    ``max(average_load_bound, max_task_bound, pair_bound,
+    kth_group_bound)`` bit for bit: the average load still sums ``ts`` in
+    input order.
+    """
+    desc = sorted(ts, reverse=True)
+    best = max(sum(ts) / m, desc[0])
+    if len(desc) > m:
+        # desc[m::m] holds p_(qm+1) for q = 1, 2, ...: the kth-group terms.
+        kth = max(k * t for k, t in enumerate(desc[m::m], start=2))
+        best = max(best, desc[m - 1] + desc[m], kth)
+    return best

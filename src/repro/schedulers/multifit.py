@@ -5,11 +5,10 @@ First-Fit-Decreasing (FFD) packs all tasks into ``m`` bins of capacity
 ``C``.  With enough iterations it is a ``13/11``-approximation — better
 than LPT — at the cost of more work per instance.
 
-The paper does not use MULTIFIT directly, but the dual-approximation
-framework (:mod:`repro.schedulers.dual_approx`) and the optional
-"π₁ = a better makespan schedule" knob of the memory-aware algorithms do:
+The paper does not use MULTIFIT directly, but the optional "π₁ = a
+better makespan schedule" knob of the memory-aware algorithms does:
 SABO/ABO are parameterized by a ρ₁-approximate makespan scheduler, and
-sweeping ρ₁ ∈ {LPT, MULTIFIT, dual-approx} is one of our ablations.
+sweeping ρ₁ ∈ {LPT, MULTIFIT} is one of our ablations.
 """
 
 from __future__ import annotations

@@ -117,8 +117,8 @@ class BatchPlan:
     strategy_name: str
     placement: Placement
     order: tuple[int, ...]
-    lo: np.ndarray
-    hi: np.ndarray
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
     guarantee: float | None
 
     @property
@@ -228,35 +228,34 @@ def _compile_fixed_order(
     n = instance.n
     _check_permutation(strategy.name, list(order), n)
 
-    lo = np.empty(n, dtype=np.intp)
-    hi = np.empty(n, dtype=np.intp)
-    ranges: set[tuple[int, int]] = set()
-    partition = True
-    for j, machines in enumerate(placement.machine_sets):
-        a, b = min(machines), max(machines) + 1
-        if b - a != len(machines):
-            partition = False
-            break
-        lo[j], hi[j] = a, b
-        ranges.add((a, b))
-    if partition:
-        # Partition check: distinct ranges must not overlap, otherwise
-        # tasks can start out of order (a machine may skip a task it does
-        # not hold and run a later one first), which the in-order
-        # closed-form sweep cannot express.
-        bounds = sorted(ranges)
-        for (_, b_prev), (a_next, _) in zip(bounds, bounds[1:]):
-            if a_next < b_prev:
-                partition = False
-                break
-    if not partition:
-        return None
+    # Each distinct set object's range, computed once: a group placement
+    # shares one set per group.
+    spans: dict[int, tuple[int, int]] = {}
+    lo: list[int] = []
+    hi: list[int] = []
+    for machines in placement.machine_sets:
+        span = spans.get(id(machines))
+        if span is None:
+            a, b = min(machines), max(machines) + 1
+            if b - a != len(machines):
+                return None  # a gapped set is not a range
+            span = spans[id(machines)] = (a, b)
+        lo.append(span[0])
+        hi.append(span[1])
+    # Partition check: distinct ranges must not overlap, otherwise tasks
+    # can start out of order (a machine may skip a task it does not hold
+    # and run a later one first), which the in-order closed-form sweep
+    # cannot express.
+    bounds = sorted(set(spans.values()))
+    for (_, b_prev), (a_next, _) in zip(bounds, bounds[1:]):
+        if a_next < b_prev:
+            return None
     return BatchPlan(
         strategy_name=strategy.name,
         placement=placement,
         order=tuple(order),
-        lo=lo,
-        hi=hi,
+        lo=tuple(lo),
+        hi=tuple(hi),
         guarantee=guarantee,
     )
 
@@ -287,8 +286,8 @@ def _compile_phase_split(
     n, m = instance.n, instance.m
     all_machines = frozenset(range(m))
     order: list[int] = []
-    lo = np.zeros(n, dtype=np.intp)
-    hi = np.full(n, m, dtype=np.intp)
+    lo = [0] * n
+    hi = [m] * n
     for i, queue in policy.pinned_queues.items():
         if not 0 <= i < m:
             raise BatchUnsupported(
@@ -315,8 +314,8 @@ def _compile_phase_split(
         strategy_name=strategy.name,
         placement=placement,
         order=tuple(order),
-        lo=lo,
-        hi=hi,
+        lo=tuple(lo),
+        hi=tuple(hi),
         guarantee=guarantee,
     )
 
@@ -352,19 +351,26 @@ def _fixed_order_makespans(plan: BatchPlan, actuals: np.ndarray) -> np.ndarray:
     elementwise (never reduced), so every machine's final load is the
     same left-to-right IEEE sum the event kernel produces.
     """
-    B = actuals.shape[0]
-    loads = np.zeros((B, plan.instance.m), dtype=np.float64)
-    rows = np.arange(B)
+    B, m = actuals.shape[0], plan.instance.m
+    # Machine-major: each machine's loads and each task's actuals are one
+    # contiguous row of B values; cell[i, c] = i * B + c is the index of
+    # machine i's load in column c within the flat view of ``loads``.
+    loads = np.zeros((m, B), dtype=np.float64)
+    flat = loads.reshape(-1)
+    cell = np.arange(m * B).reshape(m, B)
+    by_task = np.ascontiguousarray(actuals.T, dtype=np.float64)
     lo, hi = plan.lo, plan.hi
     for j in plan.order:
         a, b = lo[j], hi[j]
         if b - a == 1:
-            # Pinned task: plain elementwise accumulate on one column.
-            loads[:, a] += actuals[:, j]
+            # Pinned task: plain elementwise accumulate on one row.
+            loads[a] += by_task[j]
         else:
-            chosen = a + np.argmin(loads[:, a:b], axis=1)
-            loads[rows, chosen] += actuals[:, j]
-    return loads.max(axis=1)
+            chosen = loads[a:b].argmin(axis=0)
+            chosen *= B
+            chosen += cell[a]
+            flat[chosen] += by_task[j]
+    return loads.max(axis=0)
 
 
 def _drain(acts: list[float], policy: OnlinePolicy, view: SchedulerView) -> tuple[float, int]:

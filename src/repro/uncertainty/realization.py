@@ -16,8 +16,8 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from repro._validation import check_positive_float
-from repro.core.model import Instance
+from repro._validation import check_alpha, check_positive_float
+from repro.core.model import BAND_REL_TOL, Instance
 
 __all__ = ["Realization", "factors_realization", "truthful_realization"]
 
@@ -48,6 +48,9 @@ class Realization:
             raise ValueError(
                 f"realization must cover all {inst.n} tasks, got {len(self.actuals)} values"
             )
+        if _all_admissible(inst, self.actuals):
+            return
+        # Only to raise: name the first inadmissible actual.
         for j, p in enumerate(self.actuals):
             check_positive_float(p, f"actuals[{j}]")
             if not inst.tasks[j].admits(p, inst.alpha):
@@ -105,6 +108,26 @@ class Realization:
         return Realization(inst, actuals, label=label or self.label)
 
 
+def _all_admissible(instance: Instance, actuals: Sequence[float]) -> bool:
+    """Whether every actual is finite, positive and inside its alpha-band.
+
+    One pass over the expressions :func:`check_positive_float` and
+    :meth:`Task.admits <repro.core.model.Task.admits>` evaluate, so it
+    accepts exactly what they accept.  False also when a value cannot be
+    compared; the caller's loop then raises the canonical error.
+    """
+    a = check_alpha(instance.alpha)
+    slack_lo, slack_hi = 1.0 - BAND_REL_TOL, 1.0 + BAND_REL_TOL
+    inf = math.inf
+    try:
+        for e, p in zip(instance.estimates, actuals):
+            if not (0.0 < p < inf and (e / a) * slack_lo <= p <= (e * a) * slack_hi):
+                return False
+    except (TypeError, ValueError, ArithmeticError):
+        return False
+    return True
+
+
 def truthful_realization(instance: Instance, label: str = "truthful") -> Realization:
     """The realization where every estimate is exact (:math:`p_j = \\tilde p_j`)."""
     return Realization(instance, instance.estimates, label=label)
@@ -124,7 +147,5 @@ def factors_realization(
         raise ValueError(
             f"factors must cover all {instance.n} tasks, got {len(factors)}"
         )
-    actuals = tuple(
-        instance.tasks[j].estimate * float(factors[j]) for j in range(instance.n)
-    )
+    actuals = tuple(t.estimate * float(f) for t, f in zip(instance.tasks, factors))
     return Realization(instance, actuals, label=label)

@@ -58,6 +58,36 @@ class TestParser:
         assert exc.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(argv, message, id=" ".join(argv))
+            for argv, message in [
+                (["run", "lpt_no_choice", "--alpha", "0.5"], "expected a finite alpha >= 1"),
+                (["sweep", "--alpha", "nan"], "expected a finite alpha >= 1"),
+                (["regimes", "--alpha", "1.5", "0.9"], "expected a finite alpha >= 1"),
+                (["sweep", "--family", "bogus"], "invalid choice: 'bogus'"),
+                (["soak", "--zones", "0"], "expected a positive integer"),
+                (["soak", "--racks-per-zone", "-1"], "expected a positive integer"),
+                (["soak", "--machines-per-rack", "0"], "expected a positive integer"),
+            ]
+        ],
+    )
+    def test_values_the_library_rejects(self, argv, message, capsys):
+        """Values the library would reject with a ValueError are a usage
+        error at the parser (exit 2), not a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_family_choices_are_the_generators(self):
+        from repro.cli import FAMILIES
+        from repro.workloads import WORKLOAD_FAMILIES
+
+        assert set(FAMILIES) == {*WORKLOAD_FAMILIES, "identical", "staircase"}
+        assert len(FAMILIES) == len(set(FAMILIES))
+
     def test_unknown_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--bogus"])

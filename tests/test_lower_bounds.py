@@ -17,6 +17,37 @@ from repro.schedulers.lower_bounds import (
 )
 from tests.conftest import estimates_strategy
 
+_TIMES = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _bound_inputs(draw: st.DrawFn) -> tuple[list[float], int]:
+    """(times, m): any n, or n next to a multiple of m (n <= m included);
+    times free, a few repeated values, or the identical family's units."""
+    m = draw(st.integers(min_value=1, max_value=8))
+    if draw(st.booleans()):
+        q = draw(st.integers(min_value=0, max_value=4))
+        n = max(1, q * m + draw(st.sampled_from((-1, 0, 1))))
+    else:
+        n = draw(st.integers(min_value=1, max_value=3 * m + 2))
+    shape = draw(st.sampled_from(("free", "ties", "identical")))
+    if shape == "ties":
+        values = st.sampled_from(draw(st.lists(_TIMES, min_size=1, max_size=3)))
+    elif shape == "identical":
+        values = st.just(1.0)
+    else:
+        values = _TIMES
+    return draw(st.lists(values, min_size=n, max_size=n)), m
+
+
+def _max_of_parts(times: list[float], m: int) -> float:
+    return max(
+        average_load_bound(times, m),
+        max_task_bound(times),
+        pair_bound(times, m),
+        kth_group_bound(times, m),
+    )
+
 
 class TestIndividualBounds:
     def test_average_load(self):
@@ -59,17 +90,16 @@ class TestSoundness:
         assert kth_group_bound(times, m) <= opt.value * tol
         assert combined_lower_bound(times, m) <= opt.value * tol
 
-    @given(estimates_strategy(1, 15), st.integers(min_value=1, max_value=5))
-    def test_combined_is_max_of_parts(self, times, m):
-        combined = combined_lower_bound(times, m)
-        assert combined == pytest.approx(
-            max(
-                average_load_bound(times, m),
-                max_task_bound(times),
-                pair_bound(times, m),
-                kth_group_bound(times, m),
-            )
-        )
+    @given(_bound_inputs())
+    def test_combined_is_max_of_parts(self, case):
+        """The one-sort bound equals the four reference bounds' max, bit
+        for bit, including m = 1, n <= m, n at q*m boundaries and ties."""
+        times, m = case
+        assert _max_of_parts(times, m).hex() == combined_lower_bound(times, m).hex()
+
+    def test_combined_reads_its_input_once(self):
+        times = [3.0, 1.0, 2.5, 2.0]
+        assert combined_lower_bound(iter(times), 2) == combined_lower_bound(times, 2)
 
     def test_combined_tight_on_identical_tasks(self):
         # q*m+1 structure: 7 unit tasks on 3 machines -> ceil(7/3)=3 per

@@ -143,3 +143,27 @@ class TestFig6:
     def test_crossover_annotation(self):
         out = fig6_report()
         assert "better makespan guarantee" in out
+
+
+class TestCheckoutIndependence:
+    @pytest.mark.parametrize("report", [fig3_report, fig6_report], ids=lambda f: f.__name__)
+    def test_same_bytes_at_two_roots(self, report, tmp_path, monkeypatch):
+        """The figure texts name their CSV relative to results/, so two
+        checkouts render the same bytes (REPORT.md embeds these texts)."""
+        import repro.reporting as reporting
+
+        texts = []
+        for root in ("checkout-a", "elsewhere/checkout-b"):
+            out = tmp_path / root / "results"
+            out.mkdir(parents=True)
+            monkeypatch.setattr(reporting, "results_dir", lambda out=out: out)
+            texts.append(report().encode())
+        assert texts[0] == texts[1]
+        assert str(tmp_path).encode() not in texts[0]
+
+    def test_committed_results_name_no_checkout(self):
+        from repro.analysis.csvio import results_dir
+
+        for name in ("fig3_ratio_replication.txt", "fig6_memory_makespan.txt", "REPORT.md"):
+            text = (results_dir() / name).read_text()
+            assert "[data: /" not in text, name
