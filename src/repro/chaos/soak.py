@@ -61,8 +61,8 @@ __all__ = [
     "run_soak_live",
 ]
 
-#: Seed stream tag for the arrival process, far from the scheduler's
-#: ``(seed, tid)`` duration keys so the two never collide.
+#: Seed stream tag for the arrival process; the scheduler's duration
+#: keys (``[seed, _DURATION_STREAM, block]``) never equal ``[seed, tag]``.
 _ARRIVAL_STREAM = 1_000_003
 
 

@@ -601,7 +601,8 @@ def _observability(
 
     ``--trace PATH`` attaches a JSONL sink (rotating past
     ``--trace-max-bytes`` when set); ``--metrics`` / ``metrics_out`` /
-    ``force`` alone use a memory sink just to light the counters up.  The
+    ``force`` alone attach no sink: counters, gauges and span timers are
+    recorded, trace events are not built.  The
     teardown is exception-safe: even when the command (or the counter
     snapshot) raises, the sinks are flushed and closed, so a crashed
     traced run still leaves a valid, ``obs.validate``-clean trace on disk.
@@ -610,15 +611,11 @@ def _observability(
     if not trace_path and not want_metrics and not metrics_out and not force:
         yield
         return
-    from repro.obs import JsonlSink, MemorySink, get_tracer
+    from repro.obs import JsonlSink, get_tracer
     from repro.obs import disable as obs_disable
     from repro.obs import enable as obs_enable
 
-    sinks = (
-        [JsonlSink(trace_path, max_bytes=args.trace_max_bytes)]
-        if trace_path
-        else [MemorySink()]
-    )
+    sinks = [JsonlSink(trace_path, max_bytes=args.trace_max_bytes)] if trace_path else []
     obs_enable(*sinks)
     try:
         yield

@@ -15,7 +15,10 @@ When enabled, spans nest via an explicit stack, timestamps come from
 ``time.perf_counter`` (monotonic, sub-microsecond), and every span
 start/end, point event, and manifest fans out to the attached
 :mod:`~repro.obs.sink` objects while counts land in the
-:class:`~repro.obs.metrics.MetricsRegistry`.
+:class:`~repro.obs.metrics.MetricsRegistry`.  An enabled tracer with no
+sink is the *counters-only* mode: counters, gauges and span timers are
+recorded as usual, but no :class:`~repro.obs.events.TraceEvent` (nor a
+copy of a span's attributes) is ever built.
 
 A process-global default tracer (:func:`get_tracer`) is what the library
 instruments against; it is **disabled** until :func:`enable` (or the
@@ -30,7 +33,7 @@ from typing import Any, Iterator
 
 from repro.obs.events import TraceEvent
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sink import MemorySink, Sink
+from repro.obs.sink import Sink
 
 __all__ = ["Span", "Tracer", "get_tracer", "enable", "disable", "observed"]
 
@@ -85,7 +88,8 @@ class Span:
         self.depth = len(tr._stack)
         tr._stack.append(self)
         self.start = time.perf_counter()
-        tr._emit("span_start", self.name, self.depth, dict(self.attrs))
+        if tr.sinks:
+            tr._emit("span_start", self.name, self.depth, dict(self.attrs))
         return self
 
     def __exit__(self, exc_type: object, *exc: object) -> bool:
@@ -93,11 +97,12 @@ class Span:
         tr = self.tracer
         if tr._stack and tr._stack[-1] is self:
             tr._stack.pop()
-        payload = dict(self.attrs)
-        payload["duration_s"] = self.duration
-        if exc_type is not None:
-            payload["error"] = getattr(exc_type, "__name__", str(exc_type))
-        tr._emit("span_end", self.name, self.depth, payload)
+        if tr.sinks:
+            payload = dict(self.attrs)
+            payload["duration_s"] = self.duration
+            if exc_type is not None:
+                payload["error"] = getattr(exc_type, "__name__", str(exc_type))
+            tr._emit("span_end", self.name, self.depth, payload)
         tr.registry.timer(f"span.{self.name}").observe(self.duration)
         return False
 
@@ -158,6 +163,8 @@ class Tracer:
         self._emit("manifest", payload.get("kind", "run"), len(self._stack), payload)
 
     def _emit(self, kind: str, name: str, depth: int, payload: dict[str, Any]) -> None:
+        if not self.sinks:
+            return
         ev = TraceEvent(
             seq=self._seq,
             ts=time.perf_counter() - self._epoch,
@@ -205,14 +212,15 @@ def enable(
     reset: bool = True,
     registry: MetricsRegistry | None = None,
 ) -> Tracer:
-    """Turn the global tracer on, attaching ``sinks`` (default: a fresh
-    :class:`MemorySink`).  Returns the tracer for chaining."""
+    """Turn the global tracer on, attaching ``sinks``.  Returns the tracer
+    for chaining.  With no sinks it records counters, gauges and span
+    timers only (the CLI's ``--metrics`` / ``--metrics-out`` mode)."""
     tr = _DEFAULT
     if reset:
         tr.reset()
     if registry is not None:
         tr.registry = registry
-    for sink in sinks if sinks else (MemorySink(),):
+    for sink in sinks:
         tr.add_sink(sink)
     tr.enabled = True
     return tr
@@ -220,7 +228,8 @@ def enable(
 
 def disable() -> Tracer:
     """Turn the global tracer off and close its sinks (data is kept in
-    any :class:`MemorySink` still referenced by the caller)."""
+    any :class:`~repro.obs.sink.MemorySink` still referenced by the
+    caller)."""
     tr = _DEFAULT
     tr.enabled = False
     tr.close()
@@ -231,6 +240,7 @@ def disable() -> Tracer:
 def observed(*sinks: Sink, registry: MetricsRegistry | None = None) -> Iterator[Tracer]:
     """``with observed(MemorySink()) as tracer:`` — scoped enablement.
 
+    With no sinks it records counters, gauges and span timers only.
     Restores the previous enabled/sink/registry state on exit, so nested
     library code and tests can't leak a hot tracer into later runs.
     """
@@ -239,7 +249,7 @@ def observed(*sinks: Sink, registry: MetricsRegistry | None = None) -> Iterator[
     prev_sinks = tr.sinks
     prev_registry = tr.registry
     prev_stack, prev_seq = tr._stack, tr._seq
-    tr.sinks = list(sinks) if sinks else [MemorySink()]
+    tr.sinks = list(sinks)
     tr.registry = registry if registry is not None else MetricsRegistry()
     tr._stack, tr._seq = [], 0
     tr._epoch = time.perf_counter()

@@ -34,9 +34,14 @@ admission errors trips it), and an optional
 retryable class — while client mistakes stay 400.
 
 Transports: TCP (``--port``, ``0`` picks a free port) and/or a unix
-domain socket (``--socket``).  Telemetry rides the existing global
-:mod:`repro.obs` tracer — run under ``repro serve --trace`` for a
-JSONL trace plus a live ``results/telemetry.prom`` exposition.
+domain socket (``--socket``), both served by one :class:`asyncio.Protocol`
+(:class:`_Connection`): bytes go through the synchronous
+:class:`~repro.service.http.RequestParser`, each response leaves in one
+``transport.write``, reading pauses while the peer is not reading its
+answers, and shutdown closes every open connection.  Telemetry rides the
+existing global :mod:`repro.obs` tracer — run under ``repro serve
+--trace`` for a JSONL trace plus a live ``results/telemetry.prom``
+exposition.
 """
 
 from __future__ import annotations
@@ -51,11 +56,11 @@ from repro.obs import evaluate_slo, get_tracer, render_openmetrics, run_manifest
 from repro.service.http import (
     HttpError,
     Request,
+    RequestParser,
     Response,
     error_response,
     json_response,
-    read_request,
-    write_response,
+    serialize_response,
 )
 from repro.service.protocol import AdmissionError, decode_page_token
 from repro.service.scheduler import ServiceScheduler
@@ -74,6 +79,87 @@ OPENMETRICS_CONTENT_TYPE = "application/openmetrics-text; version=1.0.0; charset
 
 #: Admission request fields the strict decoder accepts.
 _ADMIT_FIELDS = frozenset({"tenant", "estimate", "size", "idempotency_key"})
+
+#: Seconds shutdown waits for open connections to flush before aborting.
+_CLOSE_GRACE_S = 1.0
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: parse, route and answer, synchronously.
+
+    Requests are answered in order, each in one ``transport.write``.
+    While the transport's write buffer is above its high-water mark the
+    peer is not reading, so reading pauses and buffered requests wait.
+    """
+
+    def __init__(self, daemon: "ServiceDaemon") -> None:
+        self.daemon = daemon
+        self.parser = RequestParser()
+        self.transport: asyncio.Transport | None = None
+        self.paused = False
+        self.closing = False
+        self.lost: asyncio.Future[None] = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        if self.daemon._stop.is_set():
+            # Accepted while shutting down: nothing would close it later.
+            self.closing = True
+            transport.close()
+            return
+        self.daemon._connections.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.closing = True
+        self.daemon._connections.discard(self)
+        if not self.lost.done():
+            self.lost.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        self.parser.feed(data)
+        self._serve()
+
+    def eof_received(self) -> bool:
+        self.parser.feed_eof()
+        self._serve()
+        return True  # stay open to finish answering; _serve closes
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        if not self.closing:
+            self.transport.resume_reading()
+            self._serve()
+
+    def close(self) -> None:
+        if not self.closing:
+            self.closing = True
+            self.transport.close()
+
+    def _serve(self) -> None:
+        """Answer every complete buffered request until paused or closed."""
+        daemon, parser, transport = self.daemon, self.parser, self.transport
+        while not self.paused and not self.closing:
+            try:
+                request = parser.next()
+            except HttpError as exc:
+                response = error_response(exc.status, exc.code, str(exc))
+                transport.write(serialize_response(response, keep_alive=False))
+                self.close()
+                return
+            if request is None:
+                if parser.eof:
+                    self.close()
+                return
+            response = daemon._respond(request)
+            transport.write(serialize_response(response, keep_alive=request.keep_alive))
+            daemon._kick()
+            daemon._flush_metrics()
+            if not request.keep_alive:
+                self.close()
 
 
 class ServiceDaemon:
@@ -138,6 +224,7 @@ class ServiceDaemon:
         self._wake = asyncio.Event()
         self._last_flush = 0.0
         self._servers: list[asyncio.AbstractServer] = []
+        self._connections: set[_Connection] = set()
         self._pump_task: asyncio.Task[None] | None = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -145,20 +232,23 @@ class ServiceDaemon:
         """Bind transports, pump events, serve until shutdown is requested.
 
         Returns after a ``POST /v1/shutdown`` (or :meth:`stop`) once the
-        queue is drained, all transports are closed, and the final
-        telemetry exposition is flushed.
+        queue is drained, all transports and connections are closed, and
+        the final telemetry exposition is flushed.
         """
         tracer = get_tracer()
-        if tracer.enabled:
+        if tracer.enabled and tracer.sinks:
             tracer.manifest(
                 run_manifest("service", "daemon", params=self.scheduler.stats())
             )
+        loop = asyncio.get_running_loop()
         if self.port is not None:
-            server = await asyncio.start_server(self._handle, self.host, self.port)
+            server = await loop.create_server(lambda: _Connection(self), self.host, self.port)
             self.port = server.sockets[0].getsockname()[1]
             self._servers.append(server)
         if self.socket_path is not None:
-            server = await asyncio.start_unix_server(self._handle, path=self.socket_path)
+            server = await loop.create_unix_server(
+                lambda: _Connection(self), path=self.socket_path
+            )
             self._servers.append(server)
         self._pump_task = asyncio.create_task(self._pump())
         self.started.set()
@@ -167,6 +257,8 @@ class ServiceDaemon:
         finally:
             for server in self._servers:
                 server.close()
+            await self._close_connections()
+            for server in self._servers:
                 await server.wait_closed()
             self._servers.clear()
             if self._pump_task is not None:
@@ -181,6 +273,20 @@ class ServiceDaemon:
     def stop(self) -> None:
         """Ask :meth:`serve` to exit (used by ``/v1/shutdown`` and tests)."""
         self._stop.set()
+
+    async def _close_connections(self) -> None:
+        """Close every open connection, aborting any that cannot flush."""
+        while self._connections:
+            conns = list(self._connections)
+            for conn in conns:
+                conn.close()
+            lost = [conn.lost for conn in conns]
+            _, pending = await asyncio.wait(lost, timeout=_CLOSE_GRACE_S)
+            for conn in conns:
+                if not conn.lost.done():
+                    conn.transport.abort()
+            if pending:
+                await asyncio.wait(pending)
 
     async def _pump(self) -> None:
         """Advance virtual time whenever the cluster has pending events.
@@ -214,49 +320,15 @@ class ServiceDaemon:
     def _kick(self) -> None:
         self._wake.set()
 
-    # -- connection handling ----------------------------------------------
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except HttpError as exc:
-                    await write_response(
-                        writer,
-                        error_response(exc.status, exc.code, str(exc)),
-                        keep_alive=False,
-                    )
-                    return
-                except (asyncio.IncompleteReadError, ConnectionResetError):
-                    return
-                if request is None:
-                    return
-                tracer = get_tracer()
-                if tracer.enabled:
-                    with tracer.span(
-                        "service.request", method=request.method, path=request.path
-                    ):
-                        response = self._route(request)
-                else:
-                    response = self._route(request)
-                await write_response(writer, response, keep_alive=request.keep_alive)
-                self._kick()
-                self._flush_metrics()
-                if not request.keep_alive:
-                    return
-        except (ConnectionResetError, BrokenPipeError):
-            return
-        finally:
-            writer.close()
-            # CancelledError included: server shutdown cancels handler
-            # tasks mid-wait_closed; the connection is going away either
-            # way, and letting the cancel escape here only logs noise.
-            with contextlib.suppress(Exception, asyncio.CancelledError):
-                await writer.wait_closed()
-
     # -- routing -----------------------------------------------------------
+    def _respond(self, request: Request) -> Response:
+        """Route one request, inside a ``service.request`` span when traced."""
+        tracer = get_tracer()
+        if tracer.enabled:
+            with tracer.span("service.request", method=request.method, path=request.path):
+                return self._route(request)
+        return self._route(request)
+
     def _route(self, request: Request) -> Response:
         """Dispatch one request; all handlers are synchronous on purpose."""
         try:

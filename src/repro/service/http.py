@@ -1,21 +1,21 @@
-"""A minimal HTTP/1.1 layer over asyncio streams.
+"""A minimal HTTP/1.1 layer for the daemon's asyncio protocol.
 
 The daemon deliberately does not depend on an HTTP framework — the repo's
 no-new-dependencies rule is a feature here, because the protocol surface
 the service needs is tiny: JSON request/response bodies, a handful of
 routes, keep-alive, and both TCP and ``AF_UNIX`` transports.  This
-module is that surface and nothing more: request parsing
-(:func:`read_request`), response writing (:func:`write_response`), and
-the small value types the daemon's route handlers exchange.
+module is that surface and nothing more: an incremental request parser
+(:class:`RequestParser`, fed bytes as they arrive and free of I/O),
+response serialization into one buffer (:func:`serialize_response`),
+and the small value types the daemon's route handlers exchange.
 
-It is intentionally not a general server: no chunked encoding, no
-pipelining guarantees beyond serial keep-alive, bounded header and body
-sizes (oversized requests are a 413, not a memory hazard).
+It is intentionally not a general server: no chunked encoding, requests
+on one connection are answered in order, and header and body sizes are
+bounded (oversized requests are a 400 or 413, not a memory hazard).
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 from dataclasses import dataclass, field
 from typing import Any
@@ -27,8 +27,8 @@ __all__ = [
     "HttpError",
     "Request",
     "Response",
-    "read_request",
-    "write_response",
+    "RequestParser",
+    "serialize_response",
     "json_response",
     "error_response",
     "MAX_BODY_BYTES",
@@ -115,69 +115,121 @@ def error_response(status: int, code: str, message: str) -> Response:
     return json_response({"error": {"code": code, "message": message}}, status=status)
 
 
-async def read_request(reader: asyncio.StreamReader) -> Request | None:
-    """Parse one request off the stream; ``None`` on clean EOF.
+class RequestParser:
+    """Incremental request parser: :meth:`feed` bytes, take :meth:`next`.
 
-    Raises :class:`HttpError` for malformed or oversized requests — the
-    caller answers with the error and closes the connection.
+    The limits and answers are those of a line reader.  A line longer
+    than 16 KiB with its terminator, or a 65th header, is a 400; a
+    ``Content-Length`` above :data:`MAX_BODY_BYTES` is a 413, raised as
+    soon as the headers end, before any body byte is read; bare-LF line
+    endings are accepted.  After :meth:`feed_eof` an unterminated last
+    line still counts as a line and the end of input ends the headers;
+    a body cut short by the end of input is dropped.
     """
-    try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
-        return None
-    if not line:
-        return None
-    if len(line) > _MAX_HEADER_LINE:
-        raise HttpError(400, "bad_request", "request line too long")
-    parts = line.decode("latin-1").strip().split()
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-        raise HttpError(400, "bad_request", f"malformed request line {line!r}")
-    method, target, version = parts
-    headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        if len(raw) > _MAX_HEADER_LINE or len(headers) >= _MAX_HEADERS:
-            raise HttpError(400, "bad_request", "headers too large")
-        name, sep, value = raw.decode("latin-1").partition(":")
-        if not sep:
-            raise HttpError(400, "bad_request", f"malformed header {raw!r}")
-        headers[name.strip().lower()] = value.strip()
-    length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
-        raise HttpError(400, "bad_request", f"bad Content-Length {length_text!r}") from None
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise HttpError(413, "too_large", f"body of {length} bytes refused")
-    body = await reader.readexactly(length) if length else b""
-    split = urlsplit(target)
-    connection = headers.get("connection", "").lower()
-    keep_alive = connection != "close" and version != "HTTP/1.0"
-    return Request(
-        method=method.upper(),
-        path=split.path,
-        query=parse_qs(split.query),
-        headers=headers,
-        body=body,
-        keep_alive=keep_alive,
+
+    def __init__(self) -> None:
+        self._buf = b""
+        self._pos = 0
+        self.eof = False
+        self._start: list[str] | None = None  # method, target, version
+        self._headers: dict[str, str] = {}
+        self._length = -1  # body length once the headers are complete
+
+    def feed(self, data: bytes) -> None:
+        """Append bytes received from the peer."""
+        if self._pos == len(self._buf):
+            self._buf = data
+        else:
+            self._buf = self._buf[self._pos :] + data
+        self._pos = 0
+
+    def feed_eof(self) -> None:
+        """The peer will send nothing more."""
+        self.eof = True
+
+    def _line(self, too_long: str) -> bytes | None:
+        """The next line with its terminator; ``None`` until one is complete.
+
+        At end of input this is the unterminated rest (``b""`` when none).
+        """
+        buf, pos = self._buf, self._pos
+        end = buf.find(b"\n", pos) + 1
+        if not end:
+            if len(buf) - pos > _MAX_HEADER_LINE:
+                raise HttpError(400, "bad_request", too_long)
+            if not self.eof:
+                return None
+            end = len(buf)
+        if end - pos > _MAX_HEADER_LINE:
+            raise HttpError(400, "bad_request", too_long)
+        self._pos = end
+        return buf[pos:end]
+
+    def next(self) -> Request | None:
+        """The next complete request, or ``None`` until more bytes arrive.
+
+        ``None`` after :meth:`feed_eof` means the stream is done.  Raises
+        :class:`HttpError` for a malformed or oversized request; the
+        caller answers it and closes the connection.
+        """
+        if self._start is None:
+            line = self._line("request line too long")
+            if not line:
+                return None
+            parts = line.decode("latin-1").strip().split()
+            if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+                raise HttpError(400, "bad_request", f"malformed request line {line!r}")
+            self._start = parts
+            self._headers = {}
+        headers = self._headers
+        if self._length < 0:
+            while True:
+                raw = self._line("headers too large")
+                if raw is None:
+                    return None
+                if raw in (b"\r\n", b"\n", b""):
+                    break
+                if len(headers) >= _MAX_HEADERS:
+                    raise HttpError(400, "bad_request", "headers too large")
+                name, sep, value = raw.decode("latin-1").partition(":")
+                if not sep:
+                    raise HttpError(400, "bad_request", f"malformed header {raw!r}")
+                headers[name.strip().lower()] = value.strip()
+            length_text = headers.get("content-length", "0")
+            try:
+                length = int(length_text)
+            except ValueError:
+                raise HttpError(400, "bad_request", f"bad Content-Length {length_text!r}") from None
+            if length < 0 or length > MAX_BODY_BYTES:
+                raise HttpError(413, "too_large", f"body of {length} bytes refused")
+            self._length = length
+        end = self._pos + self._length
+        if len(self._buf) < end:
+            return None
+        body = self._buf[self._pos : end]
+        self._pos = end
+        method, target, version = self._start
+        self._start, self._length = None, -1
+        split = urlsplit(target)
+        keep_alive = headers.get("connection", "").lower() != "close" and version != "HTTP/1.0"
+        return Request(
+            method=method.upper(),
+            path=split.path,
+            query=parse_qs(split.query) if split.query else {},
+            headers=headers,
+            body=body,
+            keep_alive=keep_alive,
+        )
+
+
+def serialize_response(response: Response, *, keep_alive: bool) -> bytes:
+    """``response`` as one buffer: status line, headers, blank line, body."""
+    head = (
+        f"HTTP/1.1 {response.status} {_REASONS.get(response.status, 'Unknown')}\r\n"
+        f"Content-Type: {response.content_type}\r\n"
+        f"Content-Length: {len(response.body)}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
     )
-
-
-async def write_response(
-    writer: asyncio.StreamWriter, response: Response, *, keep_alive: bool
-) -> None:
-    """Serialize ``response`` and flush it to the peer."""
-    reason = _REASONS.get(response.status, "Unknown")
-    head = [
-        f"HTTP/1.1 {response.status} {reason}",
-        f"Content-Type: {response.content_type}",
-        f"Content-Length: {len(response.body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
     for name, value in response.headers.items():
-        head.append(f"{name}: {value}")
-    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
-    writer.write(response.body)
-    await writer.drain()
+        head += f"{name}: {value}\r\n"
+    return (head + "\r\n").encode("latin-1") + response.body

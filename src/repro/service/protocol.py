@@ -73,9 +73,12 @@ class TaskState(str, enum.Enum):
     DONE = "done"
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRecord:
     """One admitted task, mutated by the scheduler as it progresses.
+
+    The daemon keeps every record for its lifetime, so the class has
+    slots: no per-record ``__dict__``.
 
     Attributes
     ----------

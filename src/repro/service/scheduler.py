@@ -30,8 +30,11 @@ tasks and draining reproduces the offline
 for task — machines, start times, completion times, makespan.
 
 Actual durations are drawn per task from a seeded model inside the
-α-band (hidden until completion, like the kernel's realization), keyed
-by ``(seed, tid)`` so results do not depend on draw order.
+α-band (hidden until completion, like the kernel's realization).  One
+generator call draws the uniforms of a block of :data:`DRAW_BLOCK` task
+ids, keyed ``[seed, _DURATION_STREAM, tid // DRAW_BLOCK]``, so each
+task's actual is a function of ``(seed, tid)`` alone and does not depend
+on draw order.
 
 The scheduler is also **failure-aware** (the chaos subsystem's
 substrate, see ``docs/chaos.md``): :meth:`~ServiceScheduler.
@@ -49,6 +52,7 @@ shed with a typed 503 instead of erroring.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable
 from typing import Any
 
@@ -67,13 +71,22 @@ from repro.service.protocol import (
 )
 from repro.simulation.events import EventKind, EventQueue
 
-__all__ = ["ServiceScheduler", "DURATION_MODELS"]
+__all__ = ["ServiceScheduler", "DURATION_MODELS", "DRAW_BLOCK"]
 
 #: Actual-duration models the service can draw from, all confined to the
 #: α-band by construction.  ``truthful`` makes actuals equal estimates
 #: (α plays no role), ``log_uniform`` matches the stochastic suite's
 #: default shape, ``bimodal_extreme`` stresses the band's endpoints.
 DURATION_MODELS = ("truthful", "log_uniform", "bimodal_extreme")
+
+#: Task ids whose duration uniforms one generator call draws.
+DRAW_BLOCK = 256
+
+#: Domain word of the duration streams.  It is above 2**32, so the key
+#: ``[seed, _DURATION_STREAM, block]`` has a nonzero third uint32 word
+#: and equals no two-word key ``[seed, i]`` (loadgen's tenants, the
+#: soak's arrivals), which ``SeedSequence`` pads with zeros.
+_DURATION_STREAM = 2**32 + 1
 
 
 def _admission_number(field: str, value: Any, *, positive: bool) -> float:
@@ -104,8 +117,9 @@ class ServiceScheduler:
     model:
         One of :data:`DURATION_MODELS`.
     seed:
-        Seed for the duration draws; ``(seed, tid)`` keys each task's
-        draw, so identical admission sequences give identical runs.
+        Seed for the duration draws; each task's draw is a function of
+        ``(seed, tid)``, so identical admission sequences give identical
+        runs.
     health:
         Optional health tracker (duck-typed to
         :class:`repro.chaos.policy.HealthTracker`): machine failures feed
@@ -151,6 +165,8 @@ class ServiceScheduler:
         self._token: dict[int, int] = {}  # machine -> attempt token
         self._by_key: dict[str, int] = {}
         self._actuals: dict[int, float] = {}  # hidden until completion
+        self._block = -1  # duration block whose factors are cached
+        self._factors: list[float] = []
         self._first_queued = 0  # low-water mark into self.records
         self._draining = False
 
@@ -207,7 +223,9 @@ class ServiceScheduler:
         group, machines = self.placer.assign(estimate, exclude=exclude)
         record = TaskRecord(
             tid=tid,
-            tenant=str(tenant),
+            # Records live as long as the daemon and tenants repeat:
+            # interning keeps one copy of each tenant name.
+            tenant=sys.intern(str(tenant)),
             key=key,
             estimate=estimate,
             size=size,
@@ -238,15 +256,23 @@ class ServiceScheduler:
         return record, True
 
     def _draw_actual(self, tid: int, estimate: float) -> float:
-        """Seeded duration inside the α-band, independent of draw order."""
+        """Seeded duration inside the α-band, independent of draw order.
+
+        The factors of ``tid``'s whole block come from one generator
+        call and are cached until an admission leaves the block.
+        """
         if self.model == "truthful" or self.alpha == 1.0:
             return estimate
-        rng = np.random.default_rng([self.seed, tid])
-        if self.model == "bimodal_extreme":
-            factor = self.alpha if rng.random() < 0.5 else 1.0 / self.alpha
-        else:  # log_uniform
-            factor = float(self.alpha ** rng.uniform(-1.0, 1.0))
-        return estimate * factor
+        block, offset = divmod(tid, DRAW_BLOCK)
+        if block != self._block:
+            rng = np.random.default_rng([self.seed, _DURATION_STREAM, block])
+            u = rng.random(DRAW_BLOCK)
+            if self.model == "bimodal_extreme":
+                factors = np.where(u < 0.5, self.alpha, 1.0 / self.alpha)
+            else:  # log_uniform: alpha ** U(-1, 1)
+                factors = self.alpha ** (-1.0 + 2.0 * u)
+            self._block, self._factors = block, factors.tolist()
+        return estimate * self._factors[offset]
 
     # -- Phase-2 dispatch --------------------------------------------------
     def _select(self, machine: int) -> int | None:

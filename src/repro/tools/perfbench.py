@@ -57,10 +57,14 @@ parallel runs produce **identical record lists** — the bench doubles as
 an end-to-end equality gate.
 
 **CI regression gate** (``--check``): re-measures and compares the
-*derived, scale-free* metric ``batch_speedup_x`` (event-kernel median /
-batch median, both measured in the same process on the same machine)
+*derived, scale-free* metric ``batch_speedup_x`` (event-kernel minimum /
+batch minimum, both measured in the same process on the same machine)
 against the committed baseline with a two-sided tolerance, plus a hard
-floor, plus the fresh-run-only ``tracer_overhead_pct`` ceiling.
+floor, plus the fresh-run-only ``tracer_overhead_pct`` ceiling.  Each
+gated ratio is the median over :data:`GATE_PASSES` passes; a pass times
+the two sides of its pair in turns (the per-pass ratios are kept under
+``derived.gate_passes``), so neither a drift of the host's speed nor
+one noisy pass can carry it outside the band.
 Absolute times are recorded for trajectory plots but never gated — they
 vary with runner hardware; the ratios do not.
 
@@ -123,6 +127,9 @@ DEFAULT_COVERAGE_FLOOR = 0.8
 #: additionally stay inside the ±tolerance band *when* the committed
 #: baseline carries the key — a fresh scenario must not silently pass.
 GATED_SPEEDUPS = ("batch_speedup_x", "batch_memory_speedup_x")
+#: Passes over each gated scenario pair; the gated ratio is the median
+#: of the per-pass ratios.
+GATE_PASSES = 3
 
 __all__ = [
     "SCHEMA",
@@ -132,6 +139,7 @@ __all__ = [
     "DEFAULT_OVERHEAD_LIMIT_PCT",
     "DEFAULT_COVERAGE_FLOOR",
     "GATED_SPEEDUPS",
+    "GATE_PASSES",
     "run_bench",
     "batch_coverage",
     "check_regression",
@@ -270,19 +278,34 @@ def _disabled_tracer_calls(calls: dict[str, int]) -> None:
         tracer.count("perf.noop")
 
 
-def _time_scenario(fn: Callable[[], Any], repeats: int) -> dict[str, Any]:
-    fn()  # untimed warmup: first calls pay import/allocator costs
-    runs: list[float] = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        runs.append(time.perf_counter() - t0)
+def _timing(runs: list[float]) -> dict[str, Any]:
     return {
         "median_s": statistics.median(runs),
         "stdev_s": statistics.stdev(runs) if len(runs) > 1 else 0.0,
         "min_s": min(runs),
         "runs": runs,
     }
+
+
+def _time_scenario(fn: Callable[[], Any], repeats: int) -> dict[str, Any]:
+    return _timing(_time_interleaved([fn], repeats)[0])
+
+
+def _time_interleaved(fns: list[Callable[[], Any]], repeats: int) -> list[list[float]]:
+    """``repeats`` timed runs of each of ``fns``, taken in turns.
+
+    Taking turns lets both sides of a ratio see the same host speed,
+    which on a shared VM drifts by tens of percent within seconds.
+    """
+    for fn in fns:
+        fn()  # untimed warmup: first calls pay import/allocator costs
+    runs: list[list[float]] = [[] for _ in fns]
+    for _ in range(repeats):
+        for fn, out in zip(fns, runs):
+            t0 = time.perf_counter()
+            fn()
+            out.append(time.perf_counter() - t0)
+    return runs
 
 
 def run_bench(*, quick: bool = True, repeats: int | None = None) -> dict[str, Any]:
@@ -354,21 +377,31 @@ def run_bench(*, quick: bool = True, repeats: int | None = None) -> dict[str, An
     scenarios["single_cell"] = _time_scenario(
         lambda: measured_ratio(strategy, instance, realization), repeats
     )
-    scenarios["eventkernel_sweep"] = _time_scenario(
-        lambda: grid(batch=False).run(), repeats
-    )
-    scenarios["batch_sweep"] = _time_scenario(lambda: grid(batch=True).run(), repeats)
-
-    # The newly batchable families, kernel vs compiled plans: before the
-    # phase-split/replay tiers these cells took the event kernel even
-    # with batch=True, so this pair measures the end-to-end win of the
-    # wider batch tier on its own cells.
-    scenarios["memory_eventkernel_sweep"] = _time_scenario(
-        lambda: memory_grid(batch=False).run(), repeats
-    )
-    scenarios["memory_batch_sweep"] = _time_scenario(
-        lambda: memory_grid(batch=True).run(), repeats
-    )
+    # The gated pairs, kernel vs batch.  The memory pair is the newly
+    # batchable families: before the phase-split/replay tiers these
+    # cells took the event kernel even with batch=True, so it measures
+    # the end-to-end win of the wider batch tier on its own cells.  Each
+    # pass times a pair's two sides in turns and yields one ratio.
+    pairs = {
+        "batch_speedup_x": {
+            "eventkernel_sweep": lambda: grid(batch=False).run(),
+            "batch_sweep": lambda: grid(batch=True).run(),
+        },
+        "batch_memory_speedup_x": {
+            "memory_eventkernel_sweep": lambda: memory_grid(batch=False).run(),
+            "memory_batch_sweep": lambda: memory_grid(batch=True).run(),
+        },
+    }
+    gate_passes: dict[str, list[float]] = {key: [] for key in pairs}
+    pair_runs: dict[str, list[float]] = {name: [] for pair in pairs.values() for name in pair}
+    for _ in range(GATE_PASSES):
+        for key, pair in pairs.items():
+            slow, fast = _time_interleaved(list(pair.values()), repeats)
+            gate_passes[key].append(min(slow) / min(fast))
+            for name, runs in zip(pair, (slow, fast)):
+                pair_runs[name].extend(runs)
+    for name, runs in pair_runs.items():
+        scenarios[name] = _timing(runs)
 
     with tempfile.TemporaryDirectory(prefix="perfbench-cache-") as cache_dir:
         grid(cache=CellCache(cache_dir)).run()  # cold run populates
@@ -438,13 +471,14 @@ def run_bench(*, quick: bool = True, repeats: int | None = None) -> dict[str, An
     scenarios["chaos_soak"] = _time_scenario(_chaos_soak, repeats)
     soak_summary = last_soak[0].summary
 
-    # Speedups gate CI, so derive them from min_s: timing noise is purely
-    # additive, making the minimum the most reproducible point estimate.
+    # Speedups gate CI, so each pass derives them from min_s (timing
+    # noise is purely additive, making the minimum the most reproducible
+    # point estimate) and the gate takes the median pass.
     ek = scenarios["eventkernel_sweep"]["min_s"]
-    mem_ek = scenarios["memory_eventkernel_sweep"]["min_s"]
     derived = {
-        "batch_speedup_x": ek / scenarios["batch_sweep"]["min_s"],
-        "batch_memory_speedup_x": mem_ek / scenarios["memory_batch_sweep"]["min_s"],
+        "batch_speedup_x": statistics.median(gate_passes["batch_speedup_x"]),
+        "batch_memory_speedup_x": statistics.median(gate_passes["batch_memory_speedup_x"]),
+        "gate_passes": gate_passes,
         "batch_coverage": batch_coverage(),
         "cache_speedup_x": ek / scenarios["cached_resweep"]["min_s"],
         "records_equal": records_equal,
@@ -630,6 +664,10 @@ def _summarize(payload: dict[str, Any]) -> str:
         f"cache speedup {d['cache_speedup_x']:.2f}x, "
         f"records equal: {d['records_equal']}"
     )
+    for key, ratios in d.get("gate_passes", {}).items():
+        lines.append(
+            f"  {key} per pass: {', '.join(f'{r:.2f}' for r in ratios)} (gate takes the median)"
+        )
     if "batch_memory_speedup_x" in d:
         lines.append(
             f"  memory/robust/hetero batch speedup "

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import statistics
 
 import pytest
 
@@ -25,7 +26,15 @@ class TestRunBench:
             scenario = payload["scenarios"][name]
             assert scenario["median_s"] > 0
             assert scenario["min_s"] > 0
-            assert len(scenario["runs"]) == 1
+            gated = name in ("eventkernel_sweep", "batch_sweep")
+            assert len(scenario["runs"]) == (perfbench.GATE_PASSES if gated else 1)
+
+    def test_gated_ratios_are_the_median_pass(self, payload):
+        derived = payload["derived"]
+        for key in perfbench.GATED_SPEEDUPS:
+            passes = derived["gate_passes"][key]
+            assert len(passes) == perfbench.GATE_PASSES
+            assert derived[key] == statistics.median(passes)
 
     def test_host_fingerprint(self, payload):
         host = payload["host"]
