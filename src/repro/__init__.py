@@ -22,8 +22,8 @@ Layers
 * :mod:`repro.schedulers` — classical LS/LPT/MULTIFIT substrate;
 * :mod:`repro.exact` — exact clairvoyant optimum (the ratio denominator);
 * :mod:`repro.simulation` — discrete-event semi-clairvoyant executor;
-* :mod:`repro.uncertainty` — the α-band, adversarial and stochastic
-  realizations;
+* :mod:`repro.uncertainty` — realizations in the α-band, truthful and
+  stochastic;
 * :mod:`repro.memory` — the memory-aware model (SBO/SABO/ABO);
 * :mod:`repro.workloads` — synthetic workload generators and suites;
 * :mod:`repro.faults` — unified fault injection: crash-stop /
@@ -114,7 +114,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "DegradedInterval",
             "FaultModel",
             "FaultPlan",
-            "RackFailure",
             "RandomCrashes",
             "StragglerSlowdowns",
             "merge_plans",
@@ -147,7 +146,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "strategy_names",
         ),
         "repro.robust": ("RobustPinnedPlacement",),
-        "repro.schedulers": ("PinnedBaseline",),
         "repro.memory": (
             "ABO",
             "SABO",
@@ -162,8 +160,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.theory": ("ProofCheck", "verify_all"),
         "repro.uncertainty": (
             "Realization",
-            "UncertaintyBand",
-            "band_from_interval",
             "factors_realization",
             "sample_realization",
             "truthful_realization",

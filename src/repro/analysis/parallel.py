@@ -39,9 +39,9 @@ Design points:
   aborting the sweep.  A crashed pool chunk falls back inline, so one
   broken worker never loses the run.
 * **Worker observability** — when the parent tracer is enabled each
-  worker records into a private tracer and ships its events and metric
-  summary back with the results; :mod:`repro.obs.merge` folds them into
-  the parent trace.
+  worker records into a private tracer and ships its metric summary back
+  with the results, plus its events when the parent has a sink to write
+  them to; :mod:`repro.obs.merge` folds both into the parent tracer.
 """
 
 from __future__ import annotations
@@ -495,7 +495,7 @@ def _run_chunk(
 
 
 def _worker_chunk(
-    payload: tuple[Sequence[CellSpec], bool, bool, RetryPolicy]
+    payload: tuple[Sequence[CellSpec], bool, bool, bool, RetryPolicy]
 ) -> tuple[list[CellOutcome], WorkerTrace | None]:
     """Process-pool entry point: decode one chunk and run it, capturing its trace.
 
@@ -504,9 +504,11 @@ def _worker_chunk(
     sinks, and writing to those would interleave with the parent.  The
     inherited sinks are dropped without closing (closing would flush the
     parent's duplicated buffer — the parent flushes before forking
-    instead) and replaced by a private memory sink when tracing is on.
+    instead).  When tracing is on the worker records into a fresh
+    registry, and into a private memory sink only when the parent has a
+    sink (``events``): a counters-only parent would drop every event.
     """
-    chunk, batched, traced, retry = payload
+    chunk, batched, traced, events, retry = payload
     cells = _decode_chunk(chunk)
     tracer = get_tracer()
     tracer.enabled = False
@@ -515,8 +517,9 @@ def _worker_chunk(
     if traced:
         from repro.obs.metrics import MetricsRegistry
 
-        sink = MemorySink(capacity=_WORKER_EVENT_CAPACITY)
-        tracer.sinks = [sink]
+        if events:
+            sink = MemorySink(capacity=_WORKER_EVENT_CAPACITY)
+            tracer.sinks = [sink]
         tracer.registry = MetricsRegistry()
         tracer._stack = []
         tracer.enabled = True
@@ -525,10 +528,10 @@ def _worker_chunk(
     finally:
         tracer.enabled = False
     trace: WorkerTrace | None = None
-    if sink is not None:
+    if traced:
         trace = WorkerTrace(
             worker=os.getpid(),
-            events=tuple(ev.as_dict() for ev in sink.events),
+            events=tuple(ev.as_dict() for ev in sink.events) if sink is not None else (),
             metrics=tracer.registry.summary(),
         )
     return outcomes, trace
@@ -672,13 +675,14 @@ def _fan_out(
         tracer = get_tracer()
         for sink in tracer.sinks:
             sink.flush()
+        events = traced and bool(tracer.sinks)
         done: set[int] = set()
         try:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(_worker_chunk, (chunk, batched, traced, retry))
+                    pool.submit(_worker_chunk, (chunk, batched, traced, events, retry))
                     for chunk in shipped
                 ]
                 for i, future in enumerate(futures):

@@ -5,54 +5,31 @@ failures; this package measures how much of it survives *correlated*
 ones.  Three layers:
 
 * :mod:`repro.chaos.topology` — the fleet tree (machines → racks →
-  zones), replica-diversity scoring of placement groups :math:`M_j`
-  against it, and topology-aware fault generators (rack/zone blast
-  radius, cascades, flapping) extending :mod:`repro.faults`;
-* :mod:`repro.chaos.policy` — the health-policy engine (declarative
-  healthy → suspect → quarantined → recovered state machine with
-  policy-driven actions) plus the circuit-breaker and bulkhead guards
-  for the service's admission path;
+  zones) and replica-diversity scoring of placement groups :math:`M_j`
+  against it;
+* :mod:`repro.chaos.policy` — the health-policy engine (a declarative
+  healthy → suspect → quarantined → recovered state machine);
 * :mod:`repro.chaos.soak` — the soak harness behind ``repro soak``:
   sustained load against :mod:`repro.service` while a chaos schedule
-  injects faults, emitting availability curves, makespan inflation vs.
-  the capacity bound, diversity scores, and an SLO verdict.
+  injects rack failures, emitting availability curves, makespan
+  inflation vs. the capacity bound, diversity scores, and an SLO
+  verdict.
 
 ``docs/chaos.md`` is the operator guide; the determinism contract (same
 seed → byte-identical availability curve and decision digest) is pinned
 by ``tests/test_chaos_soak.py``.
 """
 
-from repro.chaos.policy import (
-    Bulkhead,
-    CircuitBreaker,
-    HealthPolicy,
-    HealthState,
-    HealthTracker,
-)
+from repro.chaos.policy import HealthPolicy, HealthState, HealthTracker
 from repro.chaos.soak import ChaosAction, ChaosSchedule, SoakConfig, SoakReport, run_soak
-from repro.chaos.topology import (
-    CascadingRackFailure,
-    FleetTopology,
-    FlappingMachines,
-    ZoneOutage,
-    diversity_score,
-    rack_failure_plan,
-    zone_failure_plan,
-)
+from repro.chaos.topology import FleetTopology, diversity_score
 
 __all__ = [
     "FleetTopology",
     "diversity_score",
-    "rack_failure_plan",
-    "zone_failure_plan",
-    "ZoneOutage",
-    "CascadingRackFailure",
-    "FlappingMachines",
     "HealthState",
     "HealthPolicy",
     "HealthTracker",
-    "CircuitBreaker",
-    "Bulkhead",
     "ChaosAction",
     "ChaosSchedule",
     "SoakConfig",

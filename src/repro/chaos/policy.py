@@ -1,35 +1,17 @@
-"""Health policies, circuit breakers, and bulkheads for the service.
+"""Health policies for the service's machines.
 
 The declarative state machine follows DIRAC's ResourceStatusSystem
 idiom: an entity (a machine, a rack) moves through **healthy → suspect →
-quarantined → recovered → healthy**, transitions are decided by a frozen
-:class:`HealthPolicy` (thresholds, cooldowns), and *actions* — arbitrary
-callables — fire on state entry, so operational reactions (stop
-dispatching to a flapper, page someone, lift a quarantine) are plugged
-in declaratively instead of scattered through the scheduler.  All time
-is the caller's: every observation carries an explicit ``at`` timestamp,
-so the tracker runs identically in virtual soak time and wall time.
-
-The admission-path guards are the two classic resilience patterns:
-
-* :class:`CircuitBreaker` — closed → open after a failure burst, then
-  half-open probes after a cooldown; while open, admissions shed
-  immediately instead of piling onto a struggling scheduler;
-* :class:`Bulkhead` — a hard cap on in-flight work, so one tenant's
-  flood cannot exhaust the whole daemon (load shedding with a 503, not
-  an OOM).
-
-Both are clock-explicit and allocation-free on the hot path; the daemon
-wires them in front of :meth:`~repro.service.scheduler.ServiceScheduler.
-admit` (see ``docs/chaos.md`` for the grammar and wiring).
+quarantined → recovered → healthy**, and transitions are decided by a
+frozen :class:`HealthPolicy` (thresholds, cooldowns).  All time is the
+caller's: every observation carries an explicit ``at`` timestamp, so the
+tracker runs identically in virtual soak time and wall time.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.obs import get_tracer
@@ -39,9 +21,6 @@ __all__ = [
     "HealthPolicy",
     "HealthTracker",
     "Transition",
-    "BreakerState",
-    "CircuitBreaker",
-    "Bulkhead",
 ]
 
 
@@ -127,43 +106,18 @@ class _EntityHealth:
         self.since = 0.0
 
 
-Action = Callable[[Transition], None]
-
-
 class HealthTracker:
-    """Drives the state machine over observations; fires actions on entry.
-
-    Parameters
-    ----------
-    policy:
-        The :class:`HealthPolicy` thresholds.
-    actions:
-        Optional ``{HealthState: [callable, ...]}`` mapping; each
-        callable receives the :class:`Transition` when an entity *enters*
-        that state.  Exceptions from actions propagate — a broken action
-        is a bug, not a health event.
+    """Drives the state machine over observations.
 
     The tracker never invents time: :meth:`observe_success`,
     :meth:`observe_failure` and :meth:`tick` all take ``at`` explicitly,
     which is what keeps soak runs deterministic.
     """
 
-    def __init__(
-        self,
-        policy: HealthPolicy | None = None,
-        *,
-        actions: Mapping[HealthState, list[Action]] | None = None,
-    ) -> None:
+    def __init__(self, policy: HealthPolicy | None = None) -> None:
         self.policy = policy or HealthPolicy()
-        self.actions: dict[HealthState, list[Action]] = {
-            state: list((actions or {}).get(state, ())) for state in HealthState
-        }
         self.transitions: list[Transition] = []
         self._entities: dict[Hashable, _EntityHealth] = {}
-
-    def on_enter(self, state: HealthState, action: Action) -> None:
-        """Register ``action`` to fire whenever an entity enters ``state``."""
-        self.actions[state].append(action)
 
     # -- observations ------------------------------------------------------
     def observe_failure(self, entity: Hashable, at: float, *, reason: str = "failure") -> HealthState:
@@ -250,8 +204,6 @@ class HealthTracker:
             tracer.registry.gauge("policy.quarantined").set(
                 float(sum(1 for h in self._entities.values() if h.state is HealthState.QUARANTINED))
             )
-        for action in self.actions[new]:
-            action(transition)
 
     # -- queries -----------------------------------------------------------
     def state(self, entity: Hashable) -> HealthState:
@@ -269,147 +221,3 @@ class HealthTracker:
         for health in self._entities.values():
             out[health.state.value] += 1
         return out
-
-
-class BreakerState(str, enum.Enum):
-    """Circuit-breaker states: closed (normal), open (shedding), half-open."""
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-
-
-@dataclass
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker with explicit clocks.
-
-    ``allow(now)`` gates the protected call: ``True`` in ``CLOSED``,
-    ``False`` in ``OPEN`` until ``cooldown`` has elapsed, then up to
-    ``half_open_probes`` trial calls in ``HALF_OPEN``.  A probe success
-    closes the breaker; any failure reopens it and restarts the
-    cooldown.  All methods take ``now`` explicitly so the breaker works
-    in virtual soak time and wall time alike.
-    """
-
-    failure_threshold: int = 5
-    cooldown: float = 5.0
-    half_open_probes: int = 1
-    state: BreakerState = BreakerState.CLOSED
-    opened: int = 0
-    rejected: int = 0
-    _failures: int = field(default=0, repr=False)
-    _opened_at: float = field(default=-math.inf, repr=False)
-    _probes: int = field(default=0, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1 or self.half_open_probes < 1:
-            raise ValueError("failure_threshold and half_open_probes must be >= 1")
-        if not self.cooldown > 0:
-            raise ValueError("cooldown must be > 0")
-
-    def allow(self, now: float) -> bool:
-        """Whether a call may proceed at time ``now`` (counts rejections)."""
-        if self.state is BreakerState.OPEN:
-            if now - self._opened_at >= self.cooldown:
-                self.state = BreakerState.HALF_OPEN
-                self._probes = 0
-            else:
-                self.rejected += 1
-                return False
-        if self.state is BreakerState.HALF_OPEN:
-            if self._probes >= self.half_open_probes:
-                self.rejected += 1
-                return False
-            self._probes += 1
-        return True
-
-    def record_success(self, now: float) -> None:
-        """A protected call succeeded at ``now``."""
-        self._failures = 0
-        if self.state is BreakerState.HALF_OPEN:
-            self.state = BreakerState.CLOSED
-        del now  # accepted for symmetry; closing needs no timestamp
-
-    def record_failure(self, now: float) -> None:
-        """A protected call failed at ``now``; may trip the breaker."""
-        self._failures += 1
-        if self.state is BreakerState.HALF_OPEN or (
-            self.state is BreakerState.CLOSED
-            and self._failures >= self.failure_threshold
-        ):
-            self.state = BreakerState.OPEN
-            self._opened_at = now
-            self._failures = 0
-            self.opened += 1
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.count("policy.breaker_opened")
-
-    def as_dict(self) -> dict[str, Any]:
-        """JSON form for status endpoints and reports."""
-        return {
-            "state": self.state.value,
-            "opened": self.opened,
-            "rejected": self.rejected,
-            "failure_threshold": self.failure_threshold,
-            "cooldown": self.cooldown,
-        }
-
-
-@dataclass
-class Bulkhead:
-    """A hard in-flight capacity cap: acquire before work, release after.
-
-    The isolation pattern: the daemon sizes one bulkhead for its
-    admission queue, so a flood sheds with a 503 once ``capacity`` tasks
-    are in flight instead of growing the queue without bound.
-    """
-
-    capacity: int
-    in_flight: int = 0
-    rejected: int = 0
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError(f"bulkhead capacity must be >= 1, got {self.capacity}")
-
-    def try_acquire(self) -> bool:
-        """Take one slot if available; ``False`` (and a counter) if full."""
-        if self.in_flight >= self.capacity:
-            self._reject()
-            return False
-        self.in_flight += 1
-        return True
-
-    def check(self, in_flight: int) -> bool:
-        """Decision-only form for externally-tracked occupancy.
-
-        The daemon's queue depth already lives in the scheduler, so the
-        bulkhead only has to answer "is there room?" — ``False`` counts a
-        rejection exactly like :meth:`try_acquire`.
-        """
-        self.in_flight = int(in_flight)
-        if in_flight >= self.capacity:
-            self._reject()
-            return False
-        return True
-
-    def _reject(self) -> None:
-        self.rejected += 1
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.count("policy.bulkhead_rejected")
-
-    def release(self) -> None:
-        """Return one slot (completion or failure of the admitted work)."""
-        if self.in_flight <= 0:
-            raise RuntimeError("bulkhead release without a matching acquire")
-        self.in_flight -= 1
-
-    def as_dict(self) -> dict[str, Any]:
-        """JSON form for status endpoints and reports."""
-        return {
-            "capacity": self.capacity,
-            "in_flight": self.in_flight,
-            "rejected": self.rejected,
-        }

@@ -43,10 +43,10 @@ from typing import Any
 
 import numpy as np
 
+from repro._validation import check_non_negative_float, check_positive_float
 from repro.analysis.csvio import write_csv
-from repro.chaos.policy import Bulkhead, CircuitBreaker, HealthTracker
+from repro.chaos.policy import HealthTracker
 from repro.chaos.topology import FleetTopology, diversity_score
-from repro.faults.plan import FaultPlan
 from repro.obs import evaluate_slo, get_tracer, run_manifest
 from repro.service.protocol import AdmissionError
 from repro.service.scheduler import DURATION_MODELS, ServiceScheduler
@@ -70,9 +70,10 @@ _ARRIVAL_STREAM = 1_000_003
 class ChaosAction:
     """One scheduled correlated failure: *these machines, at this instant*.
 
-    ``downtime`` is shared by the group; ``math.inf`` means permanent
-    (only an explicit recovery brings the machines back).  ``label``
-    names the blast radius for reports (``"rack-2"``, ``"cascade"``).
+    ``at`` is a finite time; ``downtime`` is shared by the group, and
+    ``math.inf`` means permanent (only an explicit recovery brings the
+    machines back).  ``label`` names the blast radius for reports
+    (``"rack-2"``).
     """
 
     at: float
@@ -81,8 +82,7 @@ class ChaosAction:
     label: str = "failure"
 
     def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError(f"action time must be >= 0, got {self.at}")
+        check_non_negative_float(self.at, "action time")
         if not self.machines:
             raise ValueError("action must name at least one machine")
         if not self.downtime > 0:
@@ -102,11 +102,10 @@ class ChaosAction:
 class ChaosSchedule:
     """An ordered set of :class:`ChaosAction`\\ s over one soak run.
 
-    Build with the topology-aware constructors (:meth:`rack`,
-    :meth:`zone`, :meth:`cascade`, :meth:`flap`), bridge from a sampled
-    :class:`~repro.faults.plan.FaultPlan` (:meth:`from_plan`), or parse
-    the CLI grammar (:meth:`parse`).  Schedules compose with
-    :meth:`merge`; actions are kept sorted by time.
+    Build one rack failure with :meth:`rack`, list arbitrary
+    :class:`ChaosAction`\\ s, or parse the CLI grammar (:meth:`parse`).
+    Schedules compose with :meth:`merge`; actions are kept sorted by
+    time.
     """
 
     actions: tuple[ChaosAction, ...] = ()
@@ -139,87 +138,6 @@ class ChaosSchedule:
         )
 
     @classmethod
-    def zone(
-        cls,
-        topology: FleetTopology,
-        zone: int = 0,
-        *,
-        at: float = 0.0,
-        downtime: float = math.inf,
-    ) -> "ChaosSchedule":
-        """One whole zone fails together."""
-        return cls(
-            (ChaosAction(at, topology.zone_members(zone), downtime, f"zone-{zone}"),)
-        )
-
-    @classmethod
-    def cascade(
-        cls,
-        topology: FleetTopology,
-        *,
-        at: float = 0.0,
-        lag: float = 2.0,
-        racks: int = 2,
-        first: int = 0,
-        downtime: float = math.inf,
-    ) -> "ChaosSchedule":
-        """Racks fall in sequence starting at ``first``, one every ``lag``."""
-        if not 1 <= racks <= topology.racks:
-            raise ValueError(f"racks must be in 1..{topology.racks}, got {racks}")
-        if lag < 0:
-            raise ValueError(f"lag must be >= 0, got {lag}")
-        actions = []
-        for step in range(racks):
-            rack = (first + step) % topology.racks
-            actions.append(
-                ChaosAction(
-                    at + step * lag,
-                    topology.rack_members(rack),
-                    downtime,
-                    f"cascade-rack-{rack}",
-                )
-            )
-        return cls(tuple(actions))
-
-    @classmethod
-    def flap(
-        cls,
-        topology: FleetTopology,
-        *,
-        machines: int = 1,
-        at: float = 0.0,
-        period: float = 4.0,
-        down: float = 1.0,
-        cycles: int = 3,
-    ) -> "ChaosSchedule":
-        """The first ``machines`` ids crash/rejoin on a cycle (health-policy bait)."""
-        if not 1 <= machines <= topology.m:
-            raise ValueError(f"machines must be in 1..{topology.m}, got {machines}")
-        if not 0 < down < period:
-            raise ValueError(f"need 0 < down < period, got {down}/{period}")
-        if cycles < 1:
-            raise ValueError(f"cycles must be >= 1, got {cycles}")
-        actions = []
-        for machine in range(machines):
-            for cycle in range(cycles):
-                actions.append(
-                    ChaosAction(
-                        at + cycle * period, (machine,), down, f"flap-{machine}"
-                    )
-                )
-        return cls(tuple(actions))
-
-    @classmethod
-    def from_plan(cls, plan: FaultPlan, *, label: str = "plan") -> "ChaosSchedule":
-        """Bridge a (possibly sampled) kernel fault plan into the service world."""
-        return cls(
-            tuple(
-                ChaosAction(at, (machine,), downtime, label)
-                for at, machine, downtime in plan.crashes()
-            )
-        )
-
-    @classmethod
     def parse(cls, spec: str, topology: FleetTopology) -> "ChaosSchedule":
         """The CLI grammar: ``kind:key=value,...``.
 
@@ -228,12 +146,10 @@ class ChaosSchedule:
 
             none
             rack:at=8,downtime=10[,rack=0]
-            zone:at=8,downtime=10[,zone=0]
-            cascade:at=8,lag=2,racks=2[,first=0][,downtime=10]
-            flap:at=1,period=4,down=1[,machines=1][,cycles=3]
 
-        Deterministic by construction — no sampling, so the same spec
-        always yields the same schedule.
+        ``at`` must be finite and ``rack`` an integer.  Deterministic by
+        construction — no sampling, so the same spec always yields the
+        same schedule.
         """
         kind, _, raw = spec.partition(":")
         kind = kind.strip().lower()
@@ -253,9 +169,6 @@ class ChaosSchedule:
         known: dict[str, tuple[str, ...]] = {
             "none": (),
             "rack": ("at", "downtime", "rack"),
-            "zone": ("at", "downtime", "zone"),
-            "cascade": ("at", "downtime", "lag", "racks", "first"),
-            "flap": ("at", "period", "down", "machines", "cycles"),
         }
         if kind not in known:
             raise ValueError(
@@ -266,34 +179,16 @@ class ChaosSchedule:
             raise ValueError(
                 f"unknown parameters {sorted(unknown)} for chaos kind {kind!r}"
             )
-        at = params.get("at", 0.0)
-        downtime = params.get("downtime", math.inf)
         if kind == "none":
             return cls()
-        if kind == "rack":
-            return cls.rack(
-                topology, int(params.get("rack", 0)), at=at, downtime=downtime
-            )
-        if kind == "zone":
-            return cls.zone(
-                topology, int(params.get("zone", 0)), at=at, downtime=downtime
-            )
-        if kind == "cascade":
-            return cls.cascade(
-                topology,
-                at=at,
-                lag=params.get("lag", 2.0),
-                racks=int(params.get("racks", 2)),
-                first=int(params.get("first", 0)),
-                downtime=downtime,
-            )
-        return cls.flap(
+        rack = params.get("rack", 0.0)
+        if not rack.is_integer():
+            raise ValueError(f"chaos parameter 'rack' must be an integer, got {rack!r}")
+        return cls.rack(
             topology,
-            machines=int(params.get("machines", 1)),
-            at=at,
-            period=params.get("period", 4.0),
-            down=params.get("down", 1.0),
-            cycles=int(params.get("cycles", 3)),
+            int(rack),
+            at=params.get("at", 0.0),
+            downtime=params.get("downtime", math.inf),
         )
 
 
@@ -331,16 +226,14 @@ class SoakConfig:
     def __post_init__(self) -> None:
         if self.model not in DURATION_MODELS:
             raise ValueError(f"unknown duration model {self.model!r}")
-        if not self.duration > 0 or not self.rate > 0:
-            raise ValueError("duration and rate must both be > 0")
-        if not (0 < self.est_low <= self.est_high):
+        for name in ("duration", "rate", "est_low", "est_high", "sample_every"):
+            check_positive_float(getattr(self, name), name)
+        if not self.est_low <= self.est_high:
             raise ValueError(
                 f"need 0 < est_low <= est_high, got [{self.est_low}, {self.est_high}]"
             )
         if self.tenants < 1:
             raise ValueError(f"tenants must be >= 1, got {self.tenants}")
-        if not self.sample_every > 0:
-            raise ValueError(f"sample_every must be > 0, got {self.sample_every}")
         for action in self.schedule.actions:
             for machine in action.machines:
                 if not 0 <= machine < self.topology.m:
@@ -673,8 +566,6 @@ def run_soak_live(
     socket_path: str | None = None,
     port: int | None = None,
     pace: float = 1.0,
-    bulkhead_capacity: int | None = None,
-    breaker: bool = False,
 ) -> SoakReport:
     """Run one soak end-to-end through the real daemon (wall-clock pacing).
 
@@ -687,11 +578,8 @@ def run_soak_live(
     decision digest stays seed-stable; sample *timing* follows the wall
     clock, which is the documented difference from :func:`run_soak`.
     """
-    if pace <= 0:
-        raise ValueError(f"pace must be > 0, got {pace}")
-    return asyncio.run(
-        _soak_live(config, socket_path, port, pace, bulkhead_capacity, breaker)
-    )
+    check_positive_float(pace, "pace")
+    return asyncio.run(_soak_live(config, socket_path, port, pace))
 
 
 async def _soak_live(
@@ -699,8 +587,6 @@ async def _soak_live(
     socket_path: str | None,
     port: int | None,
     pace: float,
-    bulkhead_capacity: int | None,
-    breaker: bool,
 ) -> SoakReport:
     from repro.service.client import ServiceClient, ServiceError
     from repro.service.daemon import ServiceDaemon
@@ -718,8 +604,6 @@ async def _soak_live(
         port=None if socket_path else (port if port is not None else 0),
         socket_path=socket_path,
         pace=pace,
-        breaker=CircuitBreaker() if breaker else None,
-        bulkhead=Bulkhead(bulkhead_capacity) if bulkhead_capacity else None,
     )
     server = asyncio.create_task(daemon.serve())
     await daemon.started.wait()
@@ -757,7 +641,7 @@ async def _soak_live(
                     try:
                         await client.submit(tenant, estimate, key=key)
                     except ServiceError as exc:
-                        if exc.code in ("degraded", "overloaded", "breaker_open"):
+                        if exc.code == "degraded":
                             shed_client += 1
                         else:
                             errors += 1

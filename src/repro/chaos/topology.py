@@ -1,4 +1,4 @@
-"""The fleet tree and the correlated faults that follow its edges.
+"""The fleet tree that correlated faults follow.
 
 :class:`FleetTopology` arranges machine ids ``0..m-1`` into a three-level
 tree — machines → racks → zones with configurable fan-out — the smallest
@@ -11,44 +11,17 @@ Placement groups :math:`M_j` (contiguous machine ranges, see
 :class:`~repro.service.placement.OnlinePlacer`) are mapped onto the tree
 so replica diversity is measurable: :func:`diversity_score` reports how
 well a placement's replica sets spread over racks, which is exactly what
-decides survival under a rack-sized blast radius.
-
-The fault generators extend :mod:`repro.faults` with topology-aware
-shapes — all frozen, all seeded through the caller's generator, so
-scenario sets stay reproducible by construction:
-
-* :func:`rack_failure_plan` / :func:`zone_failure_plan` — deterministic
-  blast-radius plans for a named subtree;
-* :class:`ZoneOutage` — a sampled whole-zone loss;
-* :class:`CascadingRackFailure` — rack :math:`r` fails, then its
-  neighbours follow at a fixed lag (the correlated cascade a shared
-  cooling loop produces);
-* :class:`FlappingMachines` — machines that crash and rejoin on a cycle,
-  the pathological input for health policies (quarantine exists to stop
-  flappers from eating restarts).
+decides survival under a rack-sized blast radius.  The blast radius
+itself is a :class:`~repro.chaos.soak.ChaosSchedule` action
+(:meth:`~repro.chaos.soak.ChaosSchedule.rack`).
 """
 
 from __future__ import annotations
 
-import abc
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from repro.faults.models import FaultModel
-from repro.faults.plan import CorrelatedFailure, CrashRecover, Fault, FaultPlan
-
-__all__ = [
-    "FleetTopology",
-    "diversity_score",
-    "rack_failure_plan",
-    "zone_failure_plan",
-    "ZoneOutage",
-    "CascadingRackFailure",
-    "FlappingMachines",
-]
+__all__ = ["FleetTopology", "diversity_score"]
 
 
 @dataclass(frozen=True)
@@ -109,13 +82,6 @@ class FleetTopology:
             raise ValueError(f"rack {rack} outside 0..{self.racks - 1}")
         lo = rack * self.machines_per_rack
         return tuple(range(lo, lo + self.machines_per_rack))
-
-    def zone_members(self, zone: int) -> tuple[int, ...]:
-        """Machine ids in ``zone`` (contiguous, ascending)."""
-        if not 0 <= zone < self.zones:
-            raise ValueError(f"zone {zone} outside 0..{self.zones - 1}")
-        lo = zone * self.racks_per_zone * self.machines_per_rack
-        return tuple(range(lo, lo + self.racks_per_zone * self.machines_per_rack))
 
     def _check_machine(self, machine: int) -> None:
         if not 0 <= machine < self.m:
@@ -179,148 +145,3 @@ def diversity_score(
     if not scores:
         raise ValueError("no placement groups to score")
     return float(sum(scores) / len(scores))
-
-
-def rack_failure_plan(
-    topology: FleetTopology,
-    rack: int,
-    *,
-    at: float = 0.0,
-    downtime: float = math.inf,
-) -> FaultPlan:
-    """Deterministic blast-radius plan: every machine in ``rack`` fails at ``at``."""
-    return FaultPlan.of(CorrelatedFailure(topology.rack_members(rack), float(at), float(downtime)))
-
-
-def zone_failure_plan(
-    topology: FleetTopology,
-    zone: int,
-    *,
-    at: float = 0.0,
-    downtime: float = math.inf,
-) -> FaultPlan:
-    """Deterministic blast-radius plan: every machine in ``zone`` fails at ``at``."""
-    return FaultPlan.of(CorrelatedFailure(topology.zone_members(zone), float(at), float(downtime)))
-
-
-class _TopologyFaultModel(FaultModel, abc.ABC):
-    """Shared base for seeded generators that sample over a fleet tree."""
-
-
-@dataclass(frozen=True)
-class ZoneOutage(_TopologyFaultModel):
-    """A whole zone fails together at a uniform random time.
-
-    The largest blast radius the tree expresses: every rack in the drawn
-    zone goes down at once, with a shared downtime (``None`` = permanent,
-    scalar = fixed, ``(lo, hi)`` = one uniform draw per sample).
-    """
-
-    topology: FleetTopology
-    window: tuple[float, float] = (0.0, 15.0)
-    downtime: float | tuple[float, float] | None = None
-
-    def sample(self, rng: np.random.Generator) -> FaultPlan:
-        """Draw one zone-loss scenario from ``rng``."""
-        zone = int(rng.integers(0, self.topology.zones))
-        at = float(rng.uniform(self.window[0], self.window[1]))
-        return zone_failure_plan(
-            self.topology, zone, at=at, downtime=_draw_downtime(self.downtime, rng)
-        )
-
-
-@dataclass(frozen=True)
-class CascadingRackFailure(_TopologyFaultModel):
-    """Racks fail in sequence: one seed rack, then neighbours at a lag.
-
-    Models a shared-infrastructure cascade (cooling loop, power bus): the
-    seed rack fails at a uniform time in ``window``, and each of the next
-    ``size - 1`` racks (wrapping around the rack ring) follows ``lag``
-    later.  One :class:`~repro.faults.plan.CorrelatedFailure` per rack
-    keeps the correlation visible in provenance output.
-    """
-
-    topology: FleetTopology
-    size: int = 2
-    lag: float = 2.0
-    window: tuple[float, float] = (0.0, 10.0)
-    downtime: float | tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.size <= self.topology.racks:
-            raise ValueError(
-                f"cascade size must be in 1..{self.topology.racks}, got {self.size}"
-            )
-        if self.lag < 0:
-            raise ValueError(f"cascade lag must be >= 0, got {self.lag}")
-
-    def sample(self, rng: np.random.Generator) -> FaultPlan:
-        """Draw one cascade scenario from ``rng``."""
-        first = int(rng.integers(0, self.topology.racks))
-        at = float(rng.uniform(self.window[0], self.window[1]))
-        downtime = _draw_downtime(self.downtime, rng)
-        faults: list[Fault] = []
-        for step in range(self.size):
-            rack = (first + step) % self.topology.racks
-            faults.append(
-                CorrelatedFailure(
-                    self.topology.rack_members(rack), at + step * self.lag, downtime
-                )
-            )
-        return FaultPlan(tuple(faults))
-
-
-@dataclass(frozen=True)
-class FlappingMachines(_TopologyFaultModel):
-    """Machines that crash and rejoin on a cycle — the health policy's nemesis.
-
-    ``count`` distinct machines are drawn; each one crashes at its phase
-    offset and repeats every ``period`` (staying down ``down_time`` per
-    cycle, ``cycles`` times).  Every restart it causes re-runs a task
-    from scratch, so unquarantined flappers waste work linearly in cycle
-    count.
-    """
-
-    topology: FleetTopology
-    count: int = 1
-    first: tuple[float, float] = (0.0, 5.0)
-    period: float = 4.0
-    down_time: float = 1.0
-    cycles: int = 3
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.count <= self.topology.m:
-            raise ValueError(
-                f"count must be in 1..{self.topology.m}, got {self.count}"
-            )
-        if self.cycles < 1:
-            raise ValueError(f"cycles must be >= 1, got {self.cycles}")
-        if not 0 < self.down_time < self.period:
-            raise ValueError(
-                f"need 0 < down_time < period, got {self.down_time}/{self.period}"
-            )
-
-    def sample(self, rng: np.random.Generator) -> FaultPlan:
-        """Draw one flapping scenario from ``rng``."""
-        machines = rng.choice(self.topology.m, size=self.count, replace=False)
-        faults: list[Fault] = []
-        for machine in machines:
-            phase = float(rng.uniform(self.first[0], self.first[1]))
-            for cycle in range(self.cycles):
-                faults.append(
-                    CrashRecover(
-                        int(machine), phase + cycle * self.period, self.down_time
-                    )
-                )
-        return FaultPlan(tuple(faults))
-
-
-def _draw_downtime(
-    downtime: float | tuple[float, float] | None, rng: np.random.Generator
-) -> float:
-    """Resolve the shared downtime convention (None / scalar / range)."""
-    if downtime is None:
-        return math.inf
-    if isinstance(downtime, tuple):
-        return float(rng.uniform(downtime[0], downtime[1]))
-    return float(downtime)

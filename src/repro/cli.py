@@ -39,8 +39,7 @@ capability take the vectorized batch backend (bit-identical records);
 also exports telemetry (``--metrics-out [PATH]`` writes an OpenMetrics
 artifact, default ``results/telemetry.prom``) and profiles grid cells
 opt-in (``--profile`` → cProfile top-N per cell, folded into span
-attributes and the grid manifest).  Long traces rotate with
-``--trace-max-bytes`` (every segment stays validate-clean).
+attributes and the grid manifest).
 
 The figure/table commands delegate to the same code paths the benchmark
 suite uses (`benchmarks/` merely wraps them with pytest-benchmark), so CLI
@@ -471,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="SPEC",
-        help="chaos schedule spec, repeatable (rack:at=8,downtime=10 | "
-        "zone:... | cascade:... | flap:... | none)",
+        help="chaos schedule spec, repeatable (rack:at=8,downtime=10[,rack=0] "
+        "| none)",
     )
     soak.add_argument(
         "--objective",
@@ -505,18 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         help="--live only: virtual seconds per wall second",
-    )
-    soak.add_argument(
-        "--bulkhead",
-        type=int,
-        default=None,
-        metavar="N",
-        help="--live only: cap in-flight tasks at N (503 overloaded beyond)",
-    )
-    soak.add_argument(
-        "--breaker",
-        action="store_true",
-        help="--live only: put a circuit breaker on the admission path",
     )
     _add_obs_flags(soak)
     return parser
@@ -563,14 +550,6 @@ def _add_obs_flags(sub_parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print the observability counter/timer table after the run",
     )
-    sub_parser.add_argument(
-        "--trace-max-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="rotate the trace file past BYTES (trace.jsonl → trace.1.jsonl; "
-        "every segment stays schema-valid on its own)",
-    )
 
 
 def _instance(args: argparse.Namespace):
@@ -599,10 +578,9 @@ def _observability(
 ) -> Iterator[None]:
     """Enable the global tracer for one CLI command if asked to.
 
-    ``--trace PATH`` attaches a JSONL sink (rotating past
-    ``--trace-max-bytes`` when set); ``--metrics`` / ``metrics_out`` /
-    ``force`` alone attach no sink: counters, gauges and span timers are
-    recorded, trace events are not built.  The
+    ``--trace PATH`` attaches a JSONL sink; ``--metrics`` /
+    ``metrics_out`` / ``force`` alone attach no sink: counters, gauges
+    and span timers are recorded, trace events are not built.  The
     teardown is exception-safe: even when the command (or the counter
     snapshot) raises, the sinks are flushed and closed, so a crashed
     traced run still leaves a valid, ``obs.validate``-clean trace on disk.
@@ -615,7 +593,7 @@ def _observability(
     from repro.obs import disable as obs_disable
     from repro.obs import enable as obs_enable
 
-    sinks = [JsonlSink(trace_path, max_bytes=args.trace_max_bytes)] if trace_path else []
+    sinks = [JsonlSink(trace_path)] if trace_path else []
     obs_enable(*sinks)
     try:
         yield
@@ -1252,6 +1230,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
+    from repro._validation import check_positive_float
     from repro.chaos import ChaosSchedule, FleetTopology, SoakConfig
     from repro.chaos.soak import run_soak, run_soak_live
 
@@ -1285,17 +1264,13 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             config_kw["objectives"] = tuple(args.objective)
         try:
             config = SoakConfig(**config_kw)
+            if args.live:
+                check_positive_float(args.pace, "pace")
         except ValueError as exc:
             print(f"soak: {exc}", file=sys.stderr)
             return 2
         if args.live:
-            report = run_soak_live(
-                config,
-                socket_path=args.socket,
-                pace=args.pace,
-                bulkhead_capacity=args.bulkhead,
-                breaker=args.breaker,
-            )
+            report = run_soak_live(config, socket_path=args.socket, pace=args.pace)
         else:
             report = run_soak(config)
         summary = report.summary

@@ -1,8 +1,4 @@
-"""Exact clairvoyant-optimum solvers (B&B, DP) and the graceful facade.
-
-The MILP cross-check, :mod:`repro.exact.milp`, is not re-exported: it
-needs scipy, which only the ``test`` extra installs.
-"""
+"""Exact clairvoyant-optimum solvers (B&B, DP) and the graceful facade."""
 
 from repro.exact.bnb import BnBResult, branch_and_bound
 from repro.exact.dp import dp_load_vector, dp_two_machines, scale_to_integers

@@ -17,12 +17,7 @@ See ``docs/fault_tolerance.md`` for the full model and examples.
 """
 
 from repro.faults.inject import CellFaultSpec, InjectedFault
-from repro.faults.models import (
-    FaultModel,
-    RackFailure,
-    RandomCrashes,
-    StragglerSlowdowns,
-)
+from repro.faults.models import FaultModel, RandomCrashes, StragglerSlowdowns
 from repro.faults.plan import (
     CorrelatedFailure,
     CrashRecover,
@@ -43,7 +38,6 @@ __all__ = [
     "merge_plans",
     "FaultModel",
     "RandomCrashes",
-    "RackFailure",
     "StragglerSlowdowns",
     "CellFaultSpec",
     "InjectedFault",

@@ -13,8 +13,6 @@ Models mirror the fault kinds:
 
 * :class:`RandomCrashes` — k ∈ [count range] machines crash at uniform
   times (crash-stop, or crash-recover when a downtime range is given);
-* :class:`RackFailure` — one contiguous rack of machines fails together
-  (the correlated kind);
 * :class:`StragglerSlowdowns` — each machine independently degrades to a
   random speed fraction for a random window.
 """
@@ -26,16 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.faults.plan import (
-    CorrelatedFailure,
-    CrashRecover,
-    CrashStop,
-    DegradedInterval,
-    Fault,
-    FaultPlan,
-)
+from repro.faults.plan import CrashRecover, CrashStop, DegradedInterval, Fault, FaultPlan
 
-__all__ = ["FaultModel", "RandomCrashes", "RackFailure", "StragglerSlowdowns"]
+__all__ = ["FaultModel", "RandomCrashes", "StragglerSlowdowns"]
 
 
 class FaultModel(abc.ABC):
@@ -80,42 +71,6 @@ class RandomCrashes(FaultModel):
                     down = float(rng.uniform(self.downtime[0], self.downtime[1]))
                     faults.append(CrashRecover(int(machine), float(at), down))
         return FaultPlan(tuple(faults))
-
-
-@dataclass(frozen=True)
-class RackFailure(FaultModel):
-    """One rack (contiguous block of ``m // racks`` machines) fails together.
-
-    The correlated-failure regime: strategies whose replicas all live in
-    one rack die with it, strategies that spread replicas across racks
-    survive.  ``downtime=None`` means permanent loss; a scalar is a fixed
-    recovery delay; a ``(lo, hi)`` range draws one uniformly per sample
-    (matching :class:`RandomCrashes`).
-    """
-
-    m: int
-    racks: int
-    window: tuple[float, float] = (0.0, 15.0)
-    downtime: float | tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.racks <= 0 or self.m % self.racks:
-            raise ValueError(
-                f"racks must divide m evenly, got m={self.m}, racks={self.racks}"
-            )
-
-    def sample(self, rng: np.random.Generator) -> FaultPlan:
-        size = self.m // self.racks
-        rack = int(rng.integers(0, self.racks))
-        at = float(rng.uniform(self.window[0], self.window[1]))
-        members = tuple(range(rack * size, (rack + 1) * size))
-        if self.downtime is None:
-            downtime = float("inf")
-        elif isinstance(self.downtime, tuple):
-            downtime = float(rng.uniform(self.downtime[0], self.downtime[1]))
-        else:
-            downtime = float(self.downtime)
-        return FaultPlan.of(CorrelatedFailure(members, at, downtime))
 
 
 @dataclass(frozen=True)

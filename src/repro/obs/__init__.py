@@ -6,7 +6,7 @@ The layer every other subsystem reports into:
   enabled (:func:`enable` / :func:`observed` / CLI ``--trace``);
 * :mod:`repro.obs.metrics` — named counters, gauges, histogram timers;
 * :mod:`repro.obs.events` / :mod:`repro.obs.sink` — the structured event
-  record and where it goes (ring buffer, JSONL file, stdlib logging);
+  record and where it goes (ring buffer or JSONL file);
 * :mod:`repro.obs.provenance` — :class:`RunManifest` records tying every
   result back to its exact configuration;
 * :mod:`repro.obs.validate` — schema validation for trace files
@@ -53,7 +53,7 @@ from repro.obs.merge import merge_registry_summary, replay_events
 from repro.obs.metrics import BUCKET_BOUNDS, Counter, Gauge, MetricsRegistry, Timer
 from repro.obs.slo import Objective, SLOReport, evaluate as evaluate_slo, parse_objectives
 from repro.obs.provenance import RunManifest, bench_manifest, environment_info, run_manifest
-from repro.obs.sink import JsonlSink, LoggingSink, MemorySink, Sink, read_jsonl
+from repro.obs.sink import JsonlSink, MemorySink, Sink, read_jsonl
 from repro.obs.tracer import Span, Tracer, disable, enable, get_tracer, observed
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "Sink",
     "MemorySink",
     "JsonlSink",
-    "LoggingSink",
     "read_jsonl",
     "Span",
     "Tracer",

@@ -1,13 +1,11 @@
 """Pluggable event sinks: where :class:`~repro.obs.events.TraceEvent`\\ s go.
 
-Three zero-dependency sinks cover the practical cases:
+Two zero-dependency sinks cover the practical cases:
 
 * :class:`MemorySink` — bounded ring buffer, the default for tests and
   interactive inspection;
 * :class:`JsonlSink` — one JSON object per line, the durable format every
-  ``--trace`` flag writes and ``repro.obs.validate`` checks;
-* :class:`LoggingSink` — bridges events onto stdlib :mod:`logging`
-  (logger ``repro.obs``), for hosts that already aggregate logs.
+  ``--trace`` flag writes and ``repro.obs.validate`` checks.
 
 A sink is anything with ``emit(event)`` and ``close()``; the tracer fans
 out to every attached sink, so combinations (ring buffer *and* file) are
@@ -17,14 +15,13 @@ free.
 from __future__ import annotations
 
 import json
-import logging
 from collections import deque
 from pathlib import Path
 from typing import IO
 
 from repro.obs.events import TraceEvent
 
-__all__ = ["Sink", "MemorySink", "JsonlSink", "LoggingSink", "read_jsonl"]
+__all__ = ["Sink", "MemorySink", "JsonlSink", "read_jsonl"]
 
 
 class Sink:
@@ -65,125 +62,17 @@ class MemorySink(Sink):
 
 
 class JsonlSink(Sink):
-    """Append events to ``path``, one JSON object per line.
+    """Write events to ``path``, one JSON object per line."""
 
-    With ``max_bytes`` set the sink performs size-capped rotation: when
-    the live file exceeds the cap it is renamed to ``trace.1.jsonl``
-    (older segments shift to ``.2``, ``.3``, … up to ``backups``, then
-    fall off) and writing continues into a fresh ``trace.jsonl``.  Every
-    segment stays ``repro.obs.validate``-clean on its own: the sink
-    assigns per-segment sequence numbers and, at each rotation boundary,
-    synthesizes balancing ``span_end`` records into the closing segment
-    and matching ``span_start`` records (tagged ``rotated: true``) into
-    the new one, so spans that straddle the boundary still nest properly
-    in both files.  Without ``max_bytes`` (the default) the wire format
-    is unchanged from previous releases.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        max_bytes: int | None = None,
-        backups: int = 3,
-    ) -> None:
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-        if backups < 1:
-            raise ValueError(f"backups must be >= 1, got {backups}")
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh: IO[str] | None = self.path.open("w", encoding="utf-8")
-        self.written = 0
-        self.max_bytes = max_bytes
-        self.backups = backups
-        self.rotations = 0
-        self._seq = 0
-        self._bytes = 0
-        self._last_ts = 0.0
-        self._open_spans: list[dict] = []
 
     def emit(self, event: TraceEvent) -> None:
         if self._fh is None:
             raise ValueError(f"JsonlSink({self.path}) is closed")
-        record = event.as_dict()
-        if self.max_bytes is None:
-            self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-            self.written += 1
-            return
-        self._last_ts = record["ts"]
-        if record["kind"] == "span_start":
-            self._open_spans.append(
-                {
-                    "name": record["name"],
-                    "depth": record["depth"],
-                    "ts": record["ts"],
-                    "payload": dict(record["payload"]),
-                }
-            )
-        elif record["kind"] == "span_end" and self._open_spans:
-            self._open_spans.pop()
-        self._write(record)
-        if self._bytes >= self.max_bytes:
-            self._rotate()
-
-    def _write(self, record: dict) -> None:
-        record["seq"] = self._seq
-        line = json.dumps(record, separators=(",", ":")) + "\n"
-        assert self._fh is not None
-        self._fh.write(line)
-        self._bytes += len(line)
-        self._seq += 1
-        self.written += 1
-
-    def _segment_path(self, index: int) -> Path:
-        return self.path.with_name(f"{self.path.stem}.{index}{self.path.suffix}")
-
-    def _rotate(self) -> None:
-        """Seal the current segment and start a fresh one (see class doc)."""
-        from repro.obs.events import SCHEMA_VERSION
-
-        for span in reversed(self._open_spans):
-            self._write(
-                {
-                    "v": SCHEMA_VERSION,
-                    "ts": self._last_ts,
-                    "kind": "span_end",
-                    "name": span["name"],
-                    "depth": span["depth"],
-                    "payload": {
-                        **span["payload"],
-                        "duration_s": max(0.0, self._last_ts - span["ts"]),
-                        "rotated": True,
-                    },
-                }
-            )
-        assert self._fh is not None
-        self._fh.close()
-        self._fh = None
-        oldest = self._segment_path(self.backups)
-        if oldest.exists():
-            oldest.unlink()
-        for index in range(self.backups - 1, 0, -1):
-            segment = self._segment_path(index)
-            if segment.exists():
-                segment.rename(self._segment_path(index + 1))
-        self.path.rename(self._segment_path(1))
-        self._fh = self.path.open("w", encoding="utf-8")
-        self._seq = 0
-        self._bytes = 0
-        self.rotations += 1
-        for span in self._open_spans:
-            self._write(
-                {
-                    "v": SCHEMA_VERSION,
-                    "ts": self._last_ts,
-                    "kind": "span_start",
-                    "name": span["name"],
-                    "depth": span["depth"],
-                    "payload": {**span["payload"], "rotated": True},
-                }
-            )
+        self._fh.write(json.dumps(event.as_dict(), separators=(",", ":")) + "\n")
 
     def flush(self) -> None:
         if self._fh is not None:
@@ -210,28 +99,3 @@ def read_jsonl(path: str | Path) -> list[TraceEvent]:
             if line:
                 events.append(TraceEvent.from_dict(json.loads(line)))
     return events
-
-
-class LoggingSink(Sink):
-    """Forward events to stdlib logging (stderr by default).
-
-    Span ends and manifests log at INFO, everything else at DEBUG, so a
-    default ``logging.basicConfig(level=logging.INFO)`` shows phase
-    timings without drowning in per-dispatch noise.
-    """
-
-    def __init__(self, logger: logging.Logger | None = None) -> None:
-        self.logger = logger or logging.getLogger("repro.obs")
-
-    def emit(self, event: TraceEvent) -> None:
-        level = logging.INFO if event.kind in ("span_end", "manifest") else logging.DEBUG
-        if self.logger.isEnabledFor(level):
-            self.logger.log(
-                level,
-                "%s %s seq=%d ts=%.6f %s",
-                event.kind,
-                event.name,
-                event.seq,
-                event.ts,
-                json.dumps(event.payload, separators=(",", ":"), default=str),
-            )

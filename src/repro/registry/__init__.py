@@ -1,9 +1,9 @@
 """Unified strategy-plugin registry: typed specs, capabilities, sweeps.
 
-Every strategy family in the reproduction — the paper's core strategies,
-the heterogeneous/memory/robust/adaptive extensions and the scheduler
-baselines — registers itself here with a typed parameter schema and a set
-of :class:`Capabilities`.  From that single declaration the package
+Every strategy family in the reproduction — the paper's core strategies
+and the heterogeneous/memory/robust/adaptive extensions — registers
+itself here with a typed parameter schema and a set of
+:class:`Capabilities`.  From that single declaration the package
 derives:
 
 * :func:`make_strategy` — spec-string parsing for *all* families (the
@@ -91,8 +91,7 @@ def make_strategy(spec: str) -> "TwoPhaseStrategy":
     Accepts every historical form (``"lpt_no_choice"``,
     ``"ls_group[k=3]"``, ``"selective[0.4,work]"`` ...) plus the
     previously spec-less families (``"sabo[delta=0.5]"``,
-    ``"risk_aware[0.3]"``, ``"baseline[round_robin]"``,
-    ``"refined[ls_group[k=3],eta=0.5]"`` ...).  Unknown or malformed
+    ``"risk_aware[0.3]"``, ``"refined[ls_group[k=3],eta=0.5]"`` ...).  Unknown or malformed
     specs raise ``ValueError`` starting with ``unknown strategy spec``
     and listing the registry-generated accepted forms.
     """

@@ -30,4 +30,3 @@ def load() -> None:
     import repro.memory.capped  # noqa: F401
     import repro.memory.sabo  # noqa: F401
     import repro.robust.placement  # noqa: F401
-    import repro.schedulers.baselines  # noqa: F401

@@ -1,12 +1,5 @@
 """Classical scheduling substrate: LS, LPT, MULTIFIT and lower bounds."""
 
-from repro.schedulers.baselines import (
-    PinnedBaseline,
-    random_schedule,
-    round_robin_schedule,
-    single_machine_pile,
-    spt_schedule,
-)
 from repro.schedulers.list_scheduling import AssignmentResult, balance_gap, list_schedule
 from repro.schedulers.lower_bounds import (
     average_load_bound,
@@ -36,9 +29,4 @@ __all__ = [
     "kth_group_bound",
     "lp_bound",
     "combined_lower_bound",
-    "round_robin_schedule",
-    "random_schedule",
-    "spt_schedule",
-    "single_machine_pile",
-    "PinnedBaseline",
 ]

@@ -19,19 +19,14 @@ GET     ``/v1/status``      configuration + live counters
 GET     ``/metrics``        OpenMetrics exposition of the live registry
 GET     ``/v1/slo``         evaluate SLO objectives against the registry
 GET     ``/v1/health``      fleet health: availability, down machines,
-                            degraded groups, policy/breaker/bulkhead state
+                            degraded groups, policy state
 POST    ``/v1/chaos``       inject machine failures/recoveries (chaos hooks)
 POST    ``/v1/drain``       stop admitting, run the queue to empty
 POST    ``/v1/shutdown``    drain, flush telemetry, stop the server
 ======  ==================  ===========================================
 
-Resilience hooks (``docs/chaos.md``): an optional admission
-:class:`~repro.chaos.policy.CircuitBreaker` fails fast once the service
-starts shedding (the scheduler raising ``degraded``/``overloaded``
-admission errors trips it), and an optional
-:class:`~repro.chaos.policy.Bulkhead` caps the number of in-flight
-(queued + running) tasks.  Both rejections map to HTTP 503 — the
-retryable class — while client mistakes stay 400.
+Retryable service states (``draining``, ``degraded``) map to HTTP 503;
+client mistakes stay 400.
 
 Transports: TCP (``--port``, ``0`` picks a free port) and/or a unix
 domain socket (``--socket``), both served by one :class:`asyncio.Protocol`
@@ -182,17 +177,6 @@ class ServiceDaemon:
         Virtual seconds advanced per real second by the pump; ``0``
         (default) runs the simulated cluster eagerly, i.e. completions
         land as soon as the loop is otherwise idle.
-    breaker:
-        Optional admission circuit breaker (duck-typed to
-        :class:`repro.chaos.policy.CircuitBreaker`).  Shedding admissions
-        (``degraded``/``overloaded``) count as failures; once open,
-        admissions fail fast with 503 ``breaker_open`` until the cooldown
-        elapses and a probe succeeds.
-    bulkhead:
-        Optional in-flight cap (duck-typed to
-        :class:`repro.chaos.policy.Bulkhead`): an admission that would
-        push queued + running past ``capacity`` is shed with 503
-        ``overloaded`` before it reaches the placer.
     """
 
     def __init__(
@@ -205,14 +189,10 @@ class ServiceDaemon:
         metrics_out: str | None = None,
         pace: float = 0.0,
         flush_interval: float = 0.5,
-        breaker: Any | None = None,
-        bulkhead: Any | None = None,
     ) -> None:
         if port is None and socket_path is None:
             raise ValueError("daemon needs at least one transport (port or socket_path)")
         self.scheduler = scheduler
-        self.breaker = breaker
-        self.bulkhead = bulkhead
         self.host = host
         self.port = port
         self.socket_path = socket_path
@@ -336,8 +316,7 @@ class ServiceDaemon:
         except AdmissionError as exc:
             # Retryable service states are 503 (back off and retry);
             # client mistakes stay 400.
-            retryable = {"draining", "degraded", "overloaded", "breaker_open"}
-            status = 503 if exc.code in retryable else 400
+            status = 503 if exc.code in ("draining", "degraded") else 400
             return error_response(status, exc.code, str(exc))
         except Exception as exc:  # pragma: no cover - defensive surface
             return error_response(500, "internal", f"{type(exc).__name__}: {exc}")
@@ -408,38 +387,12 @@ class ServiceDaemon:
         key = request.headers.get("idempotency-key") or payload.get("idempotency_key")
         if key is not None and not isinstance(key, str):
             raise AdmissionError("bad_key", f"idempotency key must be a string, got {key!r}")
-        now = time.monotonic()
-        if self.breaker is not None and not self.breaker.allow(now):
-            raise AdmissionError(
-                "breaker_open",
-                "admission circuit breaker is open; retry after the cooldown",
-            )
-        if self.bulkhead is not None:
-            in_flight = len(self.scheduler.records) - self.scheduler.completed
-            if not self.bulkhead.check(in_flight):
-                if self.breaker is not None:
-                    self.breaker.record_failure(now)
-                raise AdmissionError(
-                    "overloaded",
-                    f"bulkhead full: {in_flight} tasks in flight "
-                    f"(capacity {self.bulkhead.capacity})",
-                )
-        try:
-            record, created = self.scheduler.admit(
-                payload.get("tenant", "default"),
-                payload["estimate"],
-                size=payload.get("size", 0.0),
-                key=key,
-            )
-        except AdmissionError as exc:
-            # Only service-health rejections trip the breaker; client
-            # mistakes (bad estimates, key conflicts) say nothing about
-            # the fleet.
-            if self.breaker is not None and exc.code in ("degraded", "overloaded"):
-                self.breaker.record_failure(now)
-            raise
-        if self.breaker is not None:
-            self.breaker.record_success(now)
+        record, created = self.scheduler.admit(
+            payload.get("tenant", "default"),
+            payload["estimate"],
+            size=payload.get("size", 0.0),
+            key=key,
+        )
         body = record.as_dict()
         body["created"] = created
         return json_response(body, status=201 if created else 200)
@@ -524,10 +477,6 @@ class ServiceDaemon:
                 "states": {str(k): v.value for k, v in sched.health.states().items()},
                 "counts": sched.health.counts(),
             }
-        if self.breaker is not None:
-            body["breaker"] = self.breaker.as_dict()
-        if self.bulkhead is not None:
-            body["bulkhead"] = self.bulkhead.as_dict()
         return json_response(body)
 
     def _chaos(self, request: Request) -> Response:

@@ -4,15 +4,6 @@ from repro.simulation.engine import SimulationError, simulate
 from repro.simulation.events import Event, EventKind, EventQueue
 from repro.simulation.gantt import render_gantt
 from repro.simulation.kernel import EventKernel
-from repro.simulation.metrics import (
-    load_imbalance,
-    machine_utilization,
-    max_flow_time,
-    mean_flow_time,
-    mean_stretch,
-    metrics_summary,
-    total_completion_time,
-)
 from repro.simulation.trace import ScheduleTrace, TaskRun
 
 __all__ = [
@@ -25,11 +16,4 @@ __all__ = [
     "Event",
     "EventKind",
     "render_gantt",
-    "metrics_summary",
-    "total_completion_time",
-    "mean_flow_time",
-    "max_flow_time",
-    "mean_stretch",
-    "machine_utilization",
-    "load_imbalance",
 ]

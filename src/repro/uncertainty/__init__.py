@@ -1,11 +1,5 @@
-"""Uncertainty models: the α-band, realizations, stochastic and correlated errors."""
+"""Uncertainty models: realizations in the α-band and stochastic errors."""
 
-from repro.uncertainty.band import UncertaintyBand, band_from_interval
-from repro.uncertainty.correlated import (
-    clustered_factors,
-    size_correlated_factors,
-    trending_factors,
-)
 from repro.uncertainty.realization import (
     Realization,
     factors_realization,
@@ -22,8 +16,6 @@ from repro.uncertainty.stochastic import (
 )
 
 __all__ = [
-    "UncertaintyBand",
-    "band_from_interval",
     "Realization",
     "truthful_realization",
     "factors_realization",
@@ -34,7 +26,4 @@ __all__ = [
     "beta_factors",
     "sample_realization",
     "STOCHASTIC_MODELS",
-    "clustered_factors",
-    "trending_factors",
-    "size_correlated_factors",
 ]

@@ -1,7 +1,8 @@
-"""Mixed-integer programming solver for :math:`P||C_{max}` (scipy/HiGHS).
+"""Mixed-integer programming oracle for :math:`P||C_{max}` (scipy/HiGHS).
 
-An independent exact reference for the branch-and-bound and DP solvers:
-the classical assignment formulation
+Test-only: ``test_milp.py`` uses it as an independent exact reference
+for the branch-and-bound and DP solvers.  It solves the classical
+assignment formulation
 
 .. math::
 

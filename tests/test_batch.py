@@ -40,12 +40,6 @@ from repro.workloads.suites import memory_suite
 # matrix (`pytest tests/test_batch.py -k <family>`).  Kept in sync with
 # the registry by ``test_family_map_covers_every_flagged_entry``.
 FAMILY_SPECS: dict[str, tuple[str, ...]] = {
-    "schedulers": (
-        "baseline[round_robin]",
-        "baseline[spt]",
-        "baseline[random,seed=5]",
-        "baseline[single_pile]",
-    ),
     "core": (
         "lpt_no_choice",
         "lpt_no_restriction",
@@ -69,7 +63,6 @@ FAMILY_SPECS: dict[str, tuple[str, ...]] = {
 #: on a memory_suite instance (``None``: refused, runs on the kernel).
 PERFORMANCE_DOC_TIERS: dict[str, type | None] = {
     "lpt_no_restriction": BatchPlan,
-    "baseline[round_robin]": BatchPlan,
     "sabo[delta=1]": BatchPlan,
     "robust_pinned": BatchPlan,
     "nonclairvoyant_ls[shuffle=1]": BatchPlan,
@@ -123,7 +116,7 @@ class TestCapabilityFlag:
         for spec in ("capped[C=5.0]", "abo[delta=0.5]", "sabo[delta=0.5]",
                      "nonclairvoyant_ls", "risk_aware[0.3]", "robust_pinned",
                      "selective[0.3,count]", "budgeted[B=10]",
-                     "baseline[round_robin]", "overlap_windows[k=2,w=2]"):
+                     "overlap_windows[k=2,w=2]"):
             strategy = make_strategy(spec)
             caps = capabilities_of(strategy)
             assert caps is not None and caps.supports_batch, spec

@@ -1,17 +1,10 @@
-"""Health state machine, circuit breaker, and bulkhead behavior."""
+"""Health state machine behavior."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.chaos.policy import (
-    BreakerState,
-    Bulkhead,
-    CircuitBreaker,
-    HealthPolicy,
-    HealthState,
-    HealthTracker,
-)
+from repro.chaos.policy import HealthPolicy, HealthState, HealthTracker
 
 
 @pytest.fixture
@@ -77,15 +70,14 @@ class TestHealthTracker:
         assert tracker.observe_completion("m0", 13.0) is HealthState.RECOVERED
         assert tracker.observe_completion("m0", 14.0) is HealthState.HEALTHY
 
-    def test_on_enter_actions_fire_with_transition(self, tracker):
-        seen = []
-        tracker.on_enter(HealthState.QUARANTINED, lambda tr: seen.append(tr))
+    def test_quarantine_records_its_transition(self, tracker):
         for t in (1.0, 2.0, 3.0):
             tracker.observe_failure("m0", t)
-        assert len(seen) == 1
-        assert seen[0].entity == "m0"
-        assert seen[0].old is HealthState.SUSPECT
-        assert seen[0].at == 3.0
+        entered = [tr for tr in tracker.transitions if tr.new is HealthState.QUARANTINED]
+        assert len(entered) == 1
+        assert entered[0].entity == "m0"
+        assert entered[0].old is HealthState.SUSPECT
+        assert entered[0].at == 3.0
 
     def test_counts(self, tracker):
         tracker.observe_failure("m0", 1.0)
@@ -100,84 +92,3 @@ class TestHealthTracker:
             HealthPolicy(suspect_after=0)
         with pytest.raises(ValueError):
             HealthPolicy(probation_after=0.0)
-
-
-class TestCircuitBreaker:
-    def test_trips_after_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3, cooldown=5.0)
-        for t in (1.0, 2.0):
-            breaker.record_failure(t)
-        assert breaker.state is BreakerState.CLOSED
-        breaker.record_failure(3.0)
-        assert breaker.state is BreakerState.OPEN
-        assert breaker.opened == 1
-        assert not breaker.allow(4.0)
-        assert breaker.rejected == 1
-
-    def test_success_resets_the_failure_run(self):
-        breaker = CircuitBreaker(failure_threshold=2, cooldown=5.0)
-        breaker.record_failure(1.0)
-        breaker.record_success(1.5)
-        breaker.record_failure(2.0)
-        assert breaker.state is BreakerState.CLOSED
-
-    def test_half_open_probe_success_closes(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=5.0)
-        breaker.record_failure(0.0)
-        assert not breaker.allow(4.9)
-        assert breaker.allow(5.0)  # first probe after cooldown
-        assert breaker.state is BreakerState.HALF_OPEN
-        assert not breaker.allow(5.1)  # probe budget (1) exhausted
-        breaker.record_success(5.2)
-        assert breaker.state is BreakerState.CLOSED
-        assert breaker.allow(5.3)
-
-    def test_half_open_probe_failure_reopens(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=5.0)
-        breaker.record_failure(0.0)
-        assert breaker.allow(5.0)
-        breaker.record_failure(5.1)
-        assert breaker.state is BreakerState.OPEN
-        assert breaker.opened == 2
-        # Cooldown restarts from the reopen time.
-        assert not breaker.allow(9.0)
-        assert breaker.allow(10.1)
-
-    def test_as_dict(self):
-        breaker = CircuitBreaker(failure_threshold=2, cooldown=3.0)
-        d = breaker.as_dict()
-        assert d["state"] == "closed"
-        assert d["failure_threshold"] == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(cooldown=0.0)
-
-
-class TestBulkhead:
-    def test_acquire_release_cycle(self):
-        bulkhead = Bulkhead(capacity=2)
-        assert bulkhead.try_acquire()
-        assert bulkhead.try_acquire()
-        assert not bulkhead.try_acquire()
-        assert bulkhead.rejected == 1
-        bulkhead.release()
-        assert bulkhead.try_acquire()
-
-    def test_check_tracks_external_occupancy(self):
-        bulkhead = Bulkhead(capacity=3)
-        assert bulkhead.check(2)
-        assert not bulkhead.check(3)
-        assert not bulkhead.check(7)
-        assert bulkhead.rejected == 2
-        assert bulkhead.in_flight == 7
-
-    def test_release_underflow_raises(self):
-        with pytest.raises(RuntimeError):
-            Bulkhead(capacity=1).release()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Bulkhead(capacity=0)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.chaos.soak as soak_module
 from repro.chaos.policy import HealthState, HealthTracker
 from repro.chaos.soak import (
     ChaosAction,
@@ -24,8 +25,10 @@ from repro.chaos.soak import (
     SoakConfig,
     capacity_bound,
     run_soak,
+    run_soak_live,
 )
-from repro.chaos.topology import FleetTopology, rack_failure_plan
+from repro.chaos.topology import FleetTopology
+from repro.cli import main
 from repro.service.protocol import AdmissionError, TaskState
 from repro.service.scheduler import ServiceScheduler
 
@@ -43,6 +46,11 @@ class TestChaosAction:
             ChaosAction(0.0, ())
         with pytest.raises(ValueError):
             ChaosAction(0.0, (0,), downtime=0.0)
+        with pytest.raises(ValueError, match="downtime"):
+            ChaosAction(0.0, (0,), downtime=math.nan)
+        for at in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="action time must be finite"):
+                ChaosAction(at, (0,))
 
     def test_as_dict_maps_permanent_to_none(self):
         assert ChaosAction(1.0, (0,)).as_dict()["downtime"] is None
@@ -62,49 +70,44 @@ class TestChaosSchedule:
         )
         assert [a.label for a in merged.actions] == ["rack-1", "rack-0"]
 
-    def test_rack_and_zone_constructors(self, topo):
+    def test_rack_constructor(self, topo):
         rack = ChaosSchedule.rack(topo, 2, at=3.0, downtime=5.0)
         assert rack.actions[0].machines == topo.rack_members(2)
-        zone = ChaosSchedule.zone(topo, 0, at=1.0)
-        assert zone.actions[0].machines == topo.zone_members(0)
-        assert math.isinf(zone.actions[0].downtime)
-
-    def test_cascade_wraps(self, topo):
-        schedule = ChaosSchedule.cascade(topo, at=1.0, lag=2.0, racks=3, first=3)
-        assert [a.at for a in schedule.actions] == [1.0, 3.0, 5.0]
-        assert schedule.actions[1].machines == topo.rack_members(0)  # wrapped
-
-    def test_flap_emits_cycles(self, topo):
-        schedule = ChaosSchedule.flap(topo, machines=2, period=4.0, down=1.0, cycles=2)
-        assert len(schedule.actions) == 4
-        assert all(a.downtime == 1.0 for a in schedule.actions)
-
-    def test_from_plan(self, topo):
-        plan = rack_failure_plan(topo, 1, at=2.0, downtime=3.0)
-        schedule = ChaosSchedule.from_plan(plan, label="e7")
-        assert [(a.at, a.machines) for a in schedule.actions] == [
-            (2.0, (2,)),
-            (2.0, (3,)),
-        ]
+        assert rack.actions[0].label == "rack-2"
+        assert math.isinf(ChaosSchedule.rack(topo, 0).actions[0].downtime)
 
     def test_parse_grammar(self, topo):
         assert ChaosSchedule.parse("none", topo).actions == ()
         rack = ChaosSchedule.parse("rack:at=8,downtime=10,rack=2", topo)
         assert rack.actions[0].at == 8.0
         assert rack.actions[0].machines == topo.rack_members(2)
-        cascade = ChaosSchedule.parse("cascade:at=1,lag=3,racks=2", topo)
-        assert [a.at for a in cascade.actions] == [1.0, 4.0]
-        flap = ChaosSchedule.parse("flap:period=4,down=1,cycles=2", topo)
-        assert len(flap.actions) == 2
+        assert rack.actions[0].downtime == 10.0
+        permanent = ChaosSchedule.parse("rack:at=1", topo)
+        assert permanent.actions[0].machines == topo.rack_members(0)
+        assert math.isinf(permanent.actions[0].downtime)
 
     @pytest.mark.parametrize("spec", [
         "meteor:at=1",           # unknown kind
         "rack:lag=2",            # unknown key for kind
         "rack:at",               # malformed, no '='
         "rack:at=soon",          # non-numeric value
+        "rack:rack=4",           # no such rack in a 4-rack fleet
+        "zone:at=1",             # a rack is the one blast radius
     ])
     def test_parse_rejects(self, spec, topo):
         with pytest.raises(ValueError):
+            ChaosSchedule.parse(spec, topo)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("rack:at=inf", "action time must be finite"),
+        ("rack:at=nan", "action time must be finite"),
+        ("rack:at=-1", "action time must be >= 0"),
+        ("rack:downtime=nan", "downtime must be > 0"),
+        ("rack:rack=1.9", "'rack' must be an integer"),
+        ("rack:rack=inf", "'rack' must be an integer"),
+    ])
+    def test_parse_rejects_non_finite_and_fractional(self, spec, message, topo):
+        with pytest.raises(ValueError, match=message):
             ChaosSchedule.parse(spec, topo)
 
 
@@ -154,6 +157,52 @@ class TestSoakConfigValidation:
         with pytest.raises(ValueError):
             SoakConfig(topology=topo, sample_every=0.0)
 
+    @pytest.mark.parametrize("field", ["duration", "rate", "est_low", "est_high", "sample_every"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, topo, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SoakConfig(topology=topo, **{field: value})
+
+    @pytest.mark.parametrize("pace", [0.0, -1.0, math.inf, math.nan])
+    def test_live_pace_is_checked_before_the_daemon_starts(self, topo, pace, monkeypatch):
+        def started(*args):
+            raise AssertionError("the live soak started")
+
+        monkeypatch.setattr(soak_module, "_soak_live", started)
+        with pytest.raises(ValueError, match="pace"):
+            run_soak_live(SoakConfig(topology=topo), pace=pace)
+
+
+class TestSoakCliValidation:
+    @pytest.fixture(autouse=True)
+    def _no_soak_runs(self, monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("a soak started")
+
+        monkeypatch.setattr(soak_module, "run_soak", started)
+        monkeypatch.setattr(soak_module, "run_soak_live", started)
+
+    @pytest.mark.parametrize("argv", ids=" ".join, argvalues=[
+        ["--chaos", "rack:at=inf"],
+        ["--chaos", "rack:at=nan"],
+        ["--chaos", "rack:rack=1.9"],
+        ["--chaos", "zone:at=1"],
+        ["--duration", "inf"],
+        ["--rate", "inf"],
+        ["--sample-every", "nan"],
+        ["--live", "--pace", "nan"],
+    ])
+    def test_exits_2_with_a_message(self, argv, capsys):
+        assert main(["soak", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("soak: ")
+        assert "Traceback" not in err
+
+
+def _whole_fleet(topo: FleetTopology, *, at: float) -> ChaosSchedule:
+    """Every machine down for good at ``at``: a total outage."""
+    return ChaosSchedule((ChaosAction(at, tuple(range(topo.m)), label="fleet"),))
+
 
 def _small_config(topo: FleetTopology, **overrides) -> SoakConfig:
     defaults = dict(
@@ -202,9 +251,7 @@ class TestRunSoakDeterminism:
     def test_report_json_is_strict(self, topo):
         # Permanent outages put inf in the summary; the JSON form must
         # stay strict (null, not Infinity).
-        config = _small_config(
-            topo, schedule=ChaosSchedule.zone(topo, 0, at=2.0)
-        )
+        config = _small_config(topo, schedule=_whole_fleet(topo, at=2.0))
         text = json.dumps(run_soak(config).as_dict())
         assert "Infinity" not in text
         assert "NaN" not in text
@@ -258,7 +305,7 @@ class TestDegradedModeSurvival:
             seed=1,
             duration=5.0,
             rate=3.0,
-            schedule=ChaosSchedule.zone(topo, 0, at=1.0),
+            schedule=_whole_fleet(topo, at=1.0),
             objectives=("shed >= 1",),
         )
         report = run_soak(config)

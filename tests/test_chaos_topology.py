@@ -1,21 +1,10 @@
-"""Fleet topology, diversity scoring, and topology-aware fault generators."""
+"""Fleet topology and diversity scoring."""
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pytest
 
-from repro.chaos.topology import (
-    CascadingRackFailure,
-    FleetTopology,
-    FlappingMachines,
-    ZoneOutage,
-    diversity_score,
-    rack_failure_plan,
-    zone_failure_plan,
-)
+from repro.chaos.topology import FleetTopology, diversity_score
 
 
 @pytest.fixture
@@ -31,8 +20,7 @@ class TestFleetTopology:
     def test_depth_first_contiguous_ids(self, topo):
         assert topo.rack_members(0) == (0, 1)
         assert topo.rack_members(5) == (10, 11)
-        assert topo.zone_members(0) == (0, 1, 2, 3, 4, 5)
-        assert topo.zone_members(1) == (6, 7, 8, 9, 10, 11)
+        assert [topo.zone_of(i) for i in range(topo.m)] == [0] * 6 + [1] * 6
 
     def test_tree_lookups(self, topo):
         assert topo.rack_of(0) == 0
@@ -59,8 +47,6 @@ class TestFleetTopology:
             topo.rack_of(12)
         with pytest.raises(ValueError):
             topo.rack_members(6)
-        with pytest.raises(ValueError):
-            topo.zone_members(2)
 
     def test_as_dict_round_trips_shape(self, topo):
         d = topo.as_dict()
@@ -98,43 +84,3 @@ class TestDiversityScore:
             diversity_score(topo, [])
         with pytest.raises(ValueError):
             diversity_score(topo, [()])
-
-
-class TestBlastRadiusPlans:
-    def test_rack_plan_takes_whole_rack(self, topo):
-        plan = rack_failure_plan(topo, 1, at=3.0, downtime=5.0)
-        assert plan.crashes() == [(3.0, 2, 5.0), (3.0, 3, 5.0)]
-
-    def test_zone_plan_takes_whole_zone(self, topo):
-        plan = zone_failure_plan(topo, 1, at=2.0)
-        assert {m for _, m, _ in plan.crashes()} == set(topo.zone_members(1))
-        assert all(math.isinf(d) for _, _, d in plan.crashes())
-
-
-class TestSeededGenerators:
-    def test_zone_outage_is_seed_deterministic(self, topo):
-        model = ZoneOutage(topo, window=(0.0, 10.0), downtime=(1.0, 3.0))
-        a = model.sample(np.random.default_rng(7)).crashes()
-        b = model.sample(np.random.default_rng(7)).crashes()
-        assert a == b
-
-    def test_cascade_wraps_the_rack_ring(self, topo):
-        model = CascadingRackFailure(topo, size=6, lag=1.0, window=(0.0, 0.0))
-        plan = model.sample(np.random.default_rng(0))
-        assert {m for _, m, _ in plan.crashes()} == set(range(topo.m))
-        times = sorted({at for at, _, _ in plan.crashes()})
-        assert times == [float(i) for i in range(6)]
-
-    def test_cascade_rejects_oversize(self, topo):
-        with pytest.raises(ValueError):
-            CascadingRackFailure(topo, size=7)
-
-    def test_flapping_emits_one_crash_per_cycle(self, topo):
-        model = FlappingMachines(topo, count=2, period=4.0, down_time=1.0, cycles=3)
-        plan = model.sample(np.random.default_rng(1))
-        assert len(plan.crashes()) == 2 * 3
-        assert all(d == 1.0 for _, _, d in plan.crashes())
-
-    def test_flapping_rejects_down_time_ge_period(self, topo):
-        with pytest.raises(ValueError):
-            FlappingMachines(topo, period=2.0, down_time=2.0)

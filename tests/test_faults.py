@@ -23,7 +23,6 @@ from repro.faults import (
     CrashStop,
     DegradedInterval,
     FaultPlan,
-    RackFailure,
     RandomCrashes,
     StragglerSlowdowns,
     merge_plans,
@@ -415,28 +414,6 @@ class TestFaultModels:
         plan = model.sample(np.random.default_rng(3))
         assert all(isinstance(f, CrashRecover) for f in plan.faults)
         assert all(1.0 <= f.downtime <= 2.0 for f in plan.faults)
-
-    def test_rack_failure_contiguous_members(self):
-        model = RackFailure(m=6, racks=3)
-        plan = model.sample(np.random.default_rng(5))
-        (fault,) = plan.faults
-        assert isinstance(fault, CorrelatedFailure)
-        assert len(fault.machines) == 2
-        lo = fault.machines[0]
-        assert fault.machines == (lo, lo + 1) and lo % 2 == 0
-        assert math.isinf(fault.downtime)
-
-    def test_rack_failure_downtime_scalar_and_range(self):
-        scalar = RackFailure(m=4, racks=2, downtime=3.0)
-        (fault,) = scalar.sample(np.random.default_rng(1)).faults
-        assert fault.downtime == 3.0
-        ranged = RackFailure(m=4, racks=2, downtime=(1.0, 2.0))
-        (fault,) = ranged.sample(np.random.default_rng(1)).faults
-        assert 1.0 <= fault.downtime <= 2.0
-
-    def test_rack_failure_requires_divisibility(self):
-        with pytest.raises(ValueError, match="divide"):
-            RackFailure(m=5, racks=2)
 
     def test_straggler_bounds(self):
         model = StragglerSlowdowns(

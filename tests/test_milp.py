@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exact.bnb import branch_and_bound
-from repro.exact.milp import milp_makespan
 from repro.schedulers.lower_bounds import combined_lower_bound
 from repro.schedulers.lpt import lpt_schedule
 from tests.conftest import estimates_strategy
+from tests.milp_oracle import milp_makespan
 
 
 class TestClosedForms:

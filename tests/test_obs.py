@@ -28,7 +28,6 @@ from repro.obs.validate import main as validate_main
 from repro.obs.validate import validate_trace
 from repro.faults import CrashStop, FaultPlan
 from repro.simulation.engine import simulate
-from repro.simulation.metrics import metrics_summary
 
 
 def make_two_machine():
@@ -295,17 +294,6 @@ class TestSinks:
         path.write_text("{not json\n")
         assert validate_main([str(path)]) == 1
 
-    def test_logging_sink(self, caplog):
-        import logging
-
-        sink = repro.obs.LoggingSink()
-        tracer = Tracer(sinks=[sink])
-        with caplog.at_level(logging.DEBUG, logger="repro.obs"):
-            with tracer.span("logged"):
-                pass
-        messages = [r.message for r in caplog.records]
-        assert any("span_end logged" in m for m in messages)
-
 
 # ---------------------------------------------------------------------------
 # Global tracer / scoped enablement
@@ -329,39 +317,6 @@ class TestGlobalTracer:
             assert t1.registry.counters["x"].value == 1
         with observed(MemorySink()) as t2:
             assert "x" not in t2.registry.counters
-
-
-# ---------------------------------------------------------------------------
-# metrics_summary integration
-# ---------------------------------------------------------------------------
-
-class TestMetricsSummaryIntegration:
-    def test_pure_api_unchanged_without_trace(self):
-        inst, placement, policy, real = make_two_machine()
-        trace = simulate(placement, real, policy)
-        out = metrics_summary(trace, real, inst.m)
-        assert "events_processed" not in out
-        assert "restarts" not in out
-        assert out["makespan"] == trace.makespan
-
-    def test_counters_merged_when_traced(self):
-        inst, placement, policy, real = make_two_machine()
-        with observed(MemorySink()):
-            trace = simulate(
-                placement, real, policy,
-                faults=FaultPlan.of(CrashStop(0, 1.0)),
-            )
-            out = metrics_summary(trace, real, inst.m)
-            assert out["events_processed"] > 0
-            assert out["restarts"] == len(trace.aborted)
-
-    def test_explicit_registry_wins(self):
-        inst, placement, policy, real = make_two_machine()
-        reg = MetricsRegistry()
-        reg.counter("sim.events_processed").inc(7)
-        trace = simulate(placement, real, policy)
-        out = metrics_summary(trace, real, inst.m, registry=reg)
-        assert out["events_processed"] == 7.0
 
 
 # ---------------------------------------------------------------------------

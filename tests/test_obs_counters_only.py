@@ -103,10 +103,50 @@ def test_a_drained_daemon_exposes_the_same_families_without_a_sink(monkeypatch):
     "trace, metrics, want_sinks", [(None, True, 0), (None, False, 0), ("trace.jsonl", False, 1)]
 )
 def test_the_cli_attaches_a_sink_only_for_trace(tmp_path, trace, metrics, want_sinks):
-    args = argparse.Namespace(
-        trace=str(tmp_path / trace) if trace else None, metrics=metrics, trace_max_bytes=None
-    )
+    args = argparse.Namespace(trace=str(tmp_path / trace) if trace else None, metrics=metrics)
     with _observability(args, force=True):
         tracer = get_tracer()
         assert tracer.enabled and len(tracer.sinks) == want_sinks
     assert not get_tracer().enabled
+
+
+def _pool_sweep(monkeypatch, *sinks) -> tuple[dict, list[int]]:
+    """A 3-instance x 3-seed ``full_sweep(4)`` grid on two workers.
+
+    Returns the registry totals and the number of events each worker
+    trace shipped to :func:`~repro.obs.merge.replay_events`.
+    """
+    import repro.analysis.experiment as experiment
+    from repro.analysis.experiment import run_grid
+    from repro.registry import full_sweep
+    from repro.workloads.generators import uniform_instance
+
+    shipped: list[int] = []
+    replay = experiment.replay_events
+
+    def counting(tracer, events, **kwargs):
+        events = list(events)
+        shipped.append(len(events))
+        return replay(tracer, events, **kwargs)
+
+    monkeypatch.setattr(experiment, "replay_events", counting)
+    instances = [uniform_instance(10, 4, 1.5, seed=s) for s in range(3)]
+    with observed(*sinks) as tracer:
+        run_grid(full_sweep(4), instances, ["log_uniform"], seeds=(0, 1, 2), workers=2)
+        summary = tracer.registry.summary()
+    totals = {
+        "counters": summary["counters"],
+        "timer_counts": {name: t["count"] for name, t in summary["timers"].items()},
+    }
+    return totals, shipped
+
+
+def test_pool_workers_ship_no_events_to_a_parent_without_a_sink(monkeypatch):
+    with_sink, shipped_traced = _pool_sweep(monkeypatch, MemorySink())
+    if not shipped_traced:
+        pytest.skip("no process pool in this environment (every chunk ran inline)")
+    assert sum(shipped_traced) > 0
+    counters_only, shipped = _pool_sweep(monkeypatch)
+    assert shipped, "the worker traces (with their metrics) must still come back"
+    assert sum(shipped) == 0
+    assert counters_only == with_sink

@@ -147,8 +147,6 @@ class TestBackCompat:
             "risk_aware[0.3]",
             "robust_pinned",
             "robust_pinned[s=8,iters=10,seed=2]",
-            "baseline[round_robin]",
-            "baseline[random,seed=7]",
             "refined[ls_group[k=3]]",
             "refined[abo[delta=1],eta=0.25]",
         ],
@@ -298,18 +296,6 @@ class TestSweepOverlap:
 
 
 class TestNewFamilies:
-    def test_pinned_baseline_round_robin(self, inst, real):
-        strategy = make_strategy("baseline[round_robin]")
-        placement = strategy.place(inst)
-        assert placement.max_replication() == 1
-        machines = [next(iter(s)) for s in placement.machine_sets]
-        assert machines == [j % inst.m for j in range(inst.n)]
-        assert repro.run_strategy(strategy, inst, real).makespan > 0
-
-    def test_pinned_baseline_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown strategy spec"):
-            make_strategy("baseline[bogus]")
-
     def test_refined_matches_base_before_observations(self, inst, real):
         base = make_strategy("ls_group[k=2]")
         refined = make_strategy("refined[ls_group[k=2]]")
