@@ -2,9 +2,11 @@
 
 :mod:`repro.simulation.batch` turns one (strategy, instance) pair into a
 vectorized completion sweep; this module lifts that to grid granularity:
-:func:`batch_eligible` routes cells, and :func:`execute_pack` runs one
-pack of same-(strategy, instance) cells — every realization model and
-seed in a single ``(B, n)`` NumPy pass — and assembles the exact
+:func:`batch_eligible` routes cells, :func:`group_stacks` groups a
+chunk's cells into *stacks* — the (strategy, instance) packs of one
+strategy on same-shape instances — and :func:`execute_pack` runs one
+stack: every closed-form plan of the stack, every realization model and
+seed in a single ``(R, n)`` NumPy pass.  It assembles the exact
 :class:`~repro.analysis.records.ExperimentRecord` the per-cell path
 produces:
 
@@ -18,8 +20,9 @@ produces:
   <repro.analysis.records.ExperimentRecord.measured>`, the constructor
   the per-cell path uses too.
 
-Observability: each pack opens a ``grid.batch`` span and emits one
-``grid.batch_pack`` event; every cell served by the sweep bumps
+Observability: each stack opens a ``grid.batch`` span, and each
+(strategy, instance) pack it serves emits one ``grid.batch_pack`` event
+and bumps ``grid.batch_packs``; every cell served by the sweep bumps
 ``grid.cells_done`` (keeping the grid's aggregate counters identical in
 meaning to the per-cell path) plus the batch-specific
 ``grid.cells_batched`` counter.
@@ -37,6 +40,7 @@ from repro.analysis.records import ExperimentRecord
 from repro.exact.optimal import optimal_makespan
 from repro.obs.tracer import get_tracer
 from repro.simulation.batch import (
+    BatchPlan,
     BatchUnsupported,
     Plan,
     build_plan,
@@ -48,6 +52,7 @@ __all__ = [
     "batch_eligible",
     "execute_pack",
     "group_packs",
+    "group_stacks",
     "try_plan",
 ]
 
@@ -74,6 +79,21 @@ def group_packs(cells: Sequence[CellSpec]) -> list[list[CellSpec]]:
     return list(packs.values())
 
 
+def group_stacks(cells: Sequence[CellSpec]) -> list[list[list[CellSpec]]]:
+    """Group eligible cells into stacks of packs, stable order.
+
+    A stack holds the (strategy, instance) packs of one strategy object
+    on instances of one ``(n, m)`` shape, so their closed-form plans
+    sweep as one ``(R, n)`` matrix.
+    """
+    stacks: dict[tuple[int, int, int], list[list[CellSpec]]] = {}
+    for pack in group_packs(cells):
+        spec = pack[0]
+        key = (id(spec.strategy), spec.instance.n, spec.instance.m)
+        stacks.setdefault(key, []).append(pack)
+    return list(stacks.values())
+
+
 def try_plan(spec: CellSpec) -> Plan | None:
     """Compile this cell's (strategy, instance) pair, or ``None``.
 
@@ -90,61 +110,90 @@ def try_plan(spec: CellSpec) -> Plan | None:
         return None
 
 
-def execute_pack(pack: Sequence[CellSpec], memo: GroupMemo) -> list[CellOutcome] | None:
-    """Run one same-(strategy, instance) pack through the vectorized sweep.
+def execute_pack(
+    packs: Sequence[Sequence[CellSpec]], memo: GroupMemo
+) -> tuple[list[CellOutcome], list[CellSpec]]:
+    """Run one stack of same-(strategy, instance) packs through the sweep.
 
+    Every pack compiles on its own (one :func:`build_plan` per instance).
+    The closed-form plans sweep together in one ``sweep_makespans`` call
+    over the stacked rows; each replay plan sweeps its own pack's rows.
     ``memo`` is the chunk's :class:`~repro.analysis.parallel.GroupMemo`,
-    shared with the per-cell path and across packs, so a realization is
+    shared with the per-cell path and across stacks, so a realization is
     sampled (and its optimum computed) once per (instance, model, seed)
     no matter how many strategies sweep it.  Each outcome's
-    ``duration_s`` is an equal share of the pack's time, optima included.
+    ``duration_s`` is an equal share of the stack's time, optima
+    included.
 
-    Returns ``None`` when the pack cannot be compiled — the caller then
-    routes these cells through the per-cell path, which produces the
-    identical records or skip entries it always has.
+    Returns ``(outcomes, left)``: ``left`` holds the cells of every pack
+    that cannot be compiled — the caller routes them through the per-cell
+    path, which produces the identical records or skip entries it always
+    has.
     """
     tracer = get_tracer()
-    spec0 = pack[0]
     start = time.perf_counter()
-    plan = try_plan(spec0)
-    if plan is None:
-        return None
+    closed: list[tuple[Sequence[CellSpec], Plan]] = []
+    replayed: list[tuple[Sequence[CellSpec], Plan]] = []
+    left: list[CellSpec] = []
+    for pack in packs:
+        plan = try_plan(pack[0])
+        if plan is None:
+            left.extend(pack)
+        else:
+            (closed if isinstance(plan, BatchPlan) else replayed).append((pack, plan))
+    served = closed + replayed
+    if not served:
+        return [], left
 
-    reals = [memo.realization(spec) for spec in pack]
-    matrix = np.asarray([r.actuals for r in reals], dtype=np.float64)
+    # Closed-form rows first, so the stack is one leading slice.
+    reals = [memo.realization(spec) for pack, _ in served for spec in pack]
+    matrix = np.array([r.actuals for r in reals], dtype=np.float64)
+    rows = [len(pack) for pack, _ in closed]
     with tracer.span(
         "grid.batch",
-        strategy=plan.strategy_name,
-        instance=spec0.instance.name,
-        cells=len(pack),
+        strategy=served[0][1].strategy_name,
+        instances=len(served),
+        cells=len(reals),
     ):
-        makespans = [float(v) for v in sweep_makespans(plan, matrix)]
-    tracer.count("grid.batch_packs")
-    tracer.event(
-        "grid.batch_pack",
-        strategy=plan.strategy_name,
-        instance=spec0.instance.name,
-        cells=len(pack),
-    )
+        makespans: list[float] = []
+        row = sum(rows)
+        if closed:
+            plans = [plan for _, plan in closed]
+            makespans += sweep_makespans(plans, matrix[:row], rows).tolist()
+        for pack, plan in replayed:
+            makespans += sweep_makespans(plan, matrix[row : row + len(pack)]).tolist()
+            row += len(pack)
 
-    replication = plan.placement.max_replication()
-    records = [
-        ExperimentRecord.measured(
-            plan.strategy_name,
-            spec.instance,
-            realization.label,
-            spec.seed,
-            replication,
-            makespan,
-            memo.optimum(spec, optimal_makespan),
-            plan.guarantee,
+    records: list[ExperimentRecord] = []
+    for pack, plan in served:
+        tracer.count("grid.batch_packs")
+        tracer.event(
+            "grid.batch_pack",
+            strategy=plan.strategy_name,
+            instance=pack[0].instance.name,
+            cells=len(pack),
         )
-        for spec, realization, makespan in zip(pack, reals, makespans)
-    ]
-    duration_each = (time.perf_counter() - start) / len(pack)
-    tracer.count("grid.cells_done", len(pack))
-    tracer.count("grid.cells_batched", len(pack))
-    return [
+        replication = plan.placement.max_replication()
+        for spec in pack:
+            row = len(records)
+            records.append(
+                ExperimentRecord.measured(
+                    plan.strategy_name,
+                    spec.instance,
+                    reals[row].label,
+                    spec.seed,
+                    replication,
+                    makespans[row],
+                    memo.optimum(spec, optimal_makespan),
+                    plan.guarantee,
+                )
+            )
+    duration_each = (time.perf_counter() - start) / len(records)
+    tracer.count("grid.cells_done", len(records))
+    tracer.count("grid.cells_batched", len(records))
+    specs = (spec for pack, _ in served for spec in pack)
+    outcomes = [
         CellOutcome(spec.index, record, None, duration_each, batched=True)
-        for spec, record in zip(pack, records)
+        for spec, record in zip(specs, records)
     ]
+    return outcomes, left

@@ -473,24 +473,24 @@ def _run_chunk(
 ) -> list[CellOutcome]:
     """Run one chunk in this process: the body of every worker and fallback.
 
-    With ``batched`` the cells are regrouped into their (strategy,
-    instance) packs and each pack runs through the vectorized sweep; a
-    pack the batch compiler refuses — or whose Phase 1 rejects the
-    instance — runs its cells through the resilient per-cell kernel path
-    here, under the same memo.  Lazy import: the batch executor imports
-    this module at module level.
+    With ``batched`` the cells are regrouped into stacks — the (strategy,
+    instance) packs of one strategy on same-shape instances — and each
+    stack runs through the vectorized sweep; the cells of a pack the
+    batch compiler refuses — or whose Phase 1 rejects the instance — run
+    through the resilient per-cell kernel path here, under the same memo.
+    Lazy import: the batch executor imports this module at module level.
     """
     from repro.analysis import batch
 
     if memo is None:
         memo = GroupMemo()
-    units = batch.group_packs(cells) if batched else [[spec] for spec in cells]
+    if not batched:
+        return [run_cell_resilient(spec, memo, retry) for spec in cells]
     outcomes: list[CellOutcome] = []
-    for unit in units:
-        served = batch.execute_pack(unit, memo) if batched else None
-        if served is None:
-            served = [run_cell_resilient(spec, memo, retry) for spec in unit]
-        outcomes.extend(served)
+    for stack in batch.group_stacks(cells):
+        served, left = batch.execute_pack(stack, memo)
+        outcomes += served
+        outcomes += [run_cell_resilient(spec, memo, retry) for spec in left]
     return outcomes
 
 

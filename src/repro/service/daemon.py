@@ -44,6 +44,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import math
+import os
 import time
 from typing import Any
 
@@ -225,11 +226,13 @@ class ServiceDaemon:
             server = await loop.create_server(lambda: _Connection(self), self.host, self.port)
             self.port = server.sockets[0].getsockname()[1]
             self._servers.append(server)
+        bound: os.stat_result | None = None
         if self.socket_path is not None:
             server = await loop.create_unix_server(
                 lambda: _Connection(self), path=self.socket_path
             )
             self._servers.append(server)
+            bound = os.stat(self.socket_path)
         self._pump_task = asyncio.create_task(self._pump())
         self.started.set()
         try:
@@ -241,6 +244,8 @@ class ServiceDaemon:
             for server in self._servers:
                 await server.wait_closed()
             self._servers.clear()
+            if bound is not None:
+                self._unlink_socket(bound)
             if self._pump_task is not None:
                 self._pump_task.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
@@ -253,6 +258,18 @@ class ServiceDaemon:
     def stop(self) -> None:
         """Ask :meth:`serve` to exit (used by ``/v1/shutdown`` and tests)."""
         self._stop.set()
+
+    def _unlink_socket(self, bound: os.stat_result) -> None:
+        """Remove the socket file, but only the one this daemon bound.
+
+        A closed unix server leaves its path behind (before Python 3.13),
+        where a readiness check would take it for a live daemon.  If the
+        path now names another file (a newer daemon's socket), it stays.
+        """
+        with contextlib.suppress(FileNotFoundError):
+            now = os.stat(self.socket_path)
+            if (now.st_dev, now.st_ino) == (bound.st_dev, bound.st_ino):
+                os.unlink(self.socket_path)
 
     async def _close_connections(self) -> None:
         """Close every open connection, aborting any that cannot flush."""

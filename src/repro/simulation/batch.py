@@ -13,8 +13,14 @@ compiles the pair into the cheapest *plan* its decision structure admits:
   :class:`~repro.core.strategy.FixedOrderPolicy` over a machine
   *partition*, and for ABO's fixed phase split (the pinned queues first,
   each on its one machine, then the replicated tasks over every
-  machine): ``n`` vectorized argmin+add steps replace ``B × n`` Python
-  event cycles.
+  machine).  The plan is laid out as :class:`Segment`\\ s of machine
+  groups that never interact: a partition is one segment of ``k``
+  groups, ABO's split is two (``m`` one-machine groups, then one group
+  of all ``m``).  One step advances every group of a segment in every
+  row at once, so a segment costs as many vectorized argmin+add steps as
+  its longest group has tasks, not ``n``.  Plans of one strategy on
+  same-shape instances sweep together as one *stack*: an ``(R, n)``
+  matrix holding every instance's rows.
 * :class:`ReplayPlan` — everything with no closed form: a fixed order
   over an *arbitrary* placement (overlapping windows, gaps) and the
   :class:`~repro.core.strategies.selective.PinnedAwarePolicy` families
@@ -30,7 +36,10 @@ the kernel (each task's end is ``min-load + p_j``; argmin ties go to the
 lowest machine index, the kernel's ``t = 0`` seeding order, and
 partition/phase-split structure makes later exact ties
 makespan-invariant — tied machines are interchangeable for all remaining
-work).  The replay runs the kernel's own dispatch decisions and its
+work).  Padding a segment to its longest group changes no sum: an empty
+task slot adds ``+0.0`` to a load that is ``>= +0.0``, and an empty
+machine slot holds ``+inf`` after the group's real machines, so argmin
+never picks it.  The replay runs the kernel's own dispatch decisions and its
 event discipline literally: completions surface in ``(time, seq)``
 order, completions at a tied time all process before the idle polls
 they trigger, and ``t = 0`` polls run in machine order — the exact
@@ -56,6 +65,7 @@ produce silently-wrong records.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -73,6 +83,7 @@ from repro.core.strategy import (
 __all__ = [
     "BatchUnsupported",
     "BatchPlan",
+    "Segment",
     "ReplayPlan",
     "Plan",
     "supports_batch",
@@ -91,6 +102,40 @@ class BatchUnsupported(RuntimeError):
     """
 
 
+@dataclass(frozen=True, eq=False)
+class Segment:
+    """Machine groups that never interact, each placing its own tasks.
+
+    ``machines[g]`` lists group ``g``'s machines in increasing order,
+    padded with ``m`` (an empty machine slot); ``tasks[g]`` lists the
+    tasks group ``g`` places, in dispatch order, padded with ``n`` (an
+    empty task slot).  Both are ``intp`` arrays, ``(k, S)`` and ``(k, T)``:
+    the sweep steps all ``k`` groups at once, ``T`` times.
+    """
+
+    machines: np.ndarray
+    tasks: np.ndarray
+
+
+def _segment(
+    instance: Instance, groups: Sequence[tuple[Sequence[int], Sequence[int]]]
+) -> Segment:
+    """Pad ``(machines, tasks)`` groups into one segment's two tables."""
+    width = max(len(machines) for machines, _ in groups)
+    steps = max(len(tasks) for _, tasks in groups)
+    machines: list[int] = []
+    tasks: list[int] = []
+    for group_machines, group_tasks in groups:
+        machines += group_machines
+        machines += [instance.m] * (width - len(group_machines))
+        tasks += group_tasks
+        tasks += [instance.n] * (steps - len(group_tasks))
+    return Segment(
+        np.array(machines, dtype=np.intp).reshape(len(groups), width),
+        np.array(tasks, dtype=np.intp).reshape(len(groups), steps),
+    )
+
+
 @dataclass(frozen=True)
 class BatchPlan:
     """One (strategy, instance) pair compiled for the vectorized sweep.
@@ -102,23 +147,19 @@ class BatchPlan:
     placement:
         The Phase-1 placement (computed once, shared by every realization
         in the pack; carries the replication metrics records need).
-    order:
-        Task ids in the order the sweep places them: the fixed-order
-        policy's dispatch order, or ABO's pinned queues then its
-        replicated order.
-    lo, hi:
-        Per-task allowed machine range ``[lo[j], hi[j])`` derived from the
-        placement; verified contiguous and partition-structured, or ABO's
-        ``[i, i + 1)`` pins and ``[0, m)`` replicas.
+    segments:
+        The sweep's lockstep stretches, run in order on shared machine
+        loads: one segment holding the partition's groups (verified
+        contiguous and disjoint), or ABO's two — every machine alone with
+        its pinned queue, then all ``m`` machines with the replicated
+        order.
     guarantee:
         ``strategy.guarantee(instance)`` if defined, else ``None``.
     """
 
     strategy_name: str
     placement: Placement
-    order: tuple[int, ...]
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
+    segments: tuple[Segment, ...]
     guarantee: float | None
 
     @property
@@ -228,36 +269,31 @@ def _compile_fixed_order(
     n = instance.n
     _check_permutation(strategy.name, list(order), n)
 
-    # Each distinct set object's range, computed once: a group placement
+    # Each task joins the dispatch-order queue of its machine range.  Each
+    # distinct set object's range is computed once: a group placement
     # shares one set per group.
-    spans: dict[int, tuple[int, int]] = {}
-    lo: list[int] = []
-    hi: list[int] = []
-    for machines in placement.machine_sets:
-        span = spans.get(id(machines))
-        if span is None:
+    sets = placement.machine_sets
+    queues: dict[tuple[int, int], list[int]] = {}
+    queue_of: dict[int, list[int]] = {}
+    for j in order:
+        machines = sets[j]
+        queue = queue_of.get(id(machines))
+        if queue is None:
             a, b = min(machines), max(machines) + 1
             if b - a != len(machines):
                 return None  # a gapped set is not a range
-            span = spans[id(machines)] = (a, b)
-        lo.append(span[0])
-        hi.append(span[1])
+            queue = queue_of[id(machines)] = queues.setdefault((a, b), [])
+        queue.append(j)
     # Partition check: distinct ranges must not overlap, otherwise tasks
     # can start out of order (a machine may skip a task it does not hold
     # and run a later one first), which the in-order closed-form sweep
-    # cannot express.
-    bounds = sorted(set(spans.values()))
+    # cannot express.  Disjoint ranges are groups that never interact.
+    bounds = sorted(queues)
     for (_, b_prev), (a_next, _) in zip(bounds, bounds[1:]):
         if a_next < b_prev:
             return None
-    return BatchPlan(
-        strategy_name=strategy.name,
-        placement=placement,
-        order=tuple(order),
-        lo=tuple(lo),
-        hi=tuple(hi),
-        guarantee=guarantee,
-    )
+    segment = _segment(instance, [(range(a, b), queues[a, b]) for a, b in bounds])
+    return BatchPlan(strategy.name, placement, (segment,), guarantee)
 
 
 def _compile_phase_split(
@@ -267,15 +303,16 @@ def _compile_phase_split(
     policy,
     guarantee: float | None,
 ) -> BatchPlan:
-    """ABO's phase split as a :class:`BatchPlan` over one task order.
+    """ABO's phase split as a two-segment :class:`BatchPlan`.
 
     Each machine runs its pinned queue back to back from ``t = 0``, so
-    its pinned tasks are ranges ``[i, i + 1)`` summed left to right; the
-    replicated tasks follow in the policy's global order over ``[0, m)``.
-    A machine competes for replicated work exactly when its total load is
-    minimal, so the argmin sweep reproduces the kernel's event order
-    (``t = 0`` ties go to the lowest machine index, and later exact ties
-    are between machines interchangeable for all remaining work).
+    the first segment is ``m`` one-machine groups summing their queues
+    left to right; the replicated tasks follow in the policy's global
+    order as one group over ``[0, m)``.  A machine competes for
+    replicated work exactly when its total load is minimal, so the argmin
+    sweep reproduces the kernel's event order (``t = 0`` ties go to the
+    lowest machine index, and later exact ties are between machines
+    interchangeable for all remaining work).
     """
     if policy.barrier:
         raise BatchUnsupported(
@@ -285,10 +322,8 @@ def _compile_phase_split(
         )
     n, m = instance.n, instance.m
     all_machines = frozenset(range(m))
-    order: list[int] = []
-    lo = [0] * n
-    hi = [m] * n
-    for i, queue in policy.pinned_queues.items():
+    pinned = policy.pinned_queues
+    for i, queue in pinned.items():
         if not 0 <= i < m:
             raise BatchUnsupported(
                 f"{strategy.name}: pinned queue for unknown machine {i}"
@@ -299,78 +334,131 @@ def _compile_phase_split(
                     f"{strategy.name}: task {j} is queued on machine {i} but "
                     "not pinned there by the placement"
                 )
-            lo[j], hi[j] = i, i + 1
-        order.extend(queue)
-    replicated = tuple(policy.replicated_order)
+    replicated = policy.replicated_order
     for j in replicated:
         if placement.machines_for(j) != all_machines:
             raise BatchUnsupported(
                 f"{strategy.name}: replicated task {j} is not placed on every "
                 "machine — the unrestricted argmin would misplace it"
             )
-    order.extend(replicated)
-    _check_permutation(strategy.name, order, n)
-    return BatchPlan(
-        strategy_name=strategy.name,
-        placement=placement,
-        order=tuple(order),
-        lo=tuple(lo),
-        hi=tuple(hi),
-        guarantee=guarantee,
+    _check_permutation(
+        strategy.name, [j for queue in pinned.values() for j in queue] + list(replicated), n
     )
+    segments = (
+        _segment(instance, [((i,), pinned.get(i, ())) for i in range(m)]),
+        _segment(instance, [(range(m), replicated)]),
+    )
+    return BatchPlan(strategy.name, placement, segments, guarantee)
 
 
 # -- plan execution ---------------------------------------------------------
 
 
-def sweep_makespans(plan: Plan, actuals: np.ndarray) -> np.ndarray:
-    """Execute a compiled plan against a ``(B, n)`` actuals matrix.
+def sweep_makespans(
+    plan: Plan | Sequence[BatchPlan],
+    actuals: np.ndarray,
+    rows: Sequence[int] | None = None,
+) -> np.ndarray:
+    """Execute compiled plans against an ``(R, n)`` actuals matrix.
 
-    Returns the ``(B,)`` makespans, bit-identical to running each row
-    through the event kernel.  Closed-form plans are fully vectorized
-    across the batch; replay plans loop the rows through the lean event
-    loop (still amortizing Phase 1, policy construction, and all
-    per-event trace/validation overhead across the pack).
+    ``plan`` is one plan, which sweeps every row, or a *stack*: closed-form
+    plans of one ``(n, m)`` shape and one segment count (one strategy's
+    plans), where plan ``i`` sweeps the next ``rows[i]`` rows.  Returns
+    the ``(R,)`` makespans, bit-identical to running each row through the
+    event kernel.  Closed-form plans are fully vectorized across the
+    stack; a replay plan loops its rows through the lean event loop
+    (still amortizing Phase 1, policy construction, and all per-event
+    trace/validation overhead across the pack).
     """
-    if actuals.ndim != 2 or actuals.shape[1] != plan.instance.n:
+    plans = [plan] if isinstance(plan, (BatchPlan, ReplayPlan)) else list(plan)
+    n, m = plans[0].instance.n, plans[0].instance.m
+    if actuals.ndim != 2 or actuals.shape[1] != n:
+        raise ValueError(f"actuals must be (R, {n}), got {actuals.shape}")
+    if isinstance(plan, ReplayPlan):
+        return _replay_makespans(plan, actuals)
+    if rows is None and len(plans) == 1:
+        rows = [actuals.shape[0]]
+    if rows is None or len(rows) != len(plans) or sum(rows) != actuals.shape[0]:
         raise ValueError(
-            f"actuals must be (B, {plan.instance.n}), got {actuals.shape}"
+            f"a stack of {len(plans)} plans needs one row count per plan, "
+            f"summing to the {actuals.shape[0]} rows of actuals; got {rows}"
         )
-    if isinstance(plan, BatchPlan):
-        return _fixed_order_makespans(plan, actuals)
-    return _replay_makespans(plan, actuals)
+    for p in plans:
+        if not isinstance(p, BatchPlan):
+            raise TypeError(f"{p.strategy_name}: only closed-form plans stack")
+        if (p.instance.n, p.instance.m) != (n, m):
+            raise ValueError(f"a stack's plans must share one (n, m) = ({n}, {m})")
+    return _lockstep_makespans(plans, actuals, rows)
 
 
-def _fixed_order_makespans(plan: BatchPlan, actuals: np.ndarray) -> np.ndarray:
+def _lockstep_makespans(
+    plans: Sequence[BatchPlan], actuals: np.ndarray, rows: Sequence[int]
+) -> np.ndarray:
     """The heap-free completion sweep for partitions and ABO's phase split.
 
-    Machine loads start at zero; each task (in dispatch order) lands on
-    the least-loaded machine of its allowed range, ties to the lowest
-    index — the event kernel's tie-break.  Each step is one vectorized
-    argmin + add across the whole batch, and the additions are
-    elementwise (never reduced), so every machine's final load is the
-    same left-to-right IEEE sum the event kernel produces.
+    Machine loads start at zero; each task (in its group's dispatch
+    order) lands on the least-loaded machine of its group, ties to the
+    lowest index — the event kernel's tie-break.  Segment by segment,
+    each row's loads are gathered into ``(R, k, S)`` group slots from its
+    own plan's machine tables, every group of every row takes one step
+    per vectorized argmin + add, and the slots are scattered back.  The
+    additions are elementwise (never reduced), so every machine's final
+    load is the same left-to-right IEEE sum the event kernel produces.
     """
-    B, m = actuals.shape[0], plan.instance.m
-    # Machine-major: each machine's loads and each task's actuals are one
-    # contiguous row of B values; cell[i, c] = i * B + c is the index of
-    # machine i's load in column c within the flat view of ``loads``.
-    loads = np.zeros((m, B), dtype=np.float64)
+    R, n = actuals.shape
+    m = plans[0].instance.m
+    # Column n of the actuals is the +0.0 an empty task slot adds;
+    # column m of the loads is the +inf an empty machine slot holds (the
+    # loads are read through flat indices: row r's column c at
+    # r * (m + 1) + c).
+    padded = np.zeros((R, n + 1))
+    padded[:, :n] = actuals
+    loads = np.zeros((R, m + 1))
+    loads[:, m] = np.inf
+    edges = np.cumsum([0, *rows]).tolist()
+    row = np.arange(R)
+    for segments in zip(*(p.segments for p in plans), strict=True):
+        k = max(seg.machines.shape[0] for seg in segments)
+        width = max(seg.machines.shape[1] for seg in segments)
+        steps = max(seg.tasks.shape[1] for seg in segments)
+        if steps == 0:
+            continue
+        slots = np.full((R, k, width), m, dtype=np.intp)
+        acts = np.zeros((steps, R, k))
+        for seg, r0, r1 in zip(segments, edges, edges[1:]):
+            groups, size = seg.machines.shape
+            slots[r0:r1, :groups, :size] = seg.machines
+            block = padded[r0:r1, seg.tasks.T]  # (rows, T, groups)
+            acts[: seg.tasks.shape[1], r0:r1, :groups] = block.swapaxes(0, 1)
+        slots += (row * (m + 1))[:, None, None]
+        flat_loads = loads.reshape(-1)
+        group_loads = flat_loads[slots]
+        _step(group_loads, acts)
+        flat_loads[slots] = group_loads
+    return loads[:, :m].max(axis=1)
+
+
+def _step(loads: np.ndarray, acts: np.ndarray) -> None:
+    """Place ``acts[t]`` (one task per row and group) for every step ``t``.
+
+    ``loads`` is ``(R, k, S)``: each row's group slots, real machines
+    first.  Each step adds a task's actual to the least-loaded slot of
+    its group, through one flat index per (row, group); the indices are
+    distinct by construction, so no position is written twice.
+    """
+    R, k, width = loads.shape
+    if width == 1:
+        # One machine per group: a plain elementwise accumulate.
+        column = loads.reshape(R, k)
+        for a in acts:
+            column += a
+        return
     flat = loads.reshape(-1)
-    cell = np.arange(m * B).reshape(m, B)
-    by_task = np.ascontiguousarray(actuals.T, dtype=np.float64)
-    lo, hi = plan.lo, plan.hi
-    for j in plan.order:
-        a, b = lo[j], hi[j]
-        if b - a == 1:
-            # Pinned task: plain elementwise accumulate on one row.
-            loads[a] += by_task[j]
-        else:
-            chosen = loads[a:b].argmin(axis=0)
-            chosen *= B
-            chosen += cell[a]
-            flat[chosen] += by_task[j]
-    return loads.max(axis=0)
+    base = np.arange(0, R * k * width, width).reshape(R, k)
+    for a in acts:
+        chosen = loads.argmin(axis=2)
+        chosen += base
+        flat[chosen] += a
 
 
 def _drain(acts: list[float], policy: OnlinePolicy, view: SchedulerView) -> tuple[float, int]:

@@ -22,6 +22,7 @@ from repro.analysis.ratios import run_strategy
 from repro.core.model import Instance, make_instance
 from repro.core.placement import Placement
 from repro.core.strategy import FixedOrderPolicy, TwoPhaseStrategy
+from repro.memory.abo import ABOPolicy
 from repro.registry import capabilities_of, full_sweep, make_strategy, strategy_entries
 from repro.simulation.batch import (
     BatchPlan,
@@ -32,6 +33,8 @@ from repro.simulation.batch import (
     supports_batch,
     sweep_makespans,
 )
+from repro.simulation.engine import simulate
+from repro.uncertainty.realization import Realization
 from repro.uncertainty.stochastic import sample_realization
 from repro.workloads.suites import memory_suite
 
@@ -168,16 +171,19 @@ class TestBuildPlan:
     def test_everywhere_placement_ranges(self):
         inst = _rand_instance(10, 4, 1.5, 0)
         plan = build_plan(make_strategy("lpt_no_restriction"), inst)
-        assert list(plan.lo) == [0] * inst.n
-        assert list(plan.hi) == [inst.m] * inst.n
-        assert sorted(plan.order) == list(range(inst.n))
+        (segment,) = plan.segments
+        assert segment.machines.tolist() == [list(range(inst.m))]
+        assert sorted(segment.tasks[0].tolist()) == list(range(inst.n))
         assert plan.guarantee is not None
 
     def test_group_placement_partitions(self):
         inst = _rand_instance(12, 6, 2.0, 1)
         plan = build_plan(make_strategy("ls_group[k=3]"), inst)
-        spans = {(int(a), int(b)) for a, b in zip(plan.lo, plan.hi)}
+        (segment,) = plan.segments
+        spans = {(row[0], row[-1] + 1) for row in segment.machines.tolist()}
         assert spans <= {(0, 2), (2, 4), (4, 6)}
+        placed = segment.tasks[segment.tasks < inst.n]
+        assert sorted(placed.tolist()) == list(range(inst.n))
 
     def test_incompatible_k_propagates_value_error(self):
         inst = _rand_instance(8, 6, 1.5, 2)
@@ -372,6 +378,157 @@ class TestFamilyBitExact:
             )
             checked += 1
         assert checked, f"no spec in family {family!r} was feasible"
+
+
+class UnevenGroups(TwoPhaseStrategy):
+    """A partition into contiguous groups of 1, 2, 3, ... machines (the
+    last takes the rest) where every third group gets no task: tasks go
+    to the other groups by their integer-part estimate, so same-shape
+    instances give their groups different task counts."""
+
+    name = "uneven_groups"
+
+    def place(self, instance):
+        bounds, start, size = [], 0, 1
+        while start < instance.m:
+            bounds.append((start, min(instance.m, start + size)))
+            start, size = bounds[-1][1], size + 1
+        used = [span for g, span in enumerate(bounds) if g % 3 != 2]
+        return Placement(
+            instance,
+            tuple(
+                frozenset(range(*used[int(task.estimate) % len(used)]))
+                for task in instance.tasks
+            ),
+        )
+
+    def make_policy(self, instance, placement):
+        return FixedOrderPolicy(instance.lpt_order())
+
+
+class ChosenSplit(TwoPhaseStrategy):
+    """ABO's Phase-2 structure with a chosen split: the first ``share`` of
+    the LPT order pinned round robin, the rest replicated everywhere.
+    ``share=0`` leaves the pinned prefix empty, ``share=1`` the
+    replicated tail."""
+
+    def __init__(self, share: float) -> None:
+        self.share = share
+        self.name = f"chosen_split[{share}]"
+
+    def _pinned(self, instance):
+        order = instance.lpt_order()
+        return order[: round(self.share * instance.n)]
+
+    def place(self, instance):
+        sets = [frozenset(range(instance.m))] * instance.n
+        for rank, j in enumerate(self._pinned(instance)):
+            sets[j] = frozenset((rank % instance.m,))
+        return Placement(instance, tuple(sets))
+
+    def make_policy(self, instance, placement):
+        pinned = set(self._pinned(instance))
+        queues: dict[int, list[int]] = {}
+        for j in instance.lpt_order():
+            if j in pinned:
+                queues.setdefault(min(placement.machines_for(j)), []).append(j)
+        replicated = [j for j in range(instance.n) if j not in pinned]
+        return ABOPolicy(queues, replicated[::-1])
+
+
+#: Closed-form structures no registry spec reaches: unequal and empty
+#: groups, and ABO splits with an empty prefix or an empty tail.
+EDGE_STRATEGIES = (UnevenGroups(), ChosenSplit(0.0), ChosenSplit(0.5), ChosenSplit(1.0))
+
+
+def _stack_rows(inst: Instance, seed: int, integral: bool) -> list[Realization]:
+    """Two realizations; integral ones give exact float ties."""
+    if not integral:
+        return [sample_realization(inst, "uniform", seed + b) for b in range(2)]
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(2):
+        actuals = []
+        for task in inst.tasks:
+            lo, hi = task.bounds(inst.alpha)
+            actuals.append(float(rng.randint(int(-(-lo // 1)), int(hi))))
+        rows.append(Realization(inst, tuple(actuals)))
+    return rows
+
+
+class TestLockstepStacks:
+    """A stack of closed-form plans — one strategy on 2-4 same-shape
+    instances, swept as one ``(R, n)`` matrix — equals ``simulate`` row
+    by row, compared by ``float.hex``.  Parametrized by family, so every
+    leg of the CI batch-equivalence matrix runs it; the edge structures
+    run in every leg."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=14),
+        m=st.sampled_from([1, 2, 3, 4, 6]),
+        count=st.integers(min_value=2, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+        integral=st.booleans(),
+    )
+    def test_stack_matches_simulate(self, family, n, m, count, seed, integral):
+        rng = random.Random(seed)
+        instances = [
+            make_instance(
+                [float(rng.randint(1, 4)) if integral else rng.uniform(0.2, 10.0)
+                 for _ in range(n)],
+                m,
+                2.0,
+                sizes=[rng.uniform(0.05, 2.0) for _ in range(n)],
+                name=f"stack{seed}-{i}",
+            )
+            for i in range(count)
+        ]
+        strategies = [make_strategy(spec) for spec in FAMILY_SPECS[family]]
+        for strategy in [*strategies, *EDGE_STRATEGIES]:
+            plans, rows, expected = [], [], []
+            for i, inst in enumerate(instances):
+                try:
+                    plan = build_plan(strategy, inst)
+                except (BatchUnsupported, ValueError):
+                    continue  # Phase 1 refuses the instance; the grid skips it
+                if not isinstance(plan, BatchPlan):
+                    continue
+                reals = _stack_rows(inst, seed + 7 * i, integral)
+                plans.append(plan)
+                rows.append(reals)
+                for real in reals:
+                    policy = strategy.make_policy(inst, plan.placement)
+                    expected.append(simulate(plan.placement, real, policy).makespan.hex())
+            if not plans:
+                continue
+            matrix = np.array([r.actuals for reals in rows for r in reals])
+            swept = sweep_makespans(plans, matrix, [len(reals) for reals in rows])
+            assert [v.hex() for v in swept.tolist()] == expected, strategy.name
+
+    def test_edge_structures_reach_their_layouts(self):
+        """The edge strategies compile to the layouts they are named for."""
+        inst = make_instance([3.0, 1.0, 2.0, 4.0, 2.0, 1.0, 3.0], 6, 2.0)
+        (segment,) = build_plan(UnevenGroups(), inst).segments
+        # Groups of one and two machines (the empty machine slot is m);
+        # the third group (machines 3-5) gets no task, so no row holds it.
+        assert segment.machines.tolist() == [[0, 6], [1, 2]]
+        assert [int((row < inst.n).sum()) for row in segment.tasks] == [3, 4]
+        empty_prefix, _ = build_plan(ChosenSplit(0.0), inst).segments
+        assert empty_prefix.tasks.shape == (6, 0)
+        _, empty_tail = build_plan(ChosenSplit(1.0), inst).segments
+        assert empty_tail.tasks.shape == (1, 0)
+
+    def test_stack_rejects_mismatched_rows_and_shapes(self):
+        a = _rand_instance(6, 3, 1.5, 1)
+        b = _rand_instance(7, 3, 1.5, 2)
+        lpt = make_strategy("lpt_no_choice")
+        plan_a, plan_b = build_plan(lpt, a), build_plan(lpt, b)
+        with pytest.raises(ValueError, match="row count"):
+            sweep_makespans([plan_a, plan_a], np.ones((3, 6)), [1, 1])
+        with pytest.raises(ValueError, match=r"\(n, m\)"):
+            sweep_makespans([plan_a, plan_b], np.ones((2, 6)), [1, 1])
 
 
 class TestReplayPacks:

@@ -9,6 +9,7 @@ serves the cell.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import time
 from collections import Counter
@@ -21,9 +22,13 @@ import repro.analysis.ratios as ratios_module
 from repro.analysis.batch import group_packs
 from repro.analysis.cache import CellCache
 from repro.analysis.experiment import ExperimentGrid
-from repro.analysis.parallel import enumerate_cells, execute_packs
+from repro.analysis.parallel import _chunks, enumerate_cells, execute_packs
 from repro.core.model import make_instance
+from repro.core.placement import Placement
 from repro.core.strategies import LPTNoChoice
+from repro.core.strategy import FixedOrderPolicy, TwoPhaseStrategy
+from repro.obs import MemorySink, observed
+from repro.registry import make_strategy
 
 
 class KernelOnlyLPT(LPTNoChoice):
@@ -39,9 +44,9 @@ SEEDS = (0, 1)
 MODELS = ("uniform", "log_uniform")
 
 
-def _instances():
+def _instances(count=2):
     out = []
-    for i in range(2):
+    for i in range(count):
         rng = random.Random(40 + i)
         out.append(
             make_instance(
@@ -55,10 +60,10 @@ def _instances():
     return out
 
 
-def _grid(**kwargs) -> ExperimentGrid:
+def _grid(count=2, **kwargs) -> ExperimentGrid:
     return ExperimentGrid(
         strategies=MIXED,
-        instances=_instances(),
+        instances=_instances(count),
         realization_models=list(MODELS),
         seeds=SEEDS,
         exact_limit=12,
@@ -134,3 +139,100 @@ class TestPackDuration:
         assert [o.batched for o in outcomes] == [True] * 3
         # Three groups, each solved once inside the pack.
         assert sum(o.duration_s for o in outcomes) >= 0.01 * 3
+
+
+class ShapeShifter(TwoPhaseStrategy):
+    """One strategy, three plan tiers on same-shape instances: a partition
+    on ``mixed0`` (closed form), overlapping machine sets on ``mixed1``
+    (replay) and a Phase-1 refusal on ``mixed2`` (a skipped cell)."""
+
+    name = "shape_shifter"
+
+    def place(self, instance):
+        if instance.name == "mixed2":
+            raise ValueError("shape_shifter refuses mixed2")
+        odd = frozenset({1, 2}) if instance.name == "mixed1" else frozenset({2, 3})
+        sets = [odd if j % 2 else frozenset({0, 1}) for j in range(instance.n)]
+        return Placement(instance, tuple(sets))
+
+    def make_policy(self, instance, placement):
+        return FixedOrderPolicy(instance.lpt_order())
+
+
+class TestStacks:
+    """A stack sweeps one strategy's packs on same-shape instances together;
+    what each pack reports and what the grid returns must not change."""
+
+    def test_one_batch_pack_event_and_count_per_strategy_and_instance(self):
+        grid = _grid(count=3)
+        sink = MemorySink()
+        with observed(sink) as tracer:
+            records = grid.run()
+            packs = tracer.registry.counters["grid.batch_packs"].value
+            batched = tracer.registry.counters["grid.cells_batched"].value
+        seen = Counter(
+            (e.payload["strategy"], e.payload["instance"])
+            for e in sink.events
+            if e.name == "grid.batch_pack"
+        )
+        # The closed-form and the replay strategy are swept on every
+        # instance; the refused pack and the kernel-only cells are not.
+        expected = {
+            (strategy.name, instance.name)
+            for strategy in grid.strategies[:2]  # MIXED's first two
+            for instance in grid.instances
+        }
+        assert set(seen) == expected and set(seen.values()) == {1}
+        assert packs == len(expected)
+        assert batched == grid.batched_cells == len(expected) * len(MODELS) * len(SEEDS)
+        assert records == _grid(count=3, batch=False).run()
+
+    def test_mixed_tiers_in_one_stack_match_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(batch_module, "batch_eligible", lambda spec: True)
+        kwargs = dict(
+            strategies=[ShapeShifter(), "ls_group[k=2]", "lpt_no_choice"],
+            instances=_instances(3),
+            realization_models=list(MODELS),
+            seeds=SEEDS,
+            exact_limit=12,
+        )
+        batched = ExperimentGrid(**kwargs)
+        kernel = ExperimentGrid(batch=False, **kwargs)
+        assert batched.run() == kernel.run()
+        assert batched.skipped == kernel.skipped
+        assert [s.instance for s in batched.skipped] == ["mixed2"] * len(MODELS) * len(SEEDS)
+        cells = len(MODELS) * len(SEEDS)
+        assert batched.batched_cells == (2 + 3 + 3) * cells
+
+    def test_pooled_grid_solves_each_group_once_per_chunk(self, tmp_path, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers inherit the counting solver only when forked")
+        log = tmp_path / "solves"
+        solve = batch_module.optimal_makespan
+
+        def counted(actuals, m, **kwargs):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write("solve\n")
+            return solve(actuals, m, **kwargs)
+
+        monkeypatch.setattr(batch_module, "optimal_makespan", counted)
+        kwargs = dict(
+            strategies=["lpt_no_choice", "ls_group[k=2]", "lpt_no_restriction"],
+            instances=_instances(3),
+            realization_models=["uniform"],
+            seeds=(0, 1, 2),
+            exact_limit=12,
+        )
+        records = ExperimentGrid(workers=2, **kwargs).run()
+        assert records == ExperimentGrid(batch=False, **kwargs).run()
+        # Chunks ship whole packs and each chunk's memo solves each of its
+        # realization groups once, so a group split across two chunks is
+        # solved twice — as before stacks, no more and no fewer.
+        cells = enumerate_cells(
+            [make_strategy(s) for s in kwargs["strategies"]],
+            kwargs["instances"], kwargs["realization_models"], kwargs["seeds"], 12,
+        )
+        chunks = _chunks(group_packs(cells), 2)
+        per_chunk = [{spec.group for spec in chunk} for chunk in chunks]
+        assert len(per_chunk) > 1
+        assert log.read_text().count("solve") == sum(len(groups) for groups in per_chunk)

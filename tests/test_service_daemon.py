@@ -1,6 +1,7 @@
 """End-to-end daemon tests: real sockets, real HTTP, one event loop."""
 
 import asyncio
+import os
 
 import pytest
 
@@ -180,6 +181,46 @@ def test_unix_socket_transport():
 
     with tempfile.TemporaryDirectory() as tmp:
         run(scenario(Path(tmp)))
+
+
+def test_shutdown_removes_the_unix_socket(tmp_path):
+    """A stale socket file would pass a ``[ -S path ]`` readiness check."""
+
+    async def scenario():
+        scheduler = ServiceScheduler("lpt_no_choice", m=2, seed=0)
+        socket_path = tmp_path / "svc.sock"
+        daemon = ServiceDaemon(scheduler, port=None, socket_path=str(socket_path))
+        server = asyncio.create_task(daemon.serve())
+        await daemon.started.wait()
+        assert socket_path.is_socket()
+        async with ServiceClient(socket_path=str(socket_path)) as client:
+            await client.submit("t", 1.0)
+            await client.shutdown()
+        await asyncio.wait_for(server, timeout=5)
+
+    run(scenario())
+    assert not os.path.lexists(tmp_path / "svc.sock")
+
+
+def test_shutdown_keeps_a_socket_it_did_not_bind(tmp_path):
+    """Only the inode this daemon bound is removed: a newer socket at the
+    same path (another daemon's) survives the old daemon's shutdown."""
+    import socket
+
+    async def scenario():
+        scheduler = ServiceScheduler("lpt_no_choice", m=2, seed=0)
+        socket_path = tmp_path / "svc.sock"
+        daemon = ServiceDaemon(scheduler, port=None, socket_path=str(socket_path))
+        server = asyncio.create_task(daemon.serve())
+        await daemon.started.wait()
+        socket_path.unlink()
+        with socket.socket(socket.AF_UNIX) as newer:
+            newer.bind(str(socket_path))
+            daemon.stop()
+            await asyncio.wait_for(server, timeout=5)
+            assert socket_path.is_socket()
+
+    run(scenario())
 
 
 def test_queue_endpoint_reports_group_loads():
