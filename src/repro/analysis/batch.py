@@ -94,7 +94,7 @@ def group_stacks(cells: Sequence[CellSpec]) -> list[list[list[CellSpec]]]:
     return list(stacks.values())
 
 
-def try_plan(spec: CellSpec) -> Plan | None:
+def try_plan(spec: CellSpec, memo: GroupMemo) -> Plan | None:
     """Compile this cell's (strategy, instance) pair, or ``None``.
 
     ``None`` means "use the per-cell path": either the structure is
@@ -102,11 +102,16 @@ def try_plan(spec: CellSpec) -> Plan | None:
     instance (``ValueError``, e.g. a ``k`` that does not divide ``m``) —
     the per-cell path turns the latter into the canonical
     :class:`~repro.analysis.records.SkippedCell`, so the fallback must
-    not duplicate that logic.
+    not duplicate that logic.  A refusal hands the placement
+    :func:`build_plan` already built to ``memo``, so the pack's cells
+    run Phase 2 on it instead of running Phase 1 each.
     """
     try:
         return build_plan(spec.strategy, spec.instance)
-    except (BatchUnsupported, ValueError):
+    except BatchUnsupported as exc:
+        memo.share_placement(spec, exc.placement)
+        return None
+    except ValueError:
         return None
 
 
@@ -128,7 +133,7 @@ def execute_pack(
     Returns ``(outcomes, left)``: ``left`` holds the cells of every pack
     that cannot be compiled — the caller routes them through the per-cell
     path, which produces the identical records or skip entries it always
-    has.
+    has, on the placement a refused pack left in ``memo``.
     """
     tracer = get_tracer()
     start = time.perf_counter()
@@ -136,7 +141,7 @@ def execute_pack(
     replayed: list[tuple[Sequence[CellSpec], Plan]] = []
     left: list[CellSpec] = []
     for pack in packs:
-        plan = try_plan(pack[0])
+        plan = try_plan(pack[0], memo)
         if plan is None:
             left.extend(pack)
         else:

@@ -235,10 +235,17 @@ class ExperimentGrid:
             return [], cold, hits
         from repro.analysis.batch import batch_eligible, group_packs
 
-        eligible = [batch_eligible(spec) for spec in cold]
-        packs = group_packs([spec for spec, ok in zip(cold, eligible) if ok])
-        pending = [spec for spec, ok in zip(cold, eligible) if not ok]
-        return packs, pending, hits
+        # Eligibility depends only on the strategy: decide it once per
+        # strategy object, not once per cell.
+        eligible: dict[int, bool] = {}
+        batched: list[CellSpec] = []
+        pending: list[CellSpec] = []
+        for spec in cold:
+            ok = eligible.get(id(spec.strategy))
+            if ok is None:
+                ok = eligible[id(spec.strategy)] = batch_eligible(spec)
+            (batched if ok else pending).append(spec)
+        return group_packs(batched), pending, hits
 
     def _merge(
         self,

@@ -57,6 +57,7 @@ from typing import Any
 from repro.analysis import ratios
 from repro.analysis.records import ExperimentRecord, SkippedCell
 from repro.core.model import Instance
+from repro.core.placement import Placement
 from repro.core.strategy import TwoPhaseStrategy
 from repro.exact.optimal import OptimalValue
 from repro.faults import inject
@@ -247,11 +248,28 @@ class GroupMemo:
     realization and divides by the same optimum, so a chunk samples and
     solves each group once — whether a closed-form pack, a replay pack, a
     refused pack or the per-cell kernel serves the cell.
+
+    It also carries the Phase-1 placement of each pack the batch
+    compiler refused, keyed by the identities of its strategy and
+    instance, so the pack's cells skip Phase 1 on the kernel path.  The
+    entry holds both objects, so neither identity can be reused while
+    the memo lives.
     """
 
     def __init__(self) -> None:
         self.realizations: dict[int, Realization] = {}
         self.optima: dict[int, OptimalValue] = {}
+        self.placements: dict[tuple[int, int], tuple[Any, Any, Placement | None]] = {}
+
+    def share_placement(self, spec: CellSpec, placement: Placement | None) -> None:
+        """Keep a refused pack's placement for the pack's kernel cells."""
+        key = (id(spec.strategy), id(spec.instance))
+        self.placements[key] = (spec.strategy, spec.instance, placement)
+
+    def placement(self, spec: CellSpec) -> Placement | None:
+        """The placement shared for this cell's pack, or ``None``."""
+        entry = self.placements.get((id(spec.strategy), id(spec.instance)))
+        return entry[2] if entry is not None else None
 
     def realization(self, spec: CellSpec) -> Realization:
         """The group's realization, sampled on first use."""
@@ -280,9 +298,15 @@ class GroupMemo:
 
 
 def _measure(spec: CellSpec, memo: GroupMemo) -> ExperimentRecord:
-    """Run the cell on the event kernel and divide by the group's optimum."""
+    """Run the cell on the event kernel and divide by the group's optimum.
+
+    A cell of a pack the batch compiler refused reuses the pack's
+    placement from ``memo``; any other cell runs Phase 1 itself.
+    """
     realization = memo.realization(spec)
-    outcome = ratios.run_strategy(spec.strategy, spec.instance, realization)
+    outcome = ratios.run_strategy(
+        spec.strategy, spec.instance, realization, placement=memo.placement(spec)
+    )
     return ExperimentRecord.measured(
         outcome.strategy_name,
         spec.instance,
@@ -477,7 +501,8 @@ def _run_chunk(
     instance) packs of one strategy on same-shape instances — and each
     stack runs through the vectorized sweep; the cells of a pack the
     batch compiler refuses — or whose Phase 1 rejects the instance — run
-    through the resilient per-cell kernel path here, under the same memo.
+    through the resilient per-cell kernel path here, under the same memo
+    (which carries a refused pack's placement to its cells).
     Lazy import: the batch executor imports this module at module level.
     """
     from repro.analysis import batch

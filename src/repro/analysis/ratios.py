@@ -152,11 +152,15 @@ def run_strategy(
     speeds: Sequence[float] | None = None,
     faults: FaultPlan | None = None,
     capabilities: Capabilities | None = None,
+    placement: Placement | None = None,
 ) -> StrategyOutcome:
     """Play Phase 1 and Phase 2 and return the outcome.
 
     ``validate`` (default on) re-checks the produced trace for full
     feasibility; disable only inside tight benchmark loops.
+    ``placement`` is a Phase-1 placement this strategy already built for
+    ``instance`` (the grid passes the one a refused batch pack built);
+    Phase 1 then does not run again.
 
     ``release_times`` / ``speeds`` / ``faults`` pass
     through to :func:`repro.simulation.engine.simulate` unchanged.  When
@@ -174,7 +178,8 @@ def run_strategy(
         from repro.registry import capabilities_of
 
         capabilities = capabilities_of(strategy)
-    placement = build_placement(strategy, instance)
+    if placement is None:
+        placement = build_placement(strategy, instance)
     policy = strategy.make_policy(instance, placement)
     with tracer.span(
         "phase2", strategy=strategy.name, realization=realization.label

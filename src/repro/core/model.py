@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro._validation import (
     check_alpha,
@@ -133,9 +134,9 @@ class Instance:
         return self.tasks[tid]
 
     # -- aggregate estimate statistics --------------------------------------
-    @property
+    @cached_property
     def estimates(self) -> tuple[float, ...]:
-        """All estimated processing times, in task order."""
+        """All estimated processing times, in task order (built once)."""
         return tuple(t.estimate for t in self.tasks)
 
     @property
@@ -167,9 +168,15 @@ class Instance:
         """Task ids sorted by non-increasing estimate (ties by id).
 
         This is the processing order of both LPT-No Choice (Phase 1) and
-        LPT-No Restriction (Phase 2).
+        LPT-No Restriction (Phase 2).  Sorted once per instance; each call
+        returns a fresh list.
         """
-        return sorted(range(self.n), key=lambda j: (-self.tasks[j].estimate, j))
+        return list(self._lpt_order)
+
+    @cached_property
+    def _lpt_order(self) -> tuple[int, ...]:
+        estimates = self.estimates
+        return tuple(sorted(range(self.n), key=lambda j: (-estimates[j], j)))
 
     def spt_order(self) -> list[int]:
         """Task ids sorted by non-decreasing estimate (ties by id)."""

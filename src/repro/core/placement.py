@@ -181,13 +181,19 @@ def single_machine_placement(
     assignment: Sequence[int],
     meta: Mapping[str, object] | None = None,
 ) -> Placement:
-    """No-replication placement: task ``j`` lives only on ``assignment[j]``."""
+    """No-replication placement: task ``j`` lives only on ``assignment[j]``.
+
+    The tasks of one machine share one set object, so checks that handle
+    each distinct set once run per machine, not per task.
+    """
     if len(assignment) != instance.n:
         raise ValueError(
             f"assignment must cover all {instance.n} tasks, got {len(assignment)}"
         )
-    sets = tuple(frozenset((int(i),)) for i in assignment)
-    base_meta: dict[str, object] = {"assignment": tuple(int(i) for i in assignment)}
+    machines = tuple(int(i) for i in assignment)
+    singletons = {i: frozenset((i,)) for i in set(machines)}
+    sets = tuple(singletons[i] for i in machines)
+    base_meta: dict[str, object] = {"assignment": machines}
     if meta:
         base_meta.update(meta)
     return Placement(instance, sets, meta=base_meta)

@@ -45,6 +45,16 @@ class ABOPolicy:
     own queue; replicated tasks in LPT-estimate order globally (any fixed
     order preserves the LS analysis; LPT order also gives the policy the
     LPT-No-Restriction behaviour on the replicated set).
+
+    Each pick is the first unstarted task of a fixed list, and a started
+    task stays started until an abort (machine-failure extension), so a
+    low-water mark per list stands in for the scan: a head per pinned
+    queue, one into the replicated order, and, for the barrier, the
+    number of machines (in queue order) whose pinned queues have all
+    started.  A poll then costs O(1) amortized, and the barrier test
+    O(m) amortized over a run.  An abort bumps ``view.abort_epoch`` and
+    reverts a task to unstarted, and a new run brings a new view, so
+    either resets the marks to the front of their lists.
     """
 
     def __init__(
@@ -57,6 +67,12 @@ class ABOPolicy:
         self._pinned = {i: list(q) for i, q in pinned_queues.items()}
         self._replicated = list(replicated_order)
         self._barrier = barrier
+        self._machines = list(self._pinned)  # the barrier's scan order
+        self._view: SchedulerView | None = None
+        self._seen_abort_epoch = 0
+        self._heads: dict[int, int] = {}
+        self._first_replicated = 0
+        self._machines_done = 0  # leading _machines whose queues all started
 
     @property
     def pinned_queues(self) -> dict[int, tuple[int, ...]]:
@@ -79,22 +95,41 @@ class ABOPolicy:
         return self._barrier
 
     def select(self, machine: int, view: SchedulerView) -> int | None:
-        # Non-destructive scans keep the policy correct under task aborts
-        # (machine-failure extension): an aborted task simply reappears as
-        # unstarted on the next scan.
-        for tid in self._pinned.get(machine, ()):
-            if not view.is_started(tid):
-                return tid
+        if view is not self._view or view.abort_epoch != self._seen_abort_epoch:
+            self._view = view
+            self._seen_abort_epoch = view.abort_epoch
+            self._heads = dict.fromkeys(self._pinned, 0)
+            self._first_replicated = 0
+            self._machines_done = 0
+        started = view.is_started
+        queue = self._pinned.get(machine)
+        if queue is not None:
+            head = self._advance_head(machine, started)
+            if head < len(queue):
+                return queue[head]
         if self._barrier:
             # Global barrier variant: replicated work only once *every*
             # pinned task has started.
-            for q in self._pinned.values():
-                if any(not view.is_started(t) for t in q):
+            machines = self._machines
+            while self._machines_done < len(machines):
+                i = machines[self._machines_done]
+                if self._advance_head(i, started) < len(self._pinned[i]):
                     return None
-        for tid in self._replicated:
-            if not view.is_started(tid):
-                return tid
-        return None
+                self._machines_done += 1
+        replicated = self._replicated
+        pos = self._first_replicated
+        while pos < len(replicated) and started(replicated[pos]):
+            pos += 1
+        self._first_replicated = pos
+        return replicated[pos] if pos < len(replicated) else None
+
+    def _advance_head(self, machine: int, started) -> int:
+        """Move ``machine``'s head past its started pinned tasks; return it."""
+        queue, head = self._pinned[machine], self._heads[machine]
+        while head < len(queue) and started(queue[head]):
+            head += 1
+        self._heads[machine] = head
+        return head
 
 
 @register_strategy(
@@ -146,11 +181,12 @@ class ABO(TwoPhaseStrategy):
     def place(self, instance: Instance) -> Placement:
         split = sbo_split(instance, self.delta, pi1_method=self.pi1_method)
         all_machines = frozenset(range(instance.m))
+        singletons = [frozenset((i,)) for i in range(instance.m)]
         sets: list[frozenset[int]] = [frozenset()] * instance.n
         for j in split.s1:
             sets[j] = all_machines
         for j in split.s2:
-            sets[j] = frozenset((split.pi2.assignment[j],))
+            sets[j] = singletons[split.pi2.assignment[j]]
         return Placement(
             instance,
             tuple(sets),

@@ -98,8 +98,12 @@ class BatchUnsupported(RuntimeError):
 
     Raised by :func:`build_plan` when a structural precondition fails.
     Callers treat this as "use the :class:`EventKernel` instead" — it is
-    a routing signal, never an error surfaced to users.
+    a routing signal, never an error surfaced to users.  ``placement`` is
+    the Phase-1 placement :func:`build_plan` had built before it refused
+    the pair, so the kernel fallback need not run Phase 1 again.
     """
+
+    placement: Placement | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,16 +225,30 @@ def build_plan(strategy: TwoPhaseStrategy, instance: Instance) -> Plan:
     ``ABOPolicy`` to the closed-form sweep over its phase split,
     ``PinnedAwarePolicy`` to the replay.  Every closed-form precondition is verified against the
     placement — the capability flag is never trusted.  Raises
-    :class:`BatchUnsupported` when the pair must use the event kernel,
-    and propagates ``ValueError`` from Phase 1 unchanged (e.g. a group
-    strategy whose ``k`` does not divide ``m`` — the same error the
-    per-cell path turns into a skipped cell).
+    :class:`BatchUnsupported` when the pair must use the event kernel
+    (its ``placement`` is the one Phase 1 built), and propagates
+    ``ValueError`` from Phase 1 unchanged (e.g. a group strategy whose
+    ``k`` does not divide ``m`` — the same error the per-cell path turns
+    into a skipped cell).
     """
-    from repro.analysis.ratios import build_placement, guarantee_of
+    from repro.analysis.ratios import build_placement
+
+    placement = build_placement(strategy, instance)
+    try:
+        return _compile(strategy, instance, placement)
+    except BatchUnsupported as exc:
+        exc.placement = placement
+        raise
+
+
+def _compile(
+    strategy: TwoPhaseStrategy, instance: Instance, placement: Placement
+) -> Plan:
+    """:func:`build_plan` after Phase 1: dispatch on the policy's exact type."""
+    from repro.analysis.ratios import guarantee_of
     from repro.core.strategies.selective import PinnedAwarePolicy
     from repro.memory.abo import ABOPolicy
 
-    placement = build_placement(strategy, instance)
     policy = strategy.make_policy(instance, placement)
     guarantee = guarantee_of(strategy, instance)
     if type(policy) is FixedOrderPolicy:

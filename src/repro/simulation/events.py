@@ -1,19 +1,20 @@
 """Deterministic event queue for the discrete-event engine.
 
-Events are ``(time, priority, seq, payload)`` tuples in a binary heap.
-Determinism matters for the reproduction: two runs of the same strategy on
-the same realization must produce the identical trace (tests assert this),
-so ties are broken first by an explicit integer priority (e.g. completions
-before idle polls at the same instant), then by insertion sequence.
+Events are plain ``(time, kind, seq, payload)`` tuples in a binary heap,
+so the heap compares them in C.  Determinism matters for the
+reproduction: two runs of the same strategy on the same realization must
+produce the identical trace (tests assert this), so ties are broken first
+by an explicit integer priority (e.g. completions before idle polls at
+the same instant), then by insertion sequence.  ``seq`` is unique, so the
+payload is never compared.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["EventKind", "Event", "EventQueue"]
 
@@ -45,22 +46,30 @@ class EventKind(IntEnum):
     MACHINE_IDLE = 5
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Event:
+class Event(NamedTuple):
     """One scheduled event.
 
-    Ordering: time, then kind, then sequence number — total and
-    deterministic.
+    Ordering is tuple order: time, then kind, then sequence number —
+    total and deterministic.
     """
 
     time: float
     kind: EventKind
     seq: int
-    payload: Any = field(compare=False, default=None)
+    payload: Any = None
+
+
+# Builds an Event without the NamedTuple's Python-level ``__new__``.
+_new_event = tuple.__new__
 
 
 class EventQueue:
-    """Min-heap of :class:`Event` with deterministic tie-breaking."""
+    """Min-heap of :class:`Event` with deterministic tie-breaking.
+
+    ``_heap`` is the heap list itself: a hot loop that owns the queue
+    (the event kernel's) may ``heapq.heappop`` it directly, which is
+    :meth:`pop` without the empty check.
+    """
 
     def __init__(self) -> None:
         self._heap: list[Event] = []
@@ -70,7 +79,7 @@ class EventQueue:
         """Schedule an event; returns it (mainly for tests)."""
         if not time >= 0:  # also rejects NaN, which would break the heap order
             raise ValueError(f"event time must be >= 0, got {time}")
-        ev = Event(float(time), kind, next(self._counter), payload)
+        ev = _new_event(Event, (float(time), kind, next(self._counter), payload))
         heapq.heappush(self._heap, ev)
         return ev
 

@@ -15,10 +15,16 @@ contract: seeding order (pending releases, then the plan's crashes, then
 its slowdowns, then the ``t = 0`` idle polls) and the
 :class:`~repro.simulation.events.EventKind` priorities fix the ``seq``
 tie-break, so traces are reproducible to the byte.
+
+Events are plain tuples that the heap compares in C.  :meth:`EventKernel.run`
+pops the queue's heap itself and calls each event's handler from a
+table indexed by its kind, so the loop does no per-event branching on
+the kind.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from repro.core.placement import Placement
@@ -128,29 +134,30 @@ class EventKernel:
 
     # -- the event loop ----------------------------------------------------
     def run(self) -> tuple[list[TaskRun], list[TaskRun]]:
-        """Drain the queue; returns the completed and the aborted runs."""
-        traced = self.tracer.enabled
-        tracer = self.tracer
-        queue = self.queue
-        view = self.view
-        while queue:
-            ev = queue.pop()
-            view._advance(ev.time)
+        """Drain the queue; returns the completed and the aborted runs.
+
+        Pops the queue's heap directly and dispatches each event through
+        a table of handlers indexed by its kind.
+        """
+        handlers: list = [None] * len(EventKind)
+        for kind, handler in (
+            (EventKind.TASK_RELEASE, self._on_release),
+            (EventKind.TASK_COMPLETION, self._on_completion),
+            (EventKind.MACHINE_FAILURE, self._on_failure),
+            (EventKind.MACHINE_RECOVERY, self._on_recovery),
+            (EventKind.MACHINE_SPEED, self._on_speed),
+            (EventKind.MACHINE_IDLE, self._on_idle),
+        ):
+            handlers[kind] = handler
+        heap, pop = self.queue._heap, heapq.heappop
+        advance = self.view._advance
+        traced, tracer = self.tracer.enabled, self.tracer
+        while heap:
+            ev = pop(heap)
+            advance(ev.time)
             if traced:
                 tracer.count("sim.events_processed")
-
-            if ev.kind == EventKind.TASK_RELEASE:
-                self._on_release(ev)
-            elif ev.kind == EventKind.TASK_COMPLETION:
-                self._on_completion(ev)
-            elif ev.kind == EventKind.MACHINE_FAILURE:
-                self._on_failure(ev)
-            elif ev.kind == EventKind.MACHINE_RECOVERY:
-                self._on_recovery(ev)
-            elif ev.kind == EventKind.MACHINE_SPEED:
-                self._on_speed(ev)
-            else:  # MACHINE_IDLE
-                self._on_idle(ev)
+            handlers[ev.kind](ev)
         self._check_complete()
         return self.runs, self.aborted  # type: ignore[return-value]
 

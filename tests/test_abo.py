@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from repro.analysis.ratios import run_strategy
 from repro.exact.optimal import optimal_makespan
-from repro.memory.abo import ABO
+from repro.faults import CrashRecover, FaultPlan
+from repro.memory.abo import ABO, ABOPolicy
 from repro.memory.model import memory_lower_bound
 from repro.memory.sabo import SABO
-from repro.uncertainty.realization import truthful_realization
+from repro.simulation import simulate
+from repro.uncertainty.realization import factors_realization, truthful_realization
 from repro.uncertainty.stochastic import sample_realization
 from repro.workloads.memory_workloads import planted_two_class
-from tests.conftest import sized_instances
+from tests.conftest import factor_vectors, sized_instances
 
 DELTAS = (0.5, 1.0, 2.0)
 
@@ -77,6 +79,101 @@ class TestPhase2Precedence:
         inst = planted_two_class(3, 4, m=2)
         outcome = run_strategy(ABO(1.0, barrier=True), inst, truthful_realization(inst))
         assert outcome.makespan > 0
+
+
+class _ScanPolicy:
+    """ABO's Phase-2 rule as a plain scan of the view on every poll."""
+
+    def __init__(self, policy: ABOPolicy) -> None:
+        self.pinned = policy.pinned_queues
+        self.replicated = policy.replicated_order
+        self.barrier = policy.barrier
+
+    def select(self, machine, view):
+        for tid in self.pinned.get(machine, ()):
+            if not view.is_started(tid):
+                return tid
+        if self.barrier:
+            for queue in self.pinned.values():
+                if any(not view.is_started(t) for t in queue):
+                    return None
+        for tid in self.replicated:
+            if not view.is_started(tid):
+                return tid
+        return None
+
+
+class _Lockstep:
+    """Asks the policy and the scan on every poll; they must agree."""
+
+    def __init__(self, policy, reference) -> None:
+        self.policy = policy
+        self.reference = reference
+
+    def select(self, machine, view):
+        got = self.policy.select(machine, view)
+        assert got == self.reference.select(machine, view), (machine, view.now)
+        return got
+
+
+@st.composite
+def _recoverable_crashes(draw, instance):
+    """Crash-recover faults inside the run: they abort running tasks,
+    pinned ones included, but every machine comes back."""
+    horizon = instance.total_estimate * instance.alpha
+    return FaultPlan(
+        tuple(
+            draw(
+                st.lists(
+                    st.builds(
+                        CrashRecover,
+                        st.integers(0, instance.m - 1),
+                        st.floats(0.0, horizon),
+                        st.floats(0.01, horizon),
+                    ),
+                    max_size=4,
+                )
+            )
+        )
+    )
+
+
+class TestHeadPointers:
+    """The policy's head pointers pick what a scan of the view picks."""
+
+    @given(data=st.data(), barrier=st.booleans(), delta=st.sampled_from(DELTAS))
+    def test_same_picks_as_a_scan_under_aborts(self, data, barrier, delta):
+        inst = data.draw(sized_instances(min_n=2, max_n=10, max_m=4))
+        strategy = ABO(delta, barrier=barrier)
+        placement = strategy.place(inst)
+        policy = strategy.make_policy(inst, placement)
+        reference = _ScanPolicy(policy)
+        real = factors_realization(inst, data.draw(factor_vectors(inst)))
+        faults = data.draw(_recoverable_crashes(inst))
+        # One policy object serves a faulted run, then a fault-free one.
+        for plan in (faults, None):
+            trace = simulate(placement, real, _Lockstep(policy, reference), faults=plan)
+            trace.validate(placement, real)
+        fresh = simulate(placement, real, strategy.make_policy(inst, placement))
+        assert trace.runs == fresh.runs
+
+    @pytest.mark.parametrize("barrier", [False, True])
+    def test_an_aborted_pinned_task_is_picked_again(self, barrier):
+        inst = planted_two_class(3, 6, m=3)
+        strategy = ABO(1.0, barrier=barrier)
+        placement = strategy.place(inst)
+        real = truthful_realization(inst)
+        policy = strategy.make_policy(inst, placement)
+        machine, queue = next((i, q) for i, q in policy.pinned_queues.items() if q)
+        # Crash the machine halfway through its first pinned task.
+        at = inst.tasks[queue[0]].estimate / 2
+        plan = FaultPlan.of(CrashRecover(machine, at, 1.0))
+        trace = simulate(
+            placement, real, _Lockstep(policy, _ScanPolicy(policy)), faults=plan
+        )
+        assert [run.tid for run in trace.aborted] == [queue[0]]
+        assert trace.runs[queue[0]].start >= at + 1.0
+        trace.validate(placement, real)
 
 
 class TestTheorem7Makespan:

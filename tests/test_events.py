@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.simulation.events import Event, EventKind, EventQueue
 
@@ -34,6 +36,39 @@ class TestOrdering:
         q.push(1.0, EventKind.MACHINE_IDLE, "second")
         assert q.pop().payload == "first"
         assert q.pop().payload == "second"
+
+
+def _order(ev: Event) -> tuple:
+    return (ev.time, ev.kind, ev.seq)
+
+
+class TestTiedOrder:
+    @given(
+        st.lists(
+            st.tuples(
+                # A handful of times (0.0 and -0.0 among them), so most
+                # events tie exactly on time and many on kind too.
+                st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 + 2**-52, 3.0]),
+                st.sampled_from(list(EventKind)),
+            ),
+            max_size=60,
+        ),
+        st.data(),
+    )
+    def test_each_pop_is_the_least_queued_event(self, pushes, data):
+        q = EventQueue()
+        queued: list[Event] = []
+        for time, kind in pushes:
+            # Payloads that cannot be ordered: a heap that compared them
+            # would raise.
+            queued.append(q.push(time, kind, object()))
+            # Pops interleave with pushes, as in the kernel.
+            while q and data.draw(st.booleans()):
+                ev = q.pop()
+                assert ev is min(queued, key=_order)
+                queued.remove(ev)
+        drained = [q.pop() for _ in range(len(q))]
+        assert drained == sorted(queued, key=_order)
 
 
 class TestQueueBasics:

@@ -236,3 +236,65 @@ class TestStacks:
         per_chunk = [{spec.group for spec in chunk} for chunk in chunks]
         assert len(per_chunk) > 1
         assert log.read_text().count("solve") == sum(len(groups) for groups in per_chunk)
+
+
+class TestRefusedPackPlacement:
+    """A pack the batch compiler refuses hands the placement ``build_plan``
+    built to its kernel cells; without batching every cell runs Phase 1."""
+
+    KWARGS = dict(
+        strategies=["abo[delta=1,barrier]", "ls_group[k=2]"],
+        realization_models=list(MODELS),
+        seeds=SEEDS,
+        exact_limit=12,
+    )
+
+    def _count_phase1(self, monkeypatch) -> Counter:
+        calls: Counter = Counter()
+        build = ratios_module.build_placement
+
+        def counted(strategy, instance):
+            calls[strategy.name, instance.name] += 1
+            return build(strategy, instance)
+
+        monkeypatch.setattr(ratios_module, "build_placement", counted)
+        return calls
+
+    def test_phase1_once_per_pack_with_batch_and_once_per_cell_without(
+        self, monkeypatch
+    ):
+        calls = self._count_phase1(monkeypatch)
+        instances = _instances(3)
+        batched = ExperimentGrid(instances=instances, **self.KWARGS).run()
+        per_pack = Counter(calls)
+        calls.clear()
+        kernel = ExperimentGrid(instances=instances, batch=False, **self.KWARGS).run()
+        assert batched == kernel
+        cells = len(MODELS) * len(SEEDS)
+        for inst in instances:
+            assert per_pack["abo[delta=1,barrier]", inst.name] == 1
+            assert per_pack["ls_group[k=2]", inst.name] == 1
+            assert calls["abo[delta=1,barrier]", inst.name] == cells
+            assert calls["ls_group[k=2]", inst.name] == cells
+
+    def test_a_retried_kernel_cell_reuses_the_pack_placement(self, monkeypatch):
+        calls = self._count_phase1(monkeypatch)
+        simulate = ratios_module.simulate
+        failures = [RuntimeError("transient")]
+
+        def flaky(*args, **kwargs):
+            if failures:
+                raise failures.pop()
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(ratios_module, "simulate", flaky)
+        instances = _instances(2)
+        retry = parallel_module.RetryPolicy(backoff_s=0.0)
+        grid = ExperimentGrid(instances=instances, retry=retry, **self.KWARGS)
+        records = grid.run()
+        assert grid.resilience["retries"] == 1
+        assert all(calls["abo[delta=1,barrier]", inst.name] == 1 for inst in instances)
+        monkeypatch.setattr(ratios_module, "simulate", simulate)
+        assert records == ExperimentGrid(
+            instances=instances, batch=False, **self.KWARGS
+        ).run()
