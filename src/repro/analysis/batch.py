@@ -5,10 +5,10 @@ vectorized completion sweep; this module lifts that to grid granularity:
 :func:`batch_eligible` routes cells, :func:`group_stacks` groups a
 chunk's cells into *stacks* — the (strategy, instance) packs of one
 strategy on same-shape instances — and :func:`execute_pack` runs one
-stack: every closed-form plan of the stack, every realization model and
-seed in a single ``(R, n)`` NumPy pass.  It assembles the exact
-:class:`~repro.analysis.records.ExperimentRecord` the per-cell path
-produces:
+stack: its closed-form plans, every realization model and seed, in one
+``(R, n)`` NumPy pass, and its replay plans in another.  It assembles
+the exact :class:`~repro.analysis.records.ExperimentRecord` the per-cell
+path produces:
 
 * the makespan comes from the sweep (bit-identical to the event kernel —
   see the exactness contract in :mod:`repro.simulation.batch`);
@@ -122,7 +122,7 @@ def execute_pack(
 
     Every pack compiles on its own (one :func:`build_plan` per instance).
     The closed-form plans sweep together in one ``sweep_makespans`` call
-    over the stacked rows; each replay plan sweeps its own pack's rows.
+    over their stacked rows, and the replay plans in another.
     ``memo`` is the chunk's :class:`~repro.analysis.parallel.GroupMemo`,
     shared with the per-cell path and across stacks, so a realization is
     sampled (and its optimum computed) once per (instance, model, seed)
@@ -150,10 +150,9 @@ def execute_pack(
     if not served:
         return [], left
 
-    # Closed-form rows first, so the stack is one leading slice.
+    # Closed-form rows first, then the replay rows: each kind is one slice.
     reals = [memo.realization(spec) for pack, _ in served for spec in pack]
     matrix = np.array([r.actuals for r in reals], dtype=np.float64)
-    rows = [len(pack) for pack, _ in closed]
     with tracer.span(
         "grid.batch",
         strategy=served[0][1].strategy_name,
@@ -161,13 +160,13 @@ def execute_pack(
         cells=len(reals),
     ):
         makespans: list[float] = []
-        row = sum(rows)
-        if closed:
-            plans = [plan for _, plan in closed]
-            makespans += sweep_makespans(plans, matrix[:row], rows).tolist()
-        for pack, plan in replayed:
-            makespans += sweep_makespans(plan, matrix[row : row + len(pack)]).tolist()
-            row += len(pack)
+        for kind in (closed, replayed):
+            if kind:
+                rows = [len(pack) for pack, _ in kind]
+                plans = [plan for _, plan in kind]
+                row = len(makespans)
+                block = matrix[row : row + sum(rows)]
+                makespans += sweep_makespans(plans, block, rows).tolist()
 
     records: list[ExperimentRecord] = []
     for pack, plan in served:

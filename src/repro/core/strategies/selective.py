@@ -29,6 +29,7 @@ replication/makespan tradeoff than the group strategy's divisor grid.
 from __future__ import annotations
 
 import heapq
+from typing import NamedTuple
 
 from repro._validation import check_fraction, check_positive_int
 from repro.core.model import Instance
@@ -37,7 +38,61 @@ from repro.core.strategy import OnlinePolicy, SchedulerView, TwoPhaseStrategy
 from repro.registry import Capabilities, Choice, Float, Int, register_strategy
 from repro.schedulers.lpt import lpt_assignment_by_task
 
-__all__ = ["SelectiveReplication", "BudgetedReplication", "PinnedAwarePolicy"]
+__all__ = [
+    "SelectiveReplication",
+    "BudgetedReplication",
+    "PinnedAwarePolicy",
+    "PinnedTables",
+    "pinned_tables",
+]
+
+
+class PinnedTables(NamedTuple):
+    """What :class:`PinnedAwarePolicy` decides from, fixed by (instance, placement).
+
+    ``rank[j]`` is task ``j``'s position in the LPT order; ``queues[i]``
+    lists machine ``i``'s pinned tasks in LPT order; ``suffix[i][k]`` is
+    the estimate of ``queues[i][k:]`` summed left to right, ending in
+    ``0.0``; ``candidates`` lists the replicated tasks in LPT order.
+    """
+
+    rank: list[int]
+    queues: list[list[int]]
+    suffix: list[list[float]]
+    candidates: list[int]
+
+
+def pinned_tables(instance: Instance, placement: Placement) -> PinnedTables:
+    """Build :class:`PinnedTables` — the one place the summation contract lives.
+
+    The policy reads them per poll and the batch replay compiles them
+    once per pack, so both compare the same floats.
+    """
+    lpt = instance.lpt_order()
+    rank = [0] * instance.n
+    for pos, tid in enumerate(lpt):
+        rank[tid] = pos
+    # Walking the LPT order leaves every queue and the candidates sorted.
+    queues: list[list[int]] = [[] for _ in range(instance.m)]
+    candidates: list[int] = []
+    for j in lpt:
+        machines = placement.machines_for(j)
+        if len(machines) == 1:
+            queues[next(iter(machines))].append(j)
+        else:
+            candidates.append(j)
+    estimates = instance.estimates
+    suffix: list[list[float]] = []
+    for queue in queues:
+        sums = []
+        for k in range(len(queue)):
+            acc = 0.0
+            for j in queue[k:]:
+                acc += estimates[j]
+            sums.append(acc)
+        sums.append(0.0)
+        suffix.append(sums)
+    return PinnedTables(rank, queues, suffix, candidates)
 
 
 class PinnedAwarePolicy:
@@ -65,34 +120,16 @@ class PinnedAwarePolicy:
     would round differently), so every interpreter compares the same
     floats.  An abort (``view.abort_epoch``) reverts a machine's running
     task to unstarted, so the heads are re-derived from the view.
+
+    ``tables`` holds the :class:`PinnedTables` built by
+    :func:`pinned_tables`; the batch replay
+    (:mod:`repro.simulation.batch`) compiles them instead of calling
+    ``select``.
     """
 
     def __init__(self, instance: Instance, placement: Placement) -> None:
-        lpt = instance.lpt_order()
-        self._rank = [0] * instance.n
-        for pos, tid in enumerate(lpt):
-            self._rank[tid] = pos
-        # Walking the LPT order leaves every queue and the scan sorted.
-        self._queues: list[list[int]] = [[] for _ in range(instance.m)]
-        self._multi: list[int] = []
-        for j in lpt:
-            machines = placement.machines_for(j)
-            if len(machines) == 1:
-                self._queues[next(iter(machines))].append(j)
-            else:
-                self._multi.append(j)
-        estimates = instance.estimates
-        # _suffix[i][k]: estimates of _queues[i][k:], summed left to right.
-        self._suffix: list[list[float]] = []
-        for queue in self._queues:
-            sums = []
-            for k in range(len(queue)):
-                acc = 0.0
-                for j in queue[k:]:
-                    acc += estimates[j]
-                sums.append(acc)
-            sums.append(0.0)
-            self._suffix.append(sums)
+        self.tables = pinned_tables(instance, placement)
+        self._rank, self._queues, self._suffix, self._multi = self.tables
         self._placement = placement
         self._head = [0] * instance.m
         self._first_multi = 0  # low-water mark into _multi

@@ -28,6 +28,7 @@ from repro.schedulers.multifit import multifit_schedule
 
 __all__ = [
     "ReferenceSchedule",
+    "pi1_rho",
     "makespan_reference",
     "memory_reference",
     "memory_lower_bound",
@@ -79,19 +80,25 @@ PI1_METHODS = {
 }
 
 
-def makespan_reference(instance: Instance, method: str = "lpt") -> ReferenceSchedule:
-    """Build π₁: a ρ₁-approximate schedule of the *estimated* makespan."""
+def pi1_rho(method: str, m: int) -> float:
+    """ρ₁ of the π₁ method ``method`` on ``m`` machines, without building π₁."""
     try:
-        assign_fn, rho_fn = PI1_METHODS[method]
+        _, rho_fn = PI1_METHODS[method]
     except KeyError:
         raise ValueError(
             f"unknown pi1 method {method!r}; known: {sorted(PI1_METHODS)}"
         ) from None
-    assignment = assign_fn(list(instance.estimates), instance.m)
+    return rho_fn(m)
+
+
+def makespan_reference(instance: Instance, method: str = "lpt") -> ReferenceSchedule:
+    """Build π₁: a ρ₁-approximate schedule of the *estimated* makespan."""
+    rho = pi1_rho(method, instance.m)
+    assignment = PI1_METHODS[method][0](list(instance.estimates), instance.m)
     loads = [0.0] * instance.m
     for j, i in enumerate(assignment):
         loads[i] += instance.tasks[j].estimate
-    return ReferenceSchedule(tuple(assignment), max(loads), rho_fn(instance.m), method)
+    return ReferenceSchedule(tuple(assignment), max(loads), rho, method)
 
 
 def memory_reference(instance: Instance) -> ReferenceSchedule:

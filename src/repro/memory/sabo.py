@@ -88,15 +88,15 @@ class SABO(TwoPhaseStrategy):
     def makespan_guarantee(self, instance: Instance, *, rho1: float | None = None) -> float:
         """Theorem 5: :math:`(1+\\Delta)\\alpha^2\\rho_1` at this Δ."""
         from repro.core.bounds import sabo_makespan_guarantee
-        from repro.memory.model import makespan_reference
+        from repro.memory.model import pi1_rho
 
-        r1 = rho1 if rho1 is not None else makespan_reference(instance, self.pi1_method).rho
+        r1 = rho1 if rho1 is not None else pi1_rho(self.pi1_method, instance.m)
         return sabo_makespan_guarantee(instance.alpha, r1, self.delta)
 
     def memory_guarantee(self, instance: Instance, *, rho2: float | None = None) -> float:
         """Theorem 6: :math:`(1+1/\\Delta)\\rho_2` at this Δ."""
         from repro.core.bounds import sabo_memory_guarantee
-        from repro.memory.model import memory_reference
+        from repro.memory.model import _rho_lpt
 
-        r2 = rho2 if rho2 is not None else memory_reference(instance).rho
+        r2 = rho2 if rho2 is not None else _rho_lpt(instance.m)
         return sabo_memory_guarantee(r2, self.delta)

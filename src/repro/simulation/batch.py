@@ -24,10 +24,13 @@ compiles the pair into the cheapest *plan* its decision structure admits:
 * :class:`ReplayPlan` — everything with no closed form: a fixed order
   over an *arbitrary* placement (overlapping windows, gaps) and the
   :class:`~repro.core.strategies.selective.PinnedAwarePolicy` families
-  (selective/budgeted/capped/risk-aware).  Each row is replayed by
-  :func:`_drain`, a lean event loop that calls the policy's own
-  ``select``; Phase 1 and all trace/validation overhead are amortized
-  across the pack.
+  (selective/budgeted/capped/risk-aware).  The plan holds the tables
+  the policy decides from (ranks, pinned queues with their suffix sums,
+  candidates and their allowed machines), built once per pack; a fixed
+  order is the same rule with no pinned queues.  Replay plans of one
+  ``(n, m)`` shape stack too, and every row of the stack steps in
+  lockstep through the kernel's event order: ``m + n`` vectorized polls
+  per stack, whatever its row count.
 
 **Exactness contract.**  Every plan is bit-identical to the
 :class:`EventKernel`, never merely close.  The closed-form sweep performs, per
@@ -39,11 +42,12 @@ makespan-invariant — tied machines are interchangeable for all remaining
 work).  Padding a segment to its longest group changes no sum: an empty
 task slot adds ``+0.0`` to a load that is ``>= +0.0``, and an empty
 machine slot holds ``+inf`` after the group's real machines, so argmin
-never picks it.  The replay runs the kernel's own dispatch decisions and its
-event discipline literally: completions surface in ``(time, seq)``
-order, completions at a tied time all process before the idle polls
-they trigger, and ``t = 0`` polls run in machine order — the exact
-``EventQueue`` contract.  ``tests/test_batch.py`` asserts equality
+never picks it.  The replay makes the policy's own decisions, compare
+for compare, in the kernel's event order: ``t = 0`` polls run in machine
+order, then completions surface in ``(time, seq)`` order, one per step
+— which polls tied completions in the order the ``EventQueue`` does,
+since a completion changes nothing a policy reads (see
+:func:`_lockstep_replay`).  ``tests/test_batch.py`` asserts equality
 property-style across random instances for every ``supports_batch``
 family.
 
@@ -54,8 +58,9 @@ flag: the Phase-2 policy must be one of the three compilable types
 (:class:`FixedOrderPolicy`, :class:`~repro.memory.abo.ABOPolicy` without
 its barrier ablation, :class:`PinnedAwarePolicy`), and ABO's queues must
 agree with the placement it was built from.  The allowlist is by exact
-type because :func:`_drain`'s view tracks started tasks only (no clock,
-no revealed actuals): a policy that reads more must stay on the kernel.
+type because the replay compiles each policy's tables, and its rule
+reads only which tasks started (no clock, no revealed actuals): a policy
+that decides otherwise must stay on the kernel.
 Anything else — adaptive policies with bespoke dispatch, the ABO global
 barrier, fault plans, release times — raises :class:`BatchUnsupported`
 and the caller falls back to the event kernel, so the flag can never
@@ -64,21 +69,18 @@ produce silently-wrong records.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from repro.core.model import Instance
 from repro.core.placement import Placement
-from repro.core.strategy import (
-    FixedOrderPolicy,
-    OnlinePolicy,
-    SchedulerView,
-    TwoPhaseStrategy,
-)
+from repro.core.strategy import FixedOrderPolicy, TwoPhaseStrategy
+
+if TYPE_CHECKING:
+    from repro.core.strategies.selective import PinnedTables
 
 __all__ = [
     "BatchUnsupported",
@@ -171,28 +173,81 @@ class BatchPlan:
         return self.placement.instance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReplayPlan:
-    """A strategy whose dispatch has no closed form, replayed per row.
+    """A strategy whose dispatch has no closed form, compiled to tables.
 
-    Each actuals row gets a fresh policy from ``strategy.make_policy``
-    and a fresh :class:`~repro.core.strategy.SchedulerView`, and
-    :func:`_drain` drives the policy's own ``select`` in the kernel's
-    event order.  Serves :class:`~repro.core.strategy.FixedOrderPolicy`
-    over a non-partition placement (overlapping or gapped replica sets,
-    where an idle machine may legally skip an earlier task it does not
-    hold) and every :class:`~repro.core.strategies.selective.PinnedAwarePolicy`
-    family.
+    Serves :class:`~repro.core.strategies.selective.PinnedAwarePolicy`
+    (selective/budgeted/capped/risk-aware) and
+    :class:`~repro.core.strategy.FixedOrderPolicy` over a non-partition
+    placement (overlapping or gapped replica sets, where an idle machine
+    may legally skip an earlier task it does not hold).  Both decide from
+    tables fixed by (instance, placement), built once per pack:
+
+    rank:
+        ``(n + 1,)``: each task's LPT rank (a fixed order: its position),
+        then ``n`` for the empty slot.
+    queues, suffix:
+        ``(Q,)``: every machine's pinned queue in dispatch order, each
+        followed by the empty slot ``n``; ``suffix`` holds, at each queue
+        position, the pinned estimate left from there on, summed left to
+        right (``0.0`` at the empty slot).  ``heads[i]`` is where machine
+        ``i``'s queue starts.  A fixed order has no pinned queues.
+    candidates, allowed:
+        ``(c,)``: the tasks any of several machines may take, in dispatch
+        order (a fixed order: all of it), and their ``(c, m)``
+        allowed-machine masks.
+
+    :func:`sweep_makespans` runs one poll rule over these tables for
+    every row of a stack at once (see :func:`_lockstep_replay`).  A
+    policy with another decision, such as ABO's global barrier, would
+    join as one more table the rule reads.
     """
 
     strategy_name: str
     placement: Placement
-    strategy: TwoPhaseStrategy
+    rank: np.ndarray
+    queues: np.ndarray
+    suffix: np.ndarray
+    heads: np.ndarray
+    candidates: np.ndarray
+    allowed: np.ndarray
     guarantee: float | None
 
     @property
     def instance(self) -> Instance:
         return self.placement.instance
+
+
+def _replay_plan(
+    strategy_name: str,
+    placement: Placement,
+    tables: PinnedTables,
+    guarantee: float | None,
+) -> ReplayPlan:
+    """Lay :class:`PinnedTables` out as a :class:`ReplayPlan`'s arrays."""
+    n, m = placement.instance.n, placement.instance.m
+    queues: list[int] = []
+    suffix: list[float] = []
+    heads: list[int] = []
+    for queue, sums in zip(tables.queues, tables.suffix, strict=True):
+        heads.append(len(queues))
+        queues += queue
+        queues.append(n)
+        suffix += sums
+    sets = placement.machine_sets
+    masks = [[i in sets[j] for i in range(m)] for j in tables.candidates]
+    return ReplayPlan(
+        strategy_name,
+        placement,
+        np.array([*tables.rank, n], dtype=np.intp),
+        np.array(queues, dtype=np.intp),
+        np.array(suffix, dtype=np.float64),
+        np.array(heads, dtype=np.intp),
+        np.array(tables.candidates, dtype=np.intp),
+        np.array(masks, dtype=bool).reshape(len(masks), m),
+        guarantee,
+    )
 
 
 #: Everything :func:`build_plan` can return; all variants share the
@@ -246,24 +301,32 @@ def _compile(
 ) -> Plan:
     """:func:`build_plan` after Phase 1: dispatch on the policy's exact type."""
     from repro.analysis.ratios import guarantee_of
-    from repro.core.strategies.selective import PinnedAwarePolicy
+    from repro.core.strategies.selective import PinnedAwarePolicy, PinnedTables
     from repro.memory.abo import ABOPolicy
 
     policy = strategy.make_policy(instance, placement)
     guarantee = guarantee_of(strategy, instance)
-    if type(policy) is FixedOrderPolicy:
-        plan = _compile_fixed_order(strategy, instance, placement, policy, guarantee)
-        if plan is not None:
-            return plan
-    elif type(policy) is ABOPolicy:
+    if type(policy) is ABOPolicy:
         return _compile_phase_split(strategy, instance, placement, policy, guarantee)
-    elif type(policy) is not PinnedAwarePolicy:
+    if type(policy) is PinnedAwarePolicy:
+        return _replay_plan(strategy.name, placement, policy.tables, guarantee)
+    if type(policy) is not FixedOrderPolicy:
         raise BatchUnsupported(
             f"{strategy.name}: Phase-2 policy {type(policy).__name__} is not a "
             "FixedOrderPolicy, ABOPolicy, or PinnedAwarePolicy — its dispatch "
             "decisions cannot be compiled or replayed bit-exactly"
         )
-    return ReplayPlan(strategy.name, placement, strategy, guarantee)
+    plan = _compile_fixed_order(strategy, instance, placement, policy, guarantee)
+    if plan is not None:
+        return plan
+    # A fixed order is the pinned-aware rule with no pinned queues: every
+    # task is a candidate, ranked by its position in the order.
+    order = policy.order
+    rank = [0] * instance.n
+    for pos, j in enumerate(order):
+        rank[j] = pos
+    tables = PinnedTables(rank, [[]] * instance.m, [[0.0]] * instance.m, list(order))
+    return _replay_plan(strategy.name, placement, tables, guarantee)
 
 
 def _check_permutation(strategy_name: str, tids: list[int], n: int) -> None:
@@ -373,27 +436,25 @@ def _compile_phase_split(
 
 
 def sweep_makespans(
-    plan: Plan | Sequence[BatchPlan],
+    plan: Plan | Sequence[Plan],
     actuals: np.ndarray,
     rows: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Execute compiled plans against an ``(R, n)`` actuals matrix.
 
-    ``plan`` is one plan, which sweeps every row, or a *stack*: closed-form
-    plans of one ``(n, m)`` shape and one segment count (one strategy's
-    plans), where plan ``i`` sweeps the next ``rows[i]`` rows.  Returns
-    the ``(R,)`` makespans, bit-identical to running each row through the
-    event kernel.  Closed-form plans are fully vectorized across the
-    stack; a replay plan loops its rows through the lean event loop
-    (still amortizing Phase 1, policy construction, and all per-event
-    trace/validation overhead across the pack).
+    ``plan`` is one plan, which sweeps every row, or a *stack*: plans of
+    one ``(n, m)`` shape and one kind — all closed-form (with one segment
+    count, as one strategy's plans have) or all replay — where plan ``i``
+    sweeps the next ``rows[i]`` rows.  Returns the ``(R,)`` makespans,
+    bit-identical to running each row through the event kernel.  Both
+    kinds step every row of the stack at once: closed-form plans one
+    argmin + add per task of their longest machine group, replay plans
+    one poll per machine and then one per completion.
     """
     plans = [plan] if isinstance(plan, (BatchPlan, ReplayPlan)) else list(plan)
     n, m = plans[0].instance.n, plans[0].instance.m
     if actuals.ndim != 2 or actuals.shape[1] != n:
         raise ValueError(f"actuals must be (R, {n}), got {actuals.shape}")
-    if isinstance(plan, ReplayPlan):
-        return _replay_makespans(plan, actuals)
     if rows is None and len(plans) == 1:
         rows = [actuals.shape[0]]
     if rows is None or len(rows) != len(plans) or sum(rows) != actuals.shape[0]:
@@ -401,11 +462,17 @@ def sweep_makespans(
             f"a stack of {len(plans)} plans needs one row count per plan, "
             f"summing to the {actuals.shape[0]} rows of actuals; got {rows}"
         )
+    kind = type(plans[0])
     for p in plans:
-        if not isinstance(p, BatchPlan):
-            raise TypeError(f"{p.strategy_name}: only closed-form plans stack")
+        if type(p) is not kind:
+            raise TypeError(
+                f"{p.strategy_name}: a stack mixes closed-form and replay plans; "
+                "sweep each kind in its own call"
+            )
         if (p.instance.n, p.instance.m) != (n, m):
             raise ValueError(f"a stack's plans must share one (n, m) = ({n}, {m})")
+    if kind is ReplayPlan:
+        return _lockstep_replay(plans, actuals, rows)
     return _lockstep_makespans(plans, actuals, rows)
 
 
@@ -479,64 +546,121 @@ def _step(loads: np.ndarray, acts: np.ndarray) -> None:
         flat[chosen] += a
 
 
-def _drain(acts: list[float], policy: OnlinePolicy, view: SchedulerView) -> tuple[float, int]:
-    """The lean event loop: the kernel's queue discipline on one heap.
+def _lockstep_replay(
+    plans: Sequence[ReplayPlan], actuals: np.ndarray, rows: Sequence[int]
+) -> np.ndarray:
+    """The lockstep replay: every row of a replay stack steps together.
 
-    In the regime every plan compiles for — all tasks released at
-    ``t = 0``, no faults, unit speeds — the kernel's event queue only
-    holds the completions of busy machines plus same-time idle polls.
-    ``t = 0`` polls run in machine order (the kernel's seeding); after
-    that completions surface in ``(time, seq)`` order, and every
-    completion tied at an instant is collected before any of the polls
-    it triggers runs, in completion order — the ``EventQueue``'s
-    ``(time, kind, seq)`` order, since completions (kind 1) sort before
-    idle polls (kind 5).  A ``select`` returning ``None`` retires the
-    machine permanently (no releases can wake it), as in the kernel.
-    The view only tracks started tasks.  Returns ``(makespan,
-    dispatched-task count)``.
+    Each row runs the kernel's event order on its own plan's tables.  A
+    row has at most one pending completion per machine, so the stack's
+    event queues are an ``(m, R)`` array of completion times (``+inf``:
+    idle) and one of dispatch sequence keys.  First every machine
+    polls at ``t = 0``, in machine order (the kernel's seeding); then,
+    ``n`` times, every row pops its least ``(time, seq)`` completion and
+    polls that machine.  One completion per step gives what the kernel's
+    batching of tied completions gives: a completion changes nothing the
+    rule reads (only which tasks started), and a new dispatch's seq
+    exceeds every pending one, so tied completions still poll in seq
+    order.  The ``n``-th pop is the last completion, so its time is the
+    makespan, and the poll it would trigger is skipped.
+
+    A poll is :class:`~repro.core.strategies.selective.PinnedAwarePolicy`'s
+    ``select``, for all rows at once: the machine's own queue head, the
+    first unstarted candidate it may run, and the candidate wins when
+    the machine's remaining pinned estimate is at most the least among
+    the candidate's machines (``+ 1e-12``) and its rank is lower.  With
+    no pinned queues (a fixed order) the test reads ``0.0 <= 0.0 +
+    1e-12`` and the rule is :class:`FixedOrderPolicy`'s first unstarted
+    allowed task.  ``t + acts[tid]`` and the compare are the same IEEE
+    double operations the kernel and the policy perform.  A machine the
+    rule gives nothing stays idle for good, as in the kernel; a row whose
+    machines all idle with tasks left pops ``+inf``, and the replay
+    raises :class:`~repro.simulation.kernel.SimulationError`.
     """
-    select, mark_started = policy.select, view._mark_started
-    heap: list[tuple[float, int, int]] = []
-    seq = 0
-    t = 0.0
-    polls: list[int] | range = range(view.instance.m)
-    while True:
-        for i in polls:
-            tid = select(i, view)
-            if tid is not None:
-                mark_started(tid, i)
-                seq += 1
-                heapq.heappush(heap, (t + acts[tid], seq, i))
-        if not heap:
-            # The last completion popped is the latest one.
-            return t, seq
-        t, _, i = heapq.heappop(heap)
-        polls = [i]
-        while heap and heap[0][0] == t:
-            polls.append(heapq.heappop(heap)[2])
+    R, n = actuals.shape
+    m = plans[0].instance.m
+    plan_of = np.repeat(np.arange(len(plans)), rows)
+    row = np.arange(R)
+    # Per-machine state is laid out (m, R), so the reductions over a row's
+    # machines run down axis 0; row r's machine i is "slot" i * R + r.
+    # Every plan's queues lie side by side: a row's queue positions point
+    # into its own plan's stretch, each queue ending in the empty slot n.
+    offsets = np.cumsum([0] + [p.queues.size for p in plans[:-1]])
+    queues = np.concatenate([p.queues for p in plans])
+    suffix = np.concatenate([p.suffix for p in plans])
+    queue_rank = np.concatenate([p.rank[p.queues] for p in plans])
+    heads = np.stack([p.heads + off for p, off in zip(plans, offsets)])
+    pos = heads[plan_of].T.copy()  # each machine's queue head
+    # Candidates padded with the empty slot n (rank n, allowed everywhere),
+    # so each row finds one; column k of a row is free while unstarted.
+    # Plan p's column k is read at p * width + k.
+    width = max(p.candidates.size for p in plans) + 1
+    candidates = np.full((len(plans), width), n, dtype=np.intp)
+    candidate_rank = np.full((len(plans), width), n, dtype=np.intp)
+    hosts = np.ones((len(plans), width, m), dtype=bool)
+    for i, p in enumerate(plans):
+        c = p.candidates.size
+        candidates[i, :c] = p.candidates
+        candidate_rank[i, :c] = p.rank[p.candidates]
+        hosts[i, :c] = p.allowed
+    # choices[slot]: the candidates that machine may run in that row.
+    choices = hosts.transpose(2, 0, 1)[:, plan_of].reshape(m * R, width)
+    candidates, candidate_rank = candidates.reshape(-1), candidate_rank.reshape(-1)
+    hosts = hosts.reshape(-1, m)
+    free = np.ones((R, width), dtype=bool)
+    # Column n of the actuals is the +inf an empty dispatch completes at.
+    acts = np.empty((R, n + 1))
+    acts[:, :n] = actuals
+    acts[:, n] = np.inf
+    # A pending completion's key is seq * m * R + slot: among a row's tied
+    # completions the least key has the least seq, and names its slot.
+    ends = np.full((m, R), np.inf)
+    keys = np.zeros((m, R), dtype=np.int64)
+    flat_pos, flat_ends, flat_keys = pos.reshape(-1), ends.reshape(-1), keys.reshape(-1)
+    flat_free, flat_acts = free.reshape(-1), acts.reshape(-1)
+    row_free, row_acts, plan_base = row * width, row * (n + 1), plan_of * width
+    slots = m * R
+    least_of, never = np.minimum.reduce, np.iinfo(np.int64).max
 
+    def poll(slot: np.ndarray, t: np.ndarray, seq: int) -> None:
+        head = flat_pos[slot]
+        own = queues[head]  # n: the machine's queue has run out
+        avail = choices.take(slot, axis=0)
+        avail &= free
+        k = avail.argmax(axis=1)  # a padding column: no candidate
+        column = plan_base + k
+        # The least remaining pinned estimate over the candidate's machines.
+        mask = hosts.take(column, axis=0).T
+        least = least_of(np.where(mask, suffix[pos], np.inf), axis=0)
+        take = suffix[head] <= least + 1e-12
+        take &= candidate_rank[column] < queue_rank[head]
+        keep = ~take
+        flat_free[row_free + k] = keep
+        tid = np.where(take, candidates[column], own)
+        flat_pos[slot] = head + (keep & (own != n))
+        flat_ends[slot] = t + flat_acts[row_acts + tid]
+        flat_keys[slot] = slot + seq * slots
 
-def _check_drained(plan: Plan, dispatched: int) -> None:
-    if dispatched != plan.instance.n:
+    t = np.zeros(R)
+    for i in range(m):
+        poll(row + i * R, t, i)
+    for step in range(n):
+        t = least_of(ends, axis=0)
+        if step == n - 1:
+            break
+        key = least_of(np.where(ends == t, keys, never), axis=0)
+        poll(key % slots, t, m + step)
+    stuck = ~np.isfinite(t)
+    if stuck.any():
         from repro.simulation.kernel import SimulationError
 
+        plan = plans[int(plan_of[stuck.argmax()])]
         raise SimulationError(
-            f"batch replay of {plan.strategy_name} ended with "
-            f"{plan.instance.n - dispatched} unscheduled tasks; the policy "
-            "retired machines that still had eligible work"
+            f"batch replay of {plan.strategy_name} on {plan.instance.name} "
+            "ended with unscheduled tasks; the policy retired machines that "
+            "still had eligible work"
         )
-
-
-def _replay_makespans(plan: ReplayPlan, actuals: np.ndarray) -> np.ndarray:
-    """Drive a fresh policy and view through :func:`_drain` per row."""
-    instance, placement = plan.instance, plan.placement
-    make_policy = plan.strategy.make_policy
-    out = np.empty(actuals.shape[0], dtype=np.float64)
-    for b, acts in enumerate(actuals.tolist()):
-        policy = make_policy(instance, placement)
-        out[b], dispatched = _drain(acts, policy, SchedulerView(instance, placement))
-        _check_drained(plan, dispatched)
-    return out
+    return t
 
 
 def batch_makespans(

@@ -9,6 +9,7 @@ does not cover must fall back transparently.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -33,7 +34,7 @@ from repro.simulation.batch import (
     supports_batch,
     sweep_makespans,
 )
-from repro.simulation.engine import simulate
+from repro.simulation.engine import SimulationError, simulate
 from repro.uncertainty.realization import Realization
 from repro.uncertainty.stochastic import sample_realization
 from repro.workloads.suites import memory_suite
@@ -523,17 +524,30 @@ class TestLockstepStacks:
     def test_stack_rejects_mismatched_rows_and_shapes(self):
         a = _rand_instance(6, 3, 1.5, 1)
         b = _rand_instance(7, 3, 1.5, 2)
+        c = _rand_instance(6, 2, 1.5, 3)
         lpt = make_strategy("lpt_no_choice")
         plan_a, plan_b = build_plan(lpt, a), build_plan(lpt, b)
         with pytest.raises(ValueError, match="row count"):
             sweep_makespans([plan_a, plan_a], np.ones((3, 6)), [1, 1])
         with pytest.raises(ValueError, match=r"\(n, m\)"):
             sweep_makespans([plan_a, plan_b], np.ones((2, 6)), [1, 1])
+        selective = make_strategy("selective[0.5,count]")
+        replay_a, replay_c = build_plan(selective, a), build_plan(selective, c)
+        assert isinstance(replay_a, ReplayPlan)
+        with pytest.raises(TypeError, match="mixes closed-form and replay"):
+            sweep_makespans([plan_a, replay_a], np.ones((2, 6)), [1, 1])
+        with pytest.raises(ValueError, match=r"\(n, m\) = \(6, 3\)"):
+            sweep_makespans([replay_a, replay_c], np.ones((2, 6)), [1, 1])
+        with pytest.raises(ValueError, match="row count"):
+            sweep_makespans([replay_a, replay_a], np.ones((4, 6)), [1, 2])
+        with pytest.raises(ValueError, match="row count"):
+            sweep_makespans([replay_a, replay_a], np.ones((2, 6)))
 
 
 class TestReplayPacks:
-    """A replay pack builds a fresh policy per row: policy state leaking
-    from one row into the next would break per-row kernel equality."""
+    """Every row of a replay pack starts from the same compiled tables:
+    dispatch state leaking from one row into the next would break
+    per-row kernel equality."""
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -558,6 +572,106 @@ class TestReplayPacks:
         swept = sweep_makespans(plan, np.asarray([r.actuals for r in reals]))
         refs = [run_strategy(strategy, inst, r).makespan for r in reals]
         assert swept.tolist() == refs
+
+
+#: The specs of each registry family that compile to replay plans (the
+#: adaptive and robust families have none).  overlap_windows replays
+#: when its windows overlap; the others always do.
+REPLAY_SPECS: dict[str, tuple[str, ...]] = {
+    "core": (
+        "overlap_windows[k=2,w=2]",
+        "overlap_windows[k=3,w=2]",
+        "selective[0.3,count]",
+        "selective[0.5,work]",
+        "budgeted[B=12]",
+        "budgeted[B=24]",
+    ),
+    "hetero": ("risk_aware[0]", "risk_aware[0.4]", "risk_aware[1]"),
+    "memory": ("capped[C=3]", "capped[C=6]", "capped[C=1000]"),
+}
+
+#: Actuals on a grid every task's band holds: estimates are 1, 2 or 3
+#: and alpha is 3, so any of these is inside [estimate / 3, 3 * estimate].
+_TIED_ACTUALS = {False: (1.0, 2.0, 3.0), True: (1.0, 1.5, 2.0, 2.5, 3.0)}
+
+
+class TestReplayStacks:
+    """A stack of replay plans — one strategy on 1-6 same-shape instances,
+    each placing its own queues, candidates and allowed sets — swept in
+    lockstep equals ``run_strategy`` row by row, compared by ``float.hex``.
+    Integral estimates and actuals on a 1.0 or 0.5 grid make completion
+    times, suffix sums and LPT ranks tie exactly, where the event order
+    of tied completions decides the schedule.  Parametrized by family, so
+    the CI batch-equivalence legs with a replay family run it."""
+
+    @pytest.mark.parametrize("family", sorted(REPLAY_SPECS))
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=16),
+        m=st.sampled_from([2, 3, 4, 6]),
+        count=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=10_000),
+        half=st.booleans(),
+    )
+    def test_tied_stack_matches_run_strategy(self, family, n, m, count, seed, half):
+        rng = random.Random(seed)
+        instances = [
+            make_instance(
+                [float(rng.randint(1, 3)) for _ in range(n)],
+                m,
+                3.0,
+                sizes=[rng.uniform(0.05, 2.0) for _ in range(n)],
+                name=f"tied{seed}-{i}",
+            )
+            for i in range(count)
+        ]
+        checked = 0
+        for spec in REPLAY_SPECS[family]:
+            strategy = make_strategy(spec)
+            plans, reals = [], []
+            for inst in instances:
+                try:
+                    plan = build_plan(strategy, inst)
+                except ValueError:
+                    continue  # Phase 1 refuses the instance (B < n, C too small)
+                if not isinstance(plan, ReplayPlan):
+                    continue  # disjoint windows compile to the closed form
+                plans.append(plan)
+                reals.append([
+                    Realization(
+                        inst, tuple(rng.choice(_TIED_ACTUALS[half]) for _ in range(n))
+                    )
+                    for _ in range(rng.randint(1, 3))
+                ])
+            if not plans:
+                continue
+            matrix = np.array([r.actuals for rs in reals for r in rs])
+            swept = sweep_makespans(plans, matrix, [len(rs) for rs in reals])
+            expected = [
+                run_strategy(strategy, r.instance, r).makespan.hex()
+                for rs in reals
+                for r in rs
+            ]
+            assert [v.hex() for v in swept.tolist()] == expected, spec
+            checked += 1
+        assert checked, f"no spec of family {family!r} compiled to a replay plan"
+
+
+class TestReplayGuard:
+    def test_a_row_left_with_unscheduled_tasks_raises_naming_the_plan(self):
+        """Tables that omit a task leave every row one dispatch short:
+        each row's machines all idle with a task unstarted, and the
+        replay raises instead of returning a makespan."""
+        inst = make_instance([3.0, 1.0, 2.0, 2.0], 2, 1.5, name="short")
+        plan = build_plan(make_strategy("selective[1,count]"), inst)
+        assert isinstance(plan, ReplayPlan) and plan.candidates.size == inst.n
+        short = dataclasses.replace(
+            plan, candidates=plan.candidates[:-1], allowed=plan.allowed[:-1]
+        )
+        with pytest.raises(SimulationError, match=r"selective\[1,count\] on short"):
+            sweep_makespans(short, np.array([inst.estimates] * 3))
+        # The whole tables sweep without complaint.
+        assert sweep_makespans(plan, np.array([inst.estimates])).shape == (1,)
 
 
 class TestTransparentFallback:

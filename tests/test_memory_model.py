@@ -5,12 +5,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
+from repro.memory import model
+from repro.memory.abo import ABO
 from repro.memory.model import (
     PI1_METHODS,
     makespan_reference,
     memory_lower_bound,
     memory_reference,
 )
+from repro.memory.sabo import SABO
 from repro.schedulers.lpt import lpt_schedule
 from tests.conftest import sized_instances
 
@@ -97,3 +100,37 @@ class TestMemoryLowerBound:
 
     def test_zeros_ignored(self):
         assert memory_lower_bound([0.0, 6.0], 3) == 6.0
+
+
+class TestGuaranteeRhos:
+    """SABO's and ABO's guarantees read ρ₁ and ρ₂ from the method tables:
+    the same floats the reference schedules carry, without building one."""
+
+    @pytest.mark.parametrize("method", sorted(PI1_METHODS))
+    @pytest.mark.parametrize("cls", [SABO, ABO])
+    def test_same_floats_without_a_reference_schedule(
+        self, sized_instance, cls, method, monkeypatch
+    ):
+        strategy = cls(1.5, pi1_method=method)
+        rho1 = makespan_reference(sized_instance, method).rho
+        rho2 = memory_reference(sized_instance).rho
+        expected = (
+            strategy.makespan_guarantee(sized_instance, rho1=rho1),
+            strategy.memory_guarantee(sized_instance, rho2=rho2),
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a guarantee built a reference schedule")
+
+        monkeypatch.setattr(model, "makespan_reference", refuse)
+        monkeypatch.setattr(model, "memory_reference", refuse)
+        got = (
+            strategy.makespan_guarantee(sized_instance),
+            strategy.memory_guarantee(sized_instance),
+        )
+        assert got == expected
+
+    @pytest.mark.parametrize("cls", [SABO, ABO])
+    def test_unknown_method_rejected(self, sized_instance, cls):
+        with pytest.raises(ValueError, match="unknown pi1 method"):
+            cls(1.0, pi1_method="magic").makespan_guarantee(sized_instance)
