@@ -46,6 +46,7 @@ Design points:
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import threading
@@ -180,8 +181,10 @@ class RetryPolicy:
             raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
         if self.backoff_factor < 1.0:
             raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
+        if self.timeout_s is not None and not 0 < self.timeout_s < math.inf:
+            raise ValueError(
+                f"timeout_s must be positive and finite, got {self.timeout_s}"
+            )
 
 
 #: The grid's default policy: three attempts, 50 ms then 100 ms backoff,

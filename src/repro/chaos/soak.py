@@ -48,6 +48,7 @@ from repro.analysis.csvio import write_csv
 from repro.chaos.policy import HealthTracker
 from repro.chaos.topology import FleetTopology, diversity_score
 from repro.obs import evaluate_slo, get_tracer, run_manifest
+from repro.service.placement import OnlinePlacer
 from repro.service.protocol import AdmissionError
 from repro.service.scheduler import DURATION_MODELS, ServiceScheduler
 
@@ -226,6 +227,8 @@ class SoakConfig:
     def __post_init__(self) -> None:
         if self.model not in DURATION_MODELS:
             raise ValueError(f"unknown duration model {self.model!r}")
+        # Refuse a spec the service cannot run before any arm starts.
+        OnlinePlacer(self.strategy, self.topology.m)
         for name in ("duration", "rate", "est_low", "est_high", "sample_every"):
             check_positive_float(getattr(self, name), name)
         if not self.est_low <= self.est_high:

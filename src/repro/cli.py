@@ -56,6 +56,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -64,26 +65,36 @@ from typing import Iterator
 __all__ = ["main", "build_parser"]
 
 
-def _count(text: str) -> int:
-    """Argparse type of the count flags: a positive integer (else exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _number(cast, ok, what: str):
+    """An argparse type: ``cast(text)`` when ``ok`` holds of it, else a
+    usage error (exit 2) that says ``what`` was expected."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = math.nan  # fails every ``ok``
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _alpha(text: str) -> float:
-    """Argparse type of the ``--alpha`` flags: a finite factor >= 1 (else exit 2)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 1.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite alpha >= 1, got {text!r}")
-    return value
+#: The count flags, ``--seed``, ``--alpha``, ``--cell-timeout`` and
+#: ``serve --pace``.
+_count = _number(int, lambda v: v >= 1, "a positive integer")
+_seed = _number(int, lambda v: v >= 0, "a non-negative integer")
+_alpha = _number(float, lambda v: 1.0 <= v < math.inf, "a finite alpha >= 1")
+_seconds = _number(float, lambda v: 0.0 < v < math.inf, "a finite number of seconds > 0")
+_pace = _number(float, lambda v: 0.0 <= v < math.inf, "a finite pace >= 0")
+
+
+def _usage_error(args: argparse.Namespace, error: Exception) -> int:
+    """Report a value the parser accepted but the command cannot use: one
+    line on stderr, and the usage-error exit code."""
+    print(f"repro {args.command}: {error}", file=sys.stderr)
+    return 2
 
 
 #: The families :func:`repro.workloads.generate` accepts, spelled out so
@@ -172,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--cell-timeout",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="per-cell wall-clock budget; a timed-out attempt counts as a failure",
@@ -376,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="log_uniform",
         help="actual-duration model (truthful, log_uniform, bimodal_extreme)",
     )
-    serve.add_argument("--seed", type=int, default=0, help="duration-draw seed")
+    serve.add_argument("--seed", type=_seed, default=0, help="duration-draw seed")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port",
@@ -393,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--pace",
-        type=float,
+        type=_pace,
         default=0.0,
         help="virtual seconds per real second (0 = run the cluster eagerly)",
     )
@@ -412,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument(
         "--tasks", type=int, default=5, help="tasks submitted per tenant"
     )
-    loadgen.add_argument("--seed", type=int, default=0, help="workload seed")
+    loadgen.add_argument("--seed", type=_seed, default=0, help="workload seed")
     loadgen.add_argument(
         "--concurrency",
         type=int,
@@ -453,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="log_uniform",
         help="actual-duration model (truthful, log_uniform, bimodal_extreme)",
     )
-    soak.add_argument("--seed", type=int, default=0, help="workload + duration seed")
+    soak.add_argument("--seed", type=_seed, default=0, help="workload + duration seed")
     soak.add_argument(
         "--duration", type=float, default=30.0, help="arrival window (virtual s)"
     )
@@ -526,7 +537,7 @@ def _add_instance_flags(sub_parser: argparse.ArgumentParser, *, n: int, m: int) 
     sub_parser.add_argument("--n", type=_count, default=n, help="task count")
     sub_parser.add_argument("--m", type=_count, default=m, help="machine count")
     sub_parser.add_argument("--alpha", type=_alpha, default=1.5)
-    sub_parser.add_argument("--seed", type=int, default=0, help="workload generator seed")
+    sub_parser.add_argument("--seed", type=_seed, default=0, help="workload generator seed")
 
 
 def _add_store_flag(sub_parser: argparse.ArgumentParser) -> None:
@@ -631,12 +642,16 @@ def _cmd_artifact(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.analysis.ratios import measured_ratio
     from repro.registry import make_strategy
-    from repro.uncertainty import sample_realization
+    from repro.uncertainty.stochastic import check_model, sample_realization
 
+    try:
+        strategy = make_strategy(args.strategy)
+        check_model(args.model)
+    except ValueError as exc:
+        return _usage_error(args, exc)
     with _observability(args):
         instance = _instance(args)
         realization = sample_realization(instance, args.model, args.seed + 1)
-        strategy = make_strategy(args.strategy)
         record = measured_ratio(strategy, instance, realization)
         out = record.outcome
         print(f"strategy     : {out.strategy_name}")
@@ -669,8 +684,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ``--cell-timeout`` bounds each attempt's wall clock.  ``--profile``
     profiles every cell through the environment the pool workers inherit.
     """
-    import os
-
     from repro.obs import profiling
 
     if args.profile:
@@ -690,7 +703,12 @@ def _sweep(args: argparse.Namespace) -> int:
     from repro.analysis.stats import summarize
     from repro.analysis.tables import format_table
     from repro.registry import full_sweep
+    from repro.uncertainty.stochastic import check_model
 
+    try:
+        check_model(args.model)
+    except ValueError as exc:
+        return _usage_error(args, exc)
     instance = _instance(args)
     strategies = full_sweep(args.m)
     cache = None
@@ -724,15 +742,18 @@ def _sweep(args: argparse.Namespace) -> int:
                 "guarantee": recs[0].guarantee if recs[0].guarantee is not None else "",
             }
         )
-    print(
-        format_table(
-            rows,
-            title=(
-                f"Empirical ratios: {args.family}(n={args.n}, m={args.m}), "
-                f"alpha={args.alpha}, model={args.model}, seeds={args.seeds}"
-            ),
+    if rows:
+        print(
+            format_table(
+                rows,
+                title=(
+                    f"Empirical ratios: {args.family}(n={args.n}, m={args.m}), "
+                    f"alpha={args.alpha}, model={args.model}, seeds={args.seeds}"
+                ),
+            )
         )
-    )
+    else:
+        print("repro sweep: no cell produced a record", file=sys.stderr)
     if cache is not None:
         stats = cache.stats()
         quarantined = (
@@ -755,7 +776,7 @@ def _sweep(args: argparse.Namespace) -> int:
     for skip in grid.skipped:
         if skip.kind == "quarantined":
             print(f"  quarantined: {skip}")
-    return 0
+    return 0 if rows else 1
 
 
 def _cmd_strategies(args: argparse.Namespace) -> int:
@@ -872,15 +893,16 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs import disable as obs_disable
     from repro.obs import enable as obs_enable
     from repro.registry import make_strategy
-    from repro.uncertainty import sample_realization
+    from repro.uncertainty.stochastic import check_model, sample_realization
 
     try:
         injected = (
             inject.CellFaultSpec.parse(args.inject) if args.inject else None
         )
+        strategy = make_strategy(args.strategy)
+        check_model(args.model)
     except ValueError as exc:
-        print(f"repro obs: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(args, exc)
     slo_failed = False
     sinks = [JsonlSink(args.trace_out)] if args.trace_out else [MemorySink()]
     tracer = obs_enable(*sinks)
@@ -888,7 +910,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     try:
         instance = _instance(args)
         realization = sample_realization(instance, args.model, args.seed + 1)
-        strategy = make_strategy(args.strategy)
         record = measured_ratio(strategy, instance, realization)
         counters = tracer.registry.counters
         print(f"strategy     : {record.outcome.strategy_name}")
@@ -1136,15 +1157,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from repro.registry import CapabilityError
     from repro.service.daemon import ServiceDaemon
     from repro.service.scheduler import ServiceScheduler
 
     port = args.port
     if port is None:
         port = None if args.socket else 8765
-    scheduler = ServiceScheduler(
-        args.strategy, m=args.m, alpha=args.alpha, model=args.model, seed=args.seed
-    )
+    try:
+        scheduler = ServiceScheduler(
+            args.strategy, m=args.m, alpha=args.alpha, model=args.model, seed=args.seed
+        )
+    except (ValueError, CapabilityError) as exc:
+        return _usage_error(args, exc)
     daemon = ServiceDaemon(
         scheduler,
         host=args.host,
@@ -1233,6 +1258,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     from repro._validation import check_positive_float
     from repro.chaos import ChaosSchedule, FleetTopology, SoakConfig
     from repro.chaos.soak import run_soak, run_soak_live
+    from repro.registry import CapabilityError
 
     with _observability(args):
         topology = FleetTopology(
@@ -1266,7 +1292,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             config = SoakConfig(**config_kw)
             if args.live:
                 check_positive_float(args.pace, "pace")
-        except ValueError as exc:
+        except (ValueError, CapabilityError) as exc:
             print(f"soak: {exc}", file=sys.stderr)
             return 2
         if args.live:
@@ -1316,14 +1342,25 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A reader that closes stdout early (``repro proofs | head``) ends the
+    command quietly: what is left of stdout goes to devnull, so no
+    ``BrokenPipeError`` traceback, and the exit code is 1.
+    """
     parser = build_parser()
     args, rest = parser.parse_known_args(argv)
     if args.command == "bench":  # perfbench parses these itself
         args.argv = rest
     elif rest:
         parser.error(f"unrecognized arguments: {' '.join(rest)}")
-    return args.handler(args)
+    try:
+        code = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -50,10 +50,18 @@ __all__ = [
 class PinnedTables(NamedTuple):
     """What :class:`PinnedAwarePolicy` decides from, fixed by (instance, placement).
 
-    ``rank[j]`` is task ``j``'s position in the LPT order; ``queues[i]``
-    lists machine ``i``'s pinned tasks in LPT order; ``suffix[i][k]`` is
-    the estimate of ``queues[i][k:]`` summed left to right, ending in
-    ``0.0``; ``candidates`` lists the replicated tasks in LPT order.
+    ``rank[j]`` orders task ``j`` against the others (its LPT position,
+    from :func:`pinned_tables`); ``queues[i]`` lists the tasks pinned to
+    machine ``i`` alone, in dispatch order; ``suffix[i][k]`` is the
+    estimate of ``queues[i][k:]`` summed left to right, ending in
+    ``0.0``; ``candidates`` lists the tasks several machines may take, in
+    dispatch order.
+
+    ABO's tables (:func:`repro.memory.abo.abo_tables`) rank every pinned
+    task ahead of every candidate, so a machine always runs its own
+    queue first and takes a candidate only once its queue is empty,
+    whatever the backlogs.  Their ranks decide every pick and the
+    backlogs are never compared, so their suffix sums are all ``0.0``.
     """
 
     rank: list[int]
@@ -119,24 +127,27 @@ class PinnedAwarePolicy:
     to right (``math.fsum`` or the compensated ``sum()`` of Python 3.12
     would round differently), so every interpreter compares the same
     floats.  An abort (``view.abort_epoch``) reverts a machine's running
-    task to unstarted, so the heads are re-derived from the view.
+    task to unstarted, and a new run brings a new view, so either
+    re-derives the heads from the view: one policy object can serve
+    several runs.
 
-    ``tables`` holds the :class:`PinnedTables` built by
-    :func:`pinned_tables`; the batch replay
-    (:mod:`repro.simulation.batch`) compiles them instead of calling
-    ``select``.
+    The policy is built from a :class:`PinnedTables`, whoever built it
+    (:func:`pinned_tables`, or ABO's own), and reads the placement from
+    the view; the batch replay (:mod:`repro.simulation.batch`) compiles
+    the same ``tables`` instead of calling ``select``.
     """
 
-    def __init__(self, instance: Instance, placement: Placement) -> None:
-        self.tables = pinned_tables(instance, placement)
-        self._rank, self._queues, self._suffix, self._multi = self.tables
-        self._placement = placement
-        self._head = [0] * instance.m
-        self._first_multi = 0  # low-water mark into _multi
+    def __init__(self, tables: PinnedTables) -> None:
+        self.tables = tables
+        self._rank, self._queues, self._suffix, self._multi = tables
+        self._view: SchedulerView | None = None
         self._seen_abort_epoch = 0
+        self._head = [0] * len(self._queues)
+        self._first_multi = 0  # low-water mark into _multi
 
     def select(self, machine: int, view: SchedulerView) -> int | None:
-        if view.abort_epoch != self._seen_abort_epoch:
+        if view is not self._view or view.abort_epoch != self._seen_abort_epoch:
+            self._view = view
             self._seen_abort_epoch = view.abort_epoch
             self._first_multi = 0
             self._head = [
@@ -150,22 +161,19 @@ class PinnedAwarePolicy:
             multi[self._first_multi]
         ):
             self._first_multi += 1
+        placement = view.placement
         cand: int | None = None
         for pos in range(self._first_multi, len(multi)):
             j = multi[pos]
-            if not view.is_started(j) and self._placement.allows(j, machine):
+            if not view.is_started(j) and placement.allows(j, machine):
                 cand = j
                 break
-        if cand is not None:
+        if cand is not None and (own is None or self._rank[cand] < self._rank[own]):
             # Eligibility: this machine's pinned backlog must be minimal
             # among the machines that could host the replicated task.
             suffix, heads = self._suffix, self._head
-            min_rem = min(
-                suffix[i][heads[i]] for i in self._placement.machines_for(cand)
-            )
-            if suffix[machine][head] <= min_rem + 1e-12 and (
-                own is None or self._rank[cand] < self._rank[own]
-            ):
+            min_rem = min(suffix[i][heads[i]] for i in placement.machines_for(cand))
+            if suffix[machine][head] <= min_rem + 1e-12:
                 return cand
         if own is not None:
             self._head[machine] = head + 1
@@ -267,7 +275,7 @@ class SelectiveReplication(TwoPhaseStrategy):
         )
 
     def make_policy(self, instance: Instance, placement: Placement) -> OnlinePolicy:
-        return PinnedAwarePolicy(instance, placement)
+        return PinnedAwarePolicy(pinned_tables(instance, placement))
 
 
 def _lpt_with_offset(times: list[float], m: int, offset: float) -> list[int]:
@@ -349,4 +357,4 @@ class BudgetedReplication(TwoPhaseStrategy):
         )
 
     def make_policy(self, instance: Instance, placement: Placement) -> OnlinePolicy:
-        return PinnedAwarePolicy(instance, placement)
+        return PinnedAwarePolicy(pinned_tables(instance, placement))

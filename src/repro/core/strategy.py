@@ -218,12 +218,13 @@ class FixedOrderPolicy:
     waiting because its machine set excludes the machines that idled so
     far, so the scan must restart from the first unstarted task.  The scan
     keeps a global low-water mark to stay near O(1) amortized for
-    everywhere-placements.
+    everywhere-placements; an abort or a new run (a new view) resets it.
     """
 
     def __init__(self, order: Sequence[int]) -> None:
         self._order = list(order)
         self._first_unstarted = 0  # low-water mark into _order
+        self._view: SchedulerView | None = None
         self._seen_abort_epoch = 0
 
     @property
@@ -237,10 +238,11 @@ class FixedOrderPolicy:
 
     def select(self, machine: int, view: SchedulerView) -> int | None:
         order = self._order
-        if view.abort_epoch != self._seen_abort_epoch:
-            # An abort reverted some task to unstarted; the low-water mark
-            # may have passed it, so rescan from the top.
+        if view is not self._view or view.abort_epoch != self._seen_abort_epoch:
+            # A new run, or an abort that reverted some task to unstarted:
+            # the low-water mark may have passed it, so rescan from the top.
             self._first_unstarted = 0
+            self._view = view
             self._seen_abort_epoch = view.abort_epoch
         # Advance the low-water mark past globally started tasks.
         while self._first_unstarted < len(order) and view.is_started(

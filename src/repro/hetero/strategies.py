@@ -17,7 +17,7 @@ import heapq
 from repro._validation import check_fraction
 from repro.core.model import Instance
 from repro.core.placement import Placement
-from repro.core.strategies.selective import PinnedAwarePolicy
+from repro.core.strategies.selective import PinnedAwarePolicy, pinned_tables
 from repro.core.strategy import OnlinePolicy, TwoPhaseStrategy
 from repro.hetero.uncertainty import HeteroUncertainty
 from repro.registry import (
@@ -148,4 +148,4 @@ class RiskAwareReplication(TwoPhaseStrategy):
         )
 
     def make_policy(self, instance: Instance, placement: Placement) -> OnlinePolicy:
-        return PinnedAwarePolicy(instance, placement)
+        return PinnedAwarePolicy(pinned_tables(instance, placement))

@@ -22,8 +22,12 @@ all the memory intensive tasks are scheduled".  We implement the
 work-conserving per-machine reading — a machine takes replicated work as
 soon as *its own* pinned queue is empty — which matches the proof's use of
 the List-Scheduling property on :math:`C^R_{max}` and never inserts the
-idle time a global barrier would.  The strict global barrier is available
-as ``barrier=True`` for the ablation bench.
+idle time a global barrier would.  That reading is the pinned-aware rule
+of :class:`~repro.core.strategies.selective.PinnedAwarePolicy` once every
+pinned task ranks ahead of every replicated one: :func:`abo_tables` lays
+it out that way, and the batch replay compiles the same tables.  The
+strict global barrier is available as ``barrier=True`` for the ablation
+bench; :class:`ABOPolicy` runs it, on the event kernel only.
 """
 
 from __future__ import annotations
@@ -31,91 +35,90 @@ from __future__ import annotations
 from repro._validation import check_delta
 from repro.core.model import Instance
 from repro.core.placement import Placement
+from repro.core.strategies.selective import PinnedAwarePolicy, PinnedTables
 from repro.core.strategy import OnlinePolicy, SchedulerView, TwoPhaseStrategy
 from repro.memory.sbo import sbo_split
 from repro.registry import Capabilities, Choice, Flag, Float, register_strategy
 
-__all__ = ["ABO", "ABOPolicy"]
+__all__ = ["ABO", "ABOPolicy", "abo_tables"]
+
+
+def abo_tables(instance: Instance, placement: Placement) -> PinnedTables:
+    """ABO's Phase 2 as :class:`~repro.core.strategies.selective.PinnedTables`.
+
+    Each machine's pinned :math:`S_2` queue and the replicated
+    :math:`S_1` order (the candidates) are in LPT-estimate order, and
+    every pinned task ranks ahead of every replicated one, so a machine
+    runs its own queue before any replicated task.  :math:`S_1` is read
+    from ``placement.meta["s1"]``, not from machine-set sizes: at
+    ``m = 1`` every set is a singleton and :math:`S_2` still runs first.
+    The ranks decide every pick, so the suffix sums are all ``0.0`` (see
+    :class:`~repro.core.strategies.selective.PinnedTables`).
+    """
+    s1 = set(placement.meta["s1"])
+    queues: list[list[int]] = [[] for _ in range(instance.m)]
+    pinned: list[int] = []
+    candidates: list[int] = []
+    for j in instance.lpt_order():
+        if j in s1:
+            candidates.append(j)
+        else:
+            pinned.append(j)
+            queues[min(placement.machines_for(j))].append(j)
+    rank = [0] * instance.n
+    for pos, j in enumerate(pinned + candidates):
+        rank[j] = pos
+    suffix = [[0.0] * (len(queue) + 1) for queue in queues]
+    return PinnedTables(rank, queues, suffix, candidates)
 
 
 class ABOPolicy:
-    """Phase-2 policy of ABO: pinned :math:`S_2` first, then LS over :math:`S_1`.
+    """ABO's strict global-barrier Phase 2 (the ablation).
 
-    Pinned tasks are dispatched in LPT-estimate order within each machine's
-    own queue; replicated tasks in LPT-estimate order globally (any fixed
-    order preserves the LS analysis; LPT order also gives the policy the
-    LPT-No-Restriction behaviour on the replicated set).
+    A machine runs its own pinned queue first, and takes replicated work
+    only once *every* pinned task of every machine has started; a
+    machine the barrier refuses idles for good (with no faults or
+    releases, the kernel retires it).  The batch compiler refuses this
+    policy, so its runs stay on the event kernel.  It reads the queues
+    and the replicated order of :func:`abo_tables`.
 
     Each pick is the first unstarted task of a fixed list, and a started
     task stays started until an abort (machine-failure extension), so a
     low-water mark per list stands in for the scan: a head per pinned
-    queue, one into the replicated order, and, for the barrier, the
-    number of machines (in queue order) whose pinned queues have all
-    started.  A poll then costs O(1) amortized, and the barrier test
-    O(m) amortized over a run.  An abort bumps ``view.abort_epoch`` and
-    reverts a task to unstarted, and a new run brings a new view, so
-    either resets the marks to the front of their lists.
+    queue, one into the replicated order, and the number of leading
+    machines whose pinned queues have all started.  A poll then costs
+    O(1) amortized, and the barrier test O(m) amortized over a run.  An
+    abort bumps ``view.abort_epoch`` and reverts a task to unstarted, and
+    a new run brings a new view, so either resets the marks to the front
+    of their lists.
     """
 
-    def __init__(
-        self,
-        pinned_queues: dict[int, list[int]],
-        replicated_order: list[int],
-        *,
-        barrier: bool = False,
-    ) -> None:
-        self._pinned = {i: list(q) for i, q in pinned_queues.items()}
-        self._replicated = list(replicated_order)
-        self._barrier = barrier
-        self._machines = list(self._pinned)  # the barrier's scan order
+    def __init__(self, tables: PinnedTables) -> None:
+        self._queues = tables.queues
+        self._replicated = tables.candidates
         self._view: SchedulerView | None = None
         self._seen_abort_epoch = 0
-        self._heads: dict[int, int] = {}
+        self._heads = [0] * len(self._queues)
         self._first_replicated = 0
-        self._machines_done = 0  # leading _machines whose queues all started
-
-    @property
-    def pinned_queues(self) -> dict[int, tuple[int, ...]]:
-        """Per-machine pinned dispatch queues (read-only view).
-
-        The batch backend (:mod:`repro.simulation.batch`) compiles these,
-        together with :attr:`replicated_order`, into one task order for
-        its closed-form completion sweep instead of replaying events.
-        """
-        return {i: tuple(q) for i, q in self._pinned.items()}
-
-    @property
-    def replicated_order(self) -> tuple[int, ...]:
-        """The fixed global dispatch order of the replicated tasks."""
-        return tuple(self._replicated)
-
-    @property
-    def barrier(self) -> bool:
-        """Whether the strict global-barrier ablation is active."""
-        return self._barrier
+        self._machines_done = 0  # leading machines whose queues all started
 
     def select(self, machine: int, view: SchedulerView) -> int | None:
         if view is not self._view or view.abort_epoch != self._seen_abort_epoch:
             self._view = view
             self._seen_abort_epoch = view.abort_epoch
-            self._heads = dict.fromkeys(self._pinned, 0)
+            self._heads = [0] * len(self._queues)
             self._first_replicated = 0
             self._machines_done = 0
         started = view.is_started
-        queue = self._pinned.get(machine)
-        if queue is not None:
-            head = self._advance_head(machine, started)
-            if head < len(queue):
-                return queue[head]
-        if self._barrier:
-            # Global barrier variant: replicated work only once *every*
-            # pinned task has started.
-            machines = self._machines
-            while self._machines_done < len(machines):
-                i = machines[self._machines_done]
-                if self._advance_head(i, started) < len(self._pinned[i]):
-                    return None
-                self._machines_done += 1
+        queues = self._queues
+        head = self._advance_head(machine, started)
+        if head < len(queues[machine]):
+            return queues[machine][head]
+        while self._machines_done < len(queues):
+            i = self._machines_done
+            if self._advance_head(i, started) < len(queues[i]):
+                return None
+            self._machines_done += 1
         replicated = self._replicated
         pos = self._first_replicated
         while pos < len(replicated) and started(replicated[pos]):
@@ -125,7 +128,7 @@ class ABOPolicy:
 
     def _advance_head(self, machine: int, started) -> int:
         """Move ``machine``'s head past its started pinned tasks; return it."""
-        queue, head = self._pinned[machine], self._heads[machine]
+        queue, head = self._queues[machine], self._heads[machine]
         while head < len(queue) and started(queue[head]):
             head += 1
         self._heads[machine] = head
@@ -202,17 +205,8 @@ class ABO(TwoPhaseStrategy):
         )
 
     def make_policy(self, instance: Instance, placement: Placement) -> OnlinePolicy:
-        s1 = placement.meta["s1"]
-        s2 = placement.meta["s2"]
-        lpt_rank = {tid: pos for pos, tid in enumerate(instance.lpt_order())}
-        pinned: dict[int, list[int]] = {}
-        for j in s2:
-            machine = next(iter(placement.machines_for(j)))
-            pinned.setdefault(machine, []).append(j)
-        for q in pinned.values():
-            q.sort(key=lambda j: lpt_rank[j])
-        replicated = sorted(s1, key=lambda j: lpt_rank[j])
-        return ABOPolicy(pinned, replicated, barrier=self.barrier)
+        tables = abo_tables(instance, placement)
+        return ABOPolicy(tables) if self.barrier else PinnedAwarePolicy(tables)
 
     # -- guarantees -----------------------------------------------------------------
     def makespan_guarantee(self, instance: Instance, *, rho1: float | None = None) -> float:

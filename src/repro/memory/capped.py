@@ -28,7 +28,7 @@ from __future__ import annotations
 from repro._validation import check_positive_float
 from repro.core.model import Instance
 from repro.core.placement import Placement
-from repro.core.strategies.selective import PinnedAwarePolicy
+from repro.core.strategies.selective import PinnedAwarePolicy, pinned_tables
 from repro.core.strategy import OnlinePolicy, TwoPhaseStrategy
 from repro.memory.model import memory_lower_bound, memory_reference
 from repro.registry import Capabilities, Choice, Float, register_strategy
@@ -153,4 +153,4 @@ class CappedReplication(TwoPhaseStrategy):
         )
 
     def make_policy(self, instance: Instance, placement: Placement) -> OnlinePolicy:
-        return PinnedAwarePolicy(instance, placement)
+        return PinnedAwarePolicy(pinned_tables(instance, placement))

@@ -48,6 +48,7 @@ import os
 import time
 from typing import Any
 
+from repro._validation import check_non_negative_float
 from repro.obs import evaluate_slo, get_tracer, render_openmetrics, run_manifest, write_exposition
 from repro.service.http import (
     HttpError,
@@ -175,9 +176,9 @@ class ServiceDaemon:
         every ``flush_interval`` seconds and once at shutdown — point a
         scraper (or ``promtool``) at the file.
     pace:
-        Virtual seconds advanced per real second by the pump; ``0``
-        (default) runs the simulated cluster eagerly, i.e. completions
-        land as soon as the loop is otherwise idle.
+        Virtual seconds advanced per real second by the pump, finite and
+        ``>= 0``; ``0`` (default) runs the simulated cluster eagerly, i.e.
+        completions land as soon as the loop is otherwise idle.
     """
 
     def __init__(
@@ -198,7 +199,7 @@ class ServiceDaemon:
         self.port = port
         self.socket_path = socket_path
         self.metrics_out = metrics_out
-        self.pace = float(pace)
+        self.pace = check_non_negative_float(pace, "pace")
         self.flush_interval = float(flush_interval)
         self.started = asyncio.Event()
         self._stop = asyncio.Event()

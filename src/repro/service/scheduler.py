@@ -58,7 +58,7 @@ from typing import Any
 
 import numpy as np
 
-from repro._validation import check_alpha
+from repro._validation import check_alpha, check_non_negative_int
 from repro.obs import get_tracer
 from repro.service.placement import OnlinePlacer
 from repro.service.protocol import (
@@ -147,7 +147,7 @@ class ServiceScheduler:
         self.m = m
         self.alpha = alpha
         self.model = model
-        self.seed = int(seed)
+        self.seed = check_non_negative_int(seed, "seed")
         self.clock = 0.0
         self.records: list[TaskRecord] = []
         self.busy: dict[int, int] = {}  # machine -> running tid

@@ -11,23 +11,21 @@ compiles the pair into the cheapest *plan* its decision structure admits:
 
 * :class:`BatchPlan` — the closed-form completion sweep for
   :class:`~repro.core.strategy.FixedOrderPolicy` over a machine
-  *partition*, and for ABO's fixed phase split (the pinned queues first,
-  each on its one machine, then the replicated tasks over every
-  machine).  The plan is laid out as :class:`Segment`\\ s of machine
-  groups that never interact: a partition is one segment of ``k``
-  groups, ABO's split is two (``m`` one-machine groups, then one group
-  of all ``m``).  One step advances every group of a segment in every
-  row at once, so a segment costs as many vectorized argmin+add steps as
-  its longest group has tasks, not ``n``.  Plans of one strategy on
-  same-shape instances sweep together as one *stack*: an ``(R, n)``
-  matrix holding every instance's rows.
+  *partition*: ``k`` machine groups that never interact, each placing
+  its own tasks.  One step advances every group in every row at once,
+  so a plan costs as many vectorized argmin+add steps as its longest
+  group has tasks, not ``n``.  Plans of one strategy on same-shape
+  instances sweep together as one *stack*: an ``(R, n)`` matrix holding
+  every instance's rows.
 * :class:`ReplayPlan` — everything with no closed form: a fixed order
-  over an *arbitrary* placement (overlapping windows, gaps) and the
-  :class:`~repro.core.strategies.selective.PinnedAwarePolicy` families
-  (selective/budgeted/capped/risk-aware).  The plan holds the tables
-  the policy decides from (ranks, pinned queues with their suffix sums,
-  candidates and their allowed machines), built once per pack; a fixed
-  order is the same rule with no pinned queues.  Replay plans of one
+  over an *arbitrary* placement (overlapping windows, gaps) and every
+  :class:`~repro.core.strategies.selective.PinnedAwarePolicy`
+  (selective/budgeted/capped/risk-aware, and ABO without its barrier,
+  whose pinned queues rank ahead of its replicated tasks).  The plan
+  holds the tables the policy decides from (ranks, pinned queues with
+  their suffix sums, candidates and their allowed machines), built once
+  per pack; a fixed order is the same rule with no pinned queues.
+  Replay plans of one
   ``(n, m)`` shape stack too, and every row of the stack steps in
   lockstep through the kernel's event order: ``m + n`` vectorized polls
   per stack, whatever its row count.
@@ -37,30 +35,31 @@ compiles the pair into the cheapest *plan* its decision structure admits:
 machine, the *same* IEEE additions in the *same* left-to-right order as
 the kernel (each task's end is ``min-load + p_j``; argmin ties go to the
 lowest machine index, the kernel's ``t = 0`` seeding order, and
-partition/phase-split structure makes later exact ties
-makespan-invariant — tied machines are interchangeable for all remaining
-work).  Padding a segment to its longest group changes no sum: an empty
-task slot adds ``+0.0`` to a load that is ``>= +0.0``, and an empty
-machine slot holds ``+inf`` after the group's real machines, so argmin
-never picks it.  The replay makes the policy's own decisions, compare
-for compare, in the kernel's event order: ``t = 0`` polls run in machine
-order, then completions surface in ``(time, seq)`` order, one per step
-— which polls tied completions in the order the ``EventQueue`` does,
-since a completion changes nothing a policy reads (see
-:func:`_lockstep_replay`).  ``tests/test_batch.py`` asserts equality
-property-style across random instances for every ``supports_batch``
-family.
+partition structure makes later exact ties makespan-invariant — tied
+machines are interchangeable for all remaining work).  Padding the
+groups to the longest one changes no sum: an empty task slot adds
+``+0.0`` to a load that is ``>= +0.0``, and an empty machine slot holds
+``+inf`` after the group's real machines, so argmin never picks it.
+The replay makes the policy's own decisions, compare for compare, in the
+kernel's event order: ``t = 0`` polls run in machine order, then
+completions surface in ``(time, seq)`` order, one per step — which polls
+tied completions in the order the ``EventQueue`` does, since a
+completion changes nothing a policy reads (see :func:`_lockstep_replay`).
+``tests/test_batch.py`` asserts equality property-style across random
+instances for every ``supports_batch`` family.
 
 **Eligibility.**  A strategy opts in via the ``supports_batch``
 capability flag (:class:`repro.registry.Capabilities`), and
 :func:`build_plan` then *verifies* the structure instead of trusting the
-flag: the Phase-2 policy must be one of the three compilable types
-(:class:`FixedOrderPolicy`, :class:`~repro.memory.abo.ABOPolicy` without
-its barrier ablation, :class:`PinnedAwarePolicy`), and ABO's queues must
-agree with the placement it was built from.  The allowlist is by exact
-type because the replay compiles each policy's tables, and its rule
-reads only which tasks started (no clock, no revealed actuals): a policy
-that decides otherwise must stay on the kernel.
+flag: the Phase-2 policy must be one of the two compilable types
+(:class:`FixedOrderPolicy`, :class:`PinnedAwarePolicy`), and a
+pinned-aware policy's tables, whoever built them, must agree with the
+placement: each queued task pinned to exactly its queue's machine, and
+the queues plus the candidates a permutation of the tasks.  The
+allowlist is by exact type because the replay compiles each policy's
+tables, and its rule reads only which tasks started (no clock, no
+revealed actuals): a policy that decides otherwise must stay on the
+kernel.
 Anything else — adaptive policies with bespoke dispatch, the ABO global
 barrier, fault plans, release times — raises :class:`BatchUnsupported`
 and the caller falls back to the event kernel, so the flag can never
@@ -85,7 +84,6 @@ if TYPE_CHECKING:
 __all__ = [
     "BatchUnsupported",
     "BatchPlan",
-    "Segment",
     "ReplayPlan",
     "Plan",
     "supports_batch",
@@ -108,40 +106,6 @@ class BatchUnsupported(RuntimeError):
     placement: Placement | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class Segment:
-    """Machine groups that never interact, each placing its own tasks.
-
-    ``machines[g]`` lists group ``g``'s machines in increasing order,
-    padded with ``m`` (an empty machine slot); ``tasks[g]`` lists the
-    tasks group ``g`` places, in dispatch order, padded with ``n`` (an
-    empty task slot).  Both are ``intp`` arrays, ``(k, S)`` and ``(k, T)``:
-    the sweep steps all ``k`` groups at once, ``T`` times.
-    """
-
-    machines: np.ndarray
-    tasks: np.ndarray
-
-
-def _segment(
-    instance: Instance, groups: Sequence[tuple[Sequence[int], Sequence[int]]]
-) -> Segment:
-    """Pad ``(machines, tasks)`` groups into one segment's two tables."""
-    width = max(len(machines) for machines, _ in groups)
-    steps = max(len(tasks) for _, tasks in groups)
-    machines: list[int] = []
-    tasks: list[int] = []
-    for group_machines, group_tasks in groups:
-        machines += group_machines
-        machines += [instance.m] * (width - len(group_machines))
-        tasks += group_tasks
-        tasks += [instance.n] * (steps - len(group_tasks))
-    return Segment(
-        np.array(machines, dtype=np.intp).reshape(len(groups), width),
-        np.array(tasks, dtype=np.intp).reshape(len(groups), steps),
-    )
-
-
 @dataclass(frozen=True)
 class BatchPlan:
     """One (strategy, instance) pair compiled for the vectorized sweep.
@@ -153,19 +117,21 @@ class BatchPlan:
     placement:
         The Phase-1 placement (computed once, shared by every realization
         in the pack; carries the replication metrics records need).
-    segments:
-        The sweep's lockstep stretches, run in order on shared machine
-        loads: one segment holding the partition's groups (verified
-        contiguous and disjoint), or ABO's two — every machine alone with
-        its pinned queue, then all ``m`` machines with the replicated
-        order.
+    machines, tasks:
+        The partition's ``k`` groups (verified contiguous and disjoint):
+        ``machines[g]`` lists group ``g``'s machines in increasing order,
+        padded with ``m`` (an empty machine slot); ``tasks[g]`` lists the
+        tasks group ``g`` places, in dispatch order, padded with ``n``
+        (an empty task slot).  Both are ``intp`` arrays, ``(k, S)`` and
+        ``(k, T)``: the sweep steps all ``k`` groups at once, ``T`` times.
     guarantee:
         ``strategy.guarantee(instance)`` if defined, else ``None``.
     """
 
     strategy_name: str
     placement: Placement
-    segments: tuple[Segment, ...]
+    machines: np.ndarray
+    tasks: np.ndarray
     guarantee: float | None
 
     @property
@@ -178,15 +144,16 @@ class ReplayPlan:
     """A strategy whose dispatch has no closed form, compiled to tables.
 
     Serves :class:`~repro.core.strategies.selective.PinnedAwarePolicy`
-    (selective/budgeted/capped/risk-aware) and
+    (selective/budgeted/capped/risk-aware/ABO) and
     :class:`~repro.core.strategy.FixedOrderPolicy` over a non-partition
     placement (overlapping or gapped replica sets, where an idle machine
     may legally skip an earlier task it does not hold).  Both decide from
     tables fixed by (instance, placement), built once per pack:
 
     rank:
-        ``(n + 1,)``: each task's LPT rank (a fixed order: its position),
-        then ``n`` for the empty slot.
+        ``(n + 1,)``: each task's rank (LPT, with ABO's pinned tasks
+        first; a fixed order: its position), then ``n`` for the empty
+        slot.
     queues, suffix:
         ``(Q,)``: every machine's pinned queue in dispatch order, each
         followed by the empty slot ``n``; ``suffix`` holds, at each queue
@@ -277,9 +244,8 @@ def build_plan(strategy: TwoPhaseStrategy, instance: Instance) -> Plan:
     per-cell path's), builds the Phase-2 policy once, and dispatches on
     its exact type: :class:`FixedOrderPolicy` compiles to the closed-form
     sweep (or the replay when the placement is not a partition),
-    ``ABOPolicy`` to the closed-form sweep over its phase split,
-    ``PinnedAwarePolicy`` to the replay.  Every closed-form precondition is verified against the
-    placement — the capability flag is never trusted.  Raises
+    ``PinnedAwarePolicy`` to the replay.  Every precondition is verified
+    against the placement — the capability flag is never trusted.  Raises
     :class:`BatchUnsupported` when the pair must use the event kernel
     (its ``placement`` is the one Phase 1 built), and propagates
     ``ValueError`` from Phase 1 unchanged (e.g. a group strategy whose
@@ -302,19 +268,17 @@ def _compile(
     """:func:`build_plan` after Phase 1: dispatch on the policy's exact type."""
     from repro.analysis.ratios import guarantee_of
     from repro.core.strategies.selective import PinnedAwarePolicy, PinnedTables
-    from repro.memory.abo import ABOPolicy
 
     policy = strategy.make_policy(instance, placement)
     guarantee = guarantee_of(strategy, instance)
-    if type(policy) is ABOPolicy:
-        return _compile_phase_split(strategy, instance, placement, policy, guarantee)
     if type(policy) is PinnedAwarePolicy:
+        _check_tables(strategy.name, placement, policy.tables)
         return _replay_plan(strategy.name, placement, policy.tables, guarantee)
     if type(policy) is not FixedOrderPolicy:
         raise BatchUnsupported(
             f"{strategy.name}: Phase-2 policy {type(policy).__name__} is not a "
-            "FixedOrderPolicy, ABOPolicy, or PinnedAwarePolicy — its dispatch "
-            "decisions cannot be compiled or replayed bit-exactly"
+            "FixedOrderPolicy or PinnedAwarePolicy — its dispatch decisions "
+            "cannot be compiled or replayed bit-exactly"
         )
     plan = _compile_fixed_order(strategy, instance, placement, policy, guarantee)
     if plan is not None:
@@ -335,6 +299,32 @@ def _check_permutation(strategy_name: str, tids: list[int], n: int) -> None:
             f"{strategy_name}: dispatch structure does not cover every one of "
             f"the {n} tasks exactly once"
         )
+
+
+def _check_tables(
+    strategy_name: str, placement: Placement, tables: PinnedTables
+) -> None:
+    """Refuse pinned-aware tables the replay would misread.
+
+    The replay advances a machine's queue only on that machine, so every
+    queued task must be pinned to exactly its queue's machine; and every
+    task must be queued or a candidate, once.
+    """
+    m = placement.instance.m
+    if len(tables.queues) != m:
+        raise BatchUnsupported(
+            f"{strategy_name}: {len(tables.queues)} pinned queues for {m} machines"
+        )
+    sets = placement.machine_sets
+    for i, queue in enumerate(tables.queues):
+        for j in queue:
+            if sets[j] != {i}:
+                raise BatchUnsupported(
+                    f"{strategy_name}: task {j} is queued on machine {i} but "
+                    "not pinned there alone by the placement"
+                )
+    tids = [j for queue in tables.queues for j in queue] + list(tables.candidates)
+    _check_permutation(strategy_name, tids, placement.instance.n)
 
 
 def _compile_fixed_order(
@@ -373,63 +363,18 @@ def _compile_fixed_order(
     for (_, b_prev), (a_next, _) in zip(bounds, bounds[1:]):
         if a_next < b_prev:
             return None
-    segment = _segment(instance, [(range(a, b), queues[a, b]) for a, b in bounds])
-    return BatchPlan(strategy.name, placement, (segment,), guarantee)
-
-
-def _compile_phase_split(
-    strategy: TwoPhaseStrategy,
-    instance: Instance,
-    placement: Placement,
-    policy,
-    guarantee: float | None,
-) -> BatchPlan:
-    """ABO's phase split as a two-segment :class:`BatchPlan`.
-
-    Each machine runs its pinned queue back to back from ``t = 0``, so
-    the first segment is ``m`` one-machine groups summing their queues
-    left to right; the replicated tasks follow in the policy's global
-    order as one group over ``[0, m)``.  A machine competes for
-    replicated work exactly when its total load is minimal, so the argmin
-    sweep reproduces the kernel's event order (``t = 0`` ties go to the
-    lowest machine index, and later exact ties are between machines
-    interchangeable for all remaining work).
-    """
-    if policy.barrier:
-        raise BatchUnsupported(
-            f"{strategy.name}: the global-barrier Phase 2 stalls machines on "
-            "remote pinned state and retires them early — only the event "
-            "kernel replays that faithfully"
-        )
-    n, m = instance.n, instance.m
-    all_machines = frozenset(range(m))
-    pinned = policy.pinned_queues
-    for i, queue in pinned.items():
-        if not 0 <= i < m:
-            raise BatchUnsupported(
-                f"{strategy.name}: pinned queue for unknown machine {i}"
-            )
-        for j in queue:
-            if placement.machines_for(j) != frozenset((i,)):
-                raise BatchUnsupported(
-                    f"{strategy.name}: task {j} is queued on machine {i} but "
-                    "not pinned there by the placement"
-                )
-    replicated = policy.replicated_order
-    for j in replicated:
-        if placement.machines_for(j) != all_machines:
-            raise BatchUnsupported(
-                f"{strategy.name}: replicated task {j} is not placed on every "
-                "machine — the unrestricted argmin would misplace it"
-            )
-    _check_permutation(
-        strategy.name, [j for queue in pinned.values() for j in queue] + list(replicated), n
+    # Pad every group to the widest and the longest one.
+    width = max(b - a for a, b in bounds)
+    steps = max(len(queue) for queue in queues.values())
+    machines = [[*range(a, b), *[instance.m] * (width - (b - a))] for a, b in bounds]
+    tasks = [[*queues[bound], *[n] * (steps - len(queues[bound]))] for bound in bounds]
+    return BatchPlan(
+        strategy.name,
+        placement,
+        np.array(machines, dtype=np.intp).reshape(len(bounds), width),
+        np.array(tasks, dtype=np.intp).reshape(len(bounds), steps),
+        guarantee,
     )
-    segments = (
-        _segment(instance, [((i,), pinned.get(i, ())) for i in range(m)]),
-        _segment(instance, [(range(m), replicated)]),
-    )
-    return BatchPlan(strategy.name, placement, segments, guarantee)
 
 
 # -- plan execution ---------------------------------------------------------
@@ -443,9 +388,8 @@ def sweep_makespans(
     """Execute compiled plans against an ``(R, n)`` actuals matrix.
 
     ``plan`` is one plan, which sweeps every row, or a *stack*: plans of
-    one ``(n, m)`` shape and one kind — all closed-form (with one segment
-    count, as one strategy's plans have) or all replay — where plan ``i``
-    sweeps the next ``rows[i]`` rows.  Returns the ``(R,)`` makespans,
+    one ``(n, m)`` shape and one kind — all closed-form or all replay —
+    where plan ``i`` sweeps the next ``rows[i]`` rows.  Returns the ``(R,)`` makespans,
     bit-identical to running each row through the event kernel.  Both
     kinds step every row of the stack at once: closed-form plans one
     argmin + add per task of their longest machine group, replay plans
@@ -479,48 +423,38 @@ def sweep_makespans(
 def _lockstep_makespans(
     plans: Sequence[BatchPlan], actuals: np.ndarray, rows: Sequence[int]
 ) -> np.ndarray:
-    """The heap-free completion sweep for partitions and ABO's phase split.
+    """The heap-free completion sweep for partitions.
 
     Machine loads start at zero; each task (in its group's dispatch
     order) lands on the least-loaded machine of its group, ties to the
-    lowest index — the event kernel's tie-break.  Segment by segment,
-    each row's loads are gathered into ``(R, k, S)`` group slots from its
-    own plan's machine tables, every group of every row takes one step
-    per vectorized argmin + add, and the slots are scattered back.  The
-    additions are elementwise (never reduced), so every machine's final
-    load is the same left-to-right IEEE sum the event kernel produces.
+    lowest index — the event kernel's tie-break.  Each row's loads sit
+    in ``(R, k, S)`` group slots laid out from its own plan's machine
+    table, and every group of every row takes one step per vectorized
+    argmin + add.  The additions are elementwise (never reduced), so
+    every machine's final load is the same left-to-right IEEE sum the
+    event kernel produces.
     """
     R, n = actuals.shape
     m = plans[0].instance.m
-    # Column n of the actuals is the +0.0 an empty task slot adds;
-    # column m of the loads is the +inf an empty machine slot holds (the
-    # loads are read through flat indices: row r's column c at
-    # r * (m + 1) + c).
+    k = max(p.machines.shape[0] for p in plans)
+    width = max(p.machines.shape[1] for p in plans)
+    steps = max(p.tasks.shape[1] for p in plans)
+    # Column n of the actuals is the +0.0 an empty task slot adds.
     padded = np.zeros((R, n + 1))
     padded[:, :n] = actuals
-    loads = np.zeros((R, m + 1))
-    loads[:, m] = np.inf
+    slots = np.full((R, k, width), m, dtype=np.intp)
+    acts = np.zeros((steps, R, k))
     edges = np.cumsum([0, *rows]).tolist()
-    row = np.arange(R)
-    for segments in zip(*(p.segments for p in plans), strict=True):
-        k = max(seg.machines.shape[0] for seg in segments)
-        width = max(seg.machines.shape[1] for seg in segments)
-        steps = max(seg.tasks.shape[1] for seg in segments)
-        if steps == 0:
-            continue
-        slots = np.full((R, k, width), m, dtype=np.intp)
-        acts = np.zeros((steps, R, k))
-        for seg, r0, r1 in zip(segments, edges, edges[1:]):
-            groups, size = seg.machines.shape
-            slots[r0:r1, :groups, :size] = seg.machines
-            block = padded[r0:r1, seg.tasks.T]  # (rows, T, groups)
-            acts[: seg.tasks.shape[1], r0:r1, :groups] = block.swapaxes(0, 1)
-        slots += (row * (m + 1))[:, None, None]
-        flat_loads = loads.reshape(-1)
-        group_loads = flat_loads[slots]
-        _step(group_loads, acts)
-        flat_loads[slots] = group_loads
-    return loads[:, :m].max(axis=1)
+    for p, r0, r1 in zip(plans, edges, edges[1:]):
+        groups, size = p.machines.shape
+        slots[r0:r1, :groups, :size] = p.machines
+        block = padded[r0:r1, p.tasks.T]  # (rows, T, groups)
+        acts[: p.tasks.shape[1], r0:r1, :groups] = block.swapaxes(0, 1)
+    # An empty machine slot holds +inf, so argmin never picks it.
+    real = slots < m
+    loads = np.where(real, 0.0, np.inf)
+    _step(loads, acts)
+    return np.where(real, loads, 0.0).max(axis=(1, 2))
 
 
 def _step(loads: np.ndarray, acts: np.ndarray) -> None:

@@ -186,7 +186,7 @@ def _grid_config(quick: bool) -> dict[str, Any]:
 
 
 #: The families that were event-kernel-bound before the plan compiler
-#: grew the phase-split and replay tiers: one exemplar per family
+#: grew past fixed orders over partitions: one exemplar per family
 #: (memory × 3, robust, hetero, selective-replication).  The
 #: ``memory_*`` scenarios sweep these over the same instance/model/seeds
 #: as the main grid, so ``batch_memory_speedup_x`` measures exactly what
@@ -378,7 +378,7 @@ def run_bench(*, quick: bool = True, repeats: int | None = None) -> dict[str, An
         lambda: measured_ratio(strategy, instance, realization), repeats
     )
     # The gated pairs, kernel vs batch.  The memory pair is the newly
-    # batchable families: before the phase-split/replay tiers these
+    # batchable families: before the compiler grew past partitions these
     # cells took the event kernel even with batch=True, so it measures
     # the end-to-end win of the wider batch tier on its own cells.  Each
     # pass times a pair's two sides in turns and yields one ratio.

@@ -41,6 +41,7 @@ __all__ = [
     "beta_factors",
     "STOCHASTIC_MODELS",
     "sample_realization",
+    "check_model",
 ]
 
 
@@ -162,10 +163,14 @@ def sample_realization(
     kwargs:
         Model-specific parameters (e.g. ``p_up`` for ``bimodal_extreme``).
     """
-    try:
-        fn = STOCHASTIC_MODELS[model]
-    except KeyError:
+    return STOCHASTIC_MODELS[check_model(model)](instance, seed, **kwargs)
+
+
+def check_model(model: str) -> str:
+    """Return ``model`` if :data:`STOCHASTIC_MODELS` names it, else raise
+    ``ValueError`` naming the known models."""
+    if model not in STOCHASTIC_MODELS:
         raise ValueError(
             f"unknown stochastic model {model!r}; known: {sorted(STOCHASTIC_MODELS)}"
-        ) from None
-    return fn(instance, seed, **kwargs)
+        )
+    return model

@@ -118,22 +118,41 @@ def sized_instance() -> Instance:
 # Fresh interpreters
 # ---------------------------------------------------------------------------
 
+def _checkout_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on the path."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_python(code: str, cwd: Path | None = None) -> str:
     """Run ``code`` in a fresh interpreter on this checkout; its stdout.
 
     For what only a new process shows: which modules an import loads, or
     an order that depends on which module was imported first.
     """
-    import repro
-
-    src = str(Path(repro.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", code],
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_checkout_env(),
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def run_cli(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """``python -m repro ARGV`` in a fresh interpreter on this checkout,
+    stderr captured as text; a command still running after a minute is
+    killed and fails the test."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env=_checkout_env(),
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+        **kwargs,
+    )

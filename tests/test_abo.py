@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.ratios import run_strategy
+from repro.core.strategies.selective import PinnedAwarePolicy
 from repro.exact.optimal import optimal_makespan
 from repro.faults import CrashRecover, FaultPlan
-from repro.memory.abo import ABO, ABOPolicy
+from repro.memory.abo import ABO, ABOPolicy, abo_tables
 from repro.memory.model import memory_lower_bound
 from repro.memory.sabo import SABO
 from repro.simulation import simulate
@@ -82,15 +83,23 @@ class TestPhase2Precedence:
 
 
 class _ScanPolicy:
-    """ABO's Phase-2 rule as a plain scan of the view on every poll."""
+    """ABO's Phase-2 rule as a plain scan of the view on every poll.
 
-    def __init__(self, policy: ABOPolicy) -> None:
-        self.pinned = policy.pinned_queues
-        self.replicated = policy.replicated_order
-        self.barrier = policy.barrier
+    Built from the placement, not from the policy under test: each
+    machine's S₂ queue, then S₁ (``meta["s1"]``), both in LPT order."""
+
+    def __init__(self, instance, placement, barrier: bool) -> None:
+        s1 = set(placement.meta["s1"])
+        lpt = instance.lpt_order()
+        self.pinned = {
+            i: [j for j in lpt if j not in s1 and placement.machines_for(j) == {i}]
+            for i in range(instance.m)
+        }
+        self.replicated = [j for j in lpt if j in s1]
+        self.barrier = barrier
 
     def select(self, machine, view):
-        for tid in self.pinned.get(machine, ()):
+        for tid in self.pinned[machine]:
             if not view.is_started(tid):
                 return tid
         if self.barrier:
@@ -139,7 +148,25 @@ def _recoverable_crashes(draw, instance):
 
 
 class TestHeadPointers:
-    """The policy's head pointers pick what a scan of the view picks."""
+    """Both Phase-2 policies pick what a scan of the view picks: the
+    pinned-aware rule over :func:`abo_tables` without the barrier,
+    :class:`ABOPolicy` with it."""
+
+    def test_each_mode_has_its_policy(self):
+        inst = planted_two_class(3, 6, m=3)
+        placement = ABO(1.0).place(inst)
+        assert type(ABO(1.0).make_policy(inst, placement)) is PinnedAwarePolicy
+        barrier = ABO(1.0, barrier=True).make_policy(inst, placement)
+        assert type(barrier) is ABOPolicy
+
+    def test_tables_rank_every_pinned_task_first(self):
+        inst = planted_two_class(3, 6, m=3)
+        placement = ABO(1.0).place(inst)
+        rank, queues, suffix, candidates = abo_tables(inst, placement)
+        pinned = [j for queue in queues for j in queue]
+        assert sorted(pinned) == sorted(placement.meta["s2"])
+        assert max(rank[j] for j in pinned) < min(rank[j] for j in candidates)
+        assert all(set(sums) == {0.0} for sums in suffix)
 
     @given(data=st.data(), barrier=st.booleans(), delta=st.sampled_from(DELTAS))
     def test_same_picks_as_a_scan_under_aborts(self, data, barrier, delta):
@@ -147,7 +174,7 @@ class TestHeadPointers:
         strategy = ABO(delta, barrier=barrier)
         placement = strategy.place(inst)
         policy = strategy.make_policy(inst, placement)
-        reference = _ScanPolicy(policy)
+        reference = _ScanPolicy(inst, placement, barrier)
         real = factors_realization(inst, data.draw(factor_vectors(inst)))
         faults = data.draw(_recoverable_crashes(inst))
         # One policy object serves a faulted run, then a fault-free one.
@@ -164,13 +191,12 @@ class TestHeadPointers:
         placement = strategy.place(inst)
         real = truthful_realization(inst)
         policy = strategy.make_policy(inst, placement)
-        machine, queue = next((i, q) for i, q in policy.pinned_queues.items() if q)
+        reference = _ScanPolicy(inst, placement, barrier)
+        machine, queue = next((i, q) for i, q in reference.pinned.items() if q)
         # Crash the machine halfway through its first pinned task.
         at = inst.tasks[queue[0]].estimate / 2
         plan = FaultPlan.of(CrashRecover(machine, at, 1.0))
-        trace = simulate(
-            placement, real, _Lockstep(policy, _ScanPolicy(policy)), faults=plan
-        )
+        trace = simulate(placement, real, _Lockstep(policy, reference), faults=plan)
         assert [run.tid for run in trace.aborted] == [queue[0]]
         assert trace.runs[queue[0]].start >= at + 1.0
         trace.validate(placement, real)

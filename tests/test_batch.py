@@ -22,8 +22,8 @@ from repro.analysis.experiment import ExperimentGrid
 from repro.analysis.ratios import run_strategy
 from repro.core.model import Instance, make_instance
 from repro.core.placement import Placement
+from repro.core.strategies.selective import PinnedAwarePolicy, PinnedTables
 from repro.core.strategy import FixedOrderPolicy, TwoPhaseStrategy
-from repro.memory.abo import ABOPolicy
 from repro.registry import capabilities_of, full_sweep, make_strategy, strategy_entries
 from repro.simulation.batch import (
     BatchPlan,
@@ -71,12 +71,12 @@ PERFORMANCE_DOC_TIERS: dict[str, type | None] = {
     "robust_pinned": BatchPlan,
     "nonclairvoyant_ls[shuffle=1]": BatchPlan,
     "refined[ls_group[k=5],eta=0.5]": BatchPlan,
-    "abo[delta=1]": BatchPlan,
     "overlap_windows[k=5,w=2]": ReplayPlan,
     "capped[C=1000]": ReplayPlan,
     "selective[0.25,count]": ReplayPlan,
     "budgeted[B=40]": ReplayPlan,
     "risk_aware[0.5]": ReplayPlan,
+    "abo[delta=1]": ReplayPlan,
     "abo[delta=1,barrier]": None,
 }
 
@@ -172,18 +172,16 @@ class TestBuildPlan:
     def test_everywhere_placement_ranges(self):
         inst = _rand_instance(10, 4, 1.5, 0)
         plan = build_plan(make_strategy("lpt_no_restriction"), inst)
-        (segment,) = plan.segments
-        assert segment.machines.tolist() == [list(range(inst.m))]
-        assert sorted(segment.tasks[0].tolist()) == list(range(inst.n))
+        assert plan.machines.tolist() == [list(range(inst.m))]
+        assert sorted(plan.tasks[0].tolist()) == list(range(inst.n))
         assert plan.guarantee is not None
 
     def test_group_placement_partitions(self):
         inst = _rand_instance(12, 6, 2.0, 1)
         plan = build_plan(make_strategy("ls_group[k=3]"), inst)
-        (segment,) = plan.segments
-        spans = {(row[0], row[-1] + 1) for row in segment.machines.tolist()}
+        spans = {(row[0], row[-1] + 1) for row in plan.machines.tolist()}
         assert spans <= {(0, 2), (2, 4), (4, 6)}
-        placed = segment.tasks[segment.tasks < inst.n]
+        placed = plan.tasks[plan.tasks < inst.n]
         assert sorted(placed.tolist()) == list(range(inst.n))
 
     def test_incompatible_k_propagates_value_error(self):
@@ -246,12 +244,23 @@ class TestBuildPlan:
         assert isinstance(plan, ReplayPlan)
         self._assert_plan_matches_kernel(GappyToy(), plan, inst)
 
+    def test_tables_must_agree_with_the_placement(self):
+        """Pinned-aware tables from outside ``pinned_tables`` are checked:
+        a queued task must be pinned to exactly its queue's machine, and
+        the queues plus the candidates must cover every task once."""
+        inst = _rand_instance(6, 3, 1.5, 8)
+        with pytest.raises(BatchUnsupported, match="task 0 is queued on machine 1"):
+            build_plan(MisqueuedTables(), inst)
+        with pytest.raises(BatchUnsupported, match="exactly once"):
+            build_plan(ChosenSplit(0.5, drop_last=True), inst)
+        assert isinstance(build_plan(ChosenSplit(0.5), inst), ReplayPlan)
+
     def test_plan_tiers_by_decision_structure(self):
         inst = _rand_sized_instance(14, 4, 2.0, 6)
         tiers = {
             "lpt_group[k=2]": BatchPlan,
             "sabo[delta=1]": BatchPlan,
-            "abo[delta=1]": BatchPlan,
+            "abo[delta=1]": ReplayPlan,
             "selective[0.3,count]": ReplayPlan,
             "risk_aware[0.4]": ReplayPlan,
         }
@@ -408,13 +417,15 @@ class UnevenGroups(TwoPhaseStrategy):
 
 
 class ChosenSplit(TwoPhaseStrategy):
-    """ABO's Phase-2 structure with a chosen split: the first ``share`` of
-    the LPT order pinned round robin, the rest replicated everywhere.
-    ``share=0`` leaves the pinned prefix empty, ``share=1`` the
-    replicated tail."""
+    """ABO's Phase-2 tables with a chosen split: the first ``share`` of
+    the LPT order pinned round robin, the rest replicated everywhere and
+    taken in reverse index order, every pinned task ranked first.
+    ``share=0`` leaves every queue empty, ``share=1`` no candidate;
+    ``drop_last`` leaves the last task out of the tables."""
 
-    def __init__(self, share: float) -> None:
+    def __init__(self, share: float, *, drop_last: bool = False) -> None:
         self.share = share
+        self.drop_last = drop_last
         self.name = f"chosen_split[{share}]"
 
     def _pinned(self, instance):
@@ -428,18 +439,45 @@ class ChosenSplit(TwoPhaseStrategy):
         return Placement(instance, tuple(sets))
 
     def make_policy(self, instance, placement):
-        pinned = set(self._pinned(instance))
-        queues: dict[int, list[int]] = {}
-        for j in instance.lpt_order():
-            if j in pinned:
-                queues.setdefault(min(placement.machines_for(j)), []).append(j)
-        replicated = [j for j in range(instance.n) if j not in pinned]
-        return ABOPolicy(queues, replicated[::-1])
+        pinned = self._pinned(instance)
+        queues = [[] for _ in range(instance.m)]
+        for j in pinned:
+            queues[min(placement.machines_for(j))].append(j)
+        candidates = [j for j in reversed(range(instance.n)) if j not in pinned]
+        rank = [0] * instance.n
+        for pos, j in enumerate(pinned + candidates):
+            rank[j] = pos
+        if self.drop_last:
+            candidates = candidates[:-1]
+        suffix = [[0.0] * (len(queue) + 1) for queue in queues]
+        return PinnedAwarePolicy(PinnedTables(rank, queues, suffix, candidates))
 
 
-#: Closed-form structures no registry spec reaches: unequal and empty
-#: groups, and ABO splits with an empty prefix or an empty tail.
-EDGE_STRATEGIES = (UnevenGroups(), ChosenSplit(0.0), ChosenSplit(0.5), ChosenSplit(1.0))
+class MisqueuedTables(TwoPhaseStrategy):
+    """Pinned-aware tables whose task 0, pinned to machine 0 by the
+    placement, sits in machine 1's queue."""
+
+    name = "misqueued_tables"
+
+    def place(self, instance):
+        everywhere = frozenset(range(instance.m))
+        return Placement(instance, (frozenset((0,)), *[everywhere] * (instance.n - 1)))
+
+    def make_policy(self, instance, placement):
+        queues = [[] for _ in range(instance.m)]
+        queues[1].append(0)
+        suffix = [[0.0] * (len(queue) + 1) for queue in queues]
+        rank = list(range(instance.n))
+        return PinnedAwarePolicy(PinnedTables(rank, queues, suffix, rank[1:]))
+
+
+#: A closed-form structure no registry spec reaches: unequal and empty
+#: groups.
+EDGE_STRATEGIES = (UnevenGroups(),)
+
+#: Pinned-aware tables no registry spec reaches: ABO's split with every
+#: queue empty, with no candidate, and in between.
+REPLAY_EDGES = (ChosenSplit(0.0), ChosenSplit(0.5), ChosenSplit(1.0))
 
 
 def _stack_rows(inst: Instance, seed: int, integral: bool) -> list[Realization]:
@@ -511,15 +549,17 @@ class TestLockstepStacks:
     def test_edge_structures_reach_their_layouts(self):
         """The edge strategies compile to the layouts they are named for."""
         inst = make_instance([3.0, 1.0, 2.0, 4.0, 2.0, 1.0, 3.0], 6, 2.0)
-        (segment,) = build_plan(UnevenGroups(), inst).segments
+        plan = build_plan(UnevenGroups(), inst)
         # Groups of one and two machines (the empty machine slot is m);
         # the third group (machines 3-5) gets no task, so no row holds it.
-        assert segment.machines.tolist() == [[0, 6], [1, 2]]
-        assert [int((row < inst.n).sum()) for row in segment.tasks] == [3, 4]
-        empty_prefix, _ = build_plan(ChosenSplit(0.0), inst).segments
-        assert empty_prefix.tasks.shape == (6, 0)
-        _, empty_tail = build_plan(ChosenSplit(1.0), inst).segments
-        assert empty_tail.tasks.shape == (1, 0)
+        assert plan.machines.tolist() == [[0, 6], [1, 2]]
+        assert [int((row < inst.n).sum()) for row in plan.tasks] == [3, 4]
+        empty_queues = build_plan(ChosenSplit(0.0), inst)
+        assert empty_queues.queues.tolist() == [inst.n] * inst.m
+        assert empty_queues.candidates.size == inst.n
+        no_candidates = build_plan(ChosenSplit(1.0), inst)
+        assert no_candidates.queues.size == inst.n + inst.m
+        assert no_candidates.candidates.size == 0
 
     def test_stack_rejects_mismatched_rows_and_shapes(self):
         a = _rand_instance(6, 3, 1.5, 1)
@@ -587,7 +627,13 @@ REPLAY_SPECS: dict[str, tuple[str, ...]] = {
         "budgeted[B=24]",
     ),
     "hetero": ("risk_aware[0]", "risk_aware[0.4]", "risk_aware[1]"),
-    "memory": ("capped[C=3]", "capped[C=6]", "capped[C=1000]"),
+    "memory": (
+        "capped[C=3]",
+        "capped[C=6]",
+        "capped[C=1000]",
+        "abo[delta=1]",
+        "abo[delta=0.5]",
+    ),
 }
 
 #: Actuals on a grid every task's band holds: estimates are 1, 2 or 3
@@ -602,7 +648,8 @@ class TestReplayStacks:
     Integral estimates and actuals on a 1.0 or 0.5 grid make completion
     times, suffix sums and LPT ranks tie exactly, where the event order
     of tied completions decides the schedule.  Parametrized by family, so
-    the CI batch-equivalence legs with a replay family run it."""
+    the CI batch-equivalence legs with a replay family run it; ABO's edge
+    splits run in every leg."""
 
     @pytest.mark.parametrize("family", sorted(REPLAY_SPECS))
     @settings(max_examples=12, deadline=None)
@@ -626,8 +673,8 @@ class TestReplayStacks:
             for i in range(count)
         ]
         checked = 0
-        for spec in REPLAY_SPECS[family]:
-            strategy = make_strategy(spec)
+        specs = [make_strategy(spec) for spec in REPLAY_SPECS[family]]
+        for strategy in [*specs, *REPLAY_EDGES]:
             plans, reals = [], []
             for inst in instances:
                 try:
@@ -652,7 +699,7 @@ class TestReplayStacks:
                 for rs in reals
                 for r in rs
             ]
-            assert [v.hex() for v in swept.tolist()] == expected, spec
+            assert [v.hex() for v in swept.tolist()] == expected, strategy.name
             checked += 1
         assert checked, f"no spec of family {family!r} compiled to a replay plan"
 
@@ -672,6 +719,24 @@ class TestReplayGuard:
             sweep_makespans(short, np.array([inst.estimates] * 3))
         # The whole tables sweep without complaint.
         assert sweep_makespans(plan, np.array([inst.estimates])).shape == (1,)
+
+
+class TestPolicyReuse:
+    """One policy object serves a second run on a fresh view exactly as a
+    fresh policy would: its dispatch marks reset with the view."""
+
+    @pytest.mark.parametrize(
+        "spec", [spec for specs in FAMILY_SPECS.values() for spec in specs]
+    )
+    def test_one_policy_serves_two_runs(self, spec):
+        inst = _rand_sized_instance(20, 6, 2.0, 9)
+        strategy = make_strategy(spec)
+        placement = strategy.place(inst)
+        policy = strategy.make_policy(inst, placement)
+        for model in ("log_uniform", "bimodal_extreme"):
+            real = sample_realization(inst, model, 3)
+            fresh = simulate(placement, real, strategy.make_policy(inst, placement))
+            assert simulate(placement, real, policy).runs == fresh.runs
 
 
 class TestTransparentFallback:

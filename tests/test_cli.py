@@ -2,10 +2,39 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+
 import pytest
 
 from repro.cli import build_parser, main
-from tests.conftest import run_python
+from tests.conftest import run_cli, run_python
+
+#: Values from outside that each command must refuse with a usage error.
+BAD_INPUTS = [
+    *(
+        [command, *extra, "--seed", "-1"]
+        for command, *extra in (
+            ["run", "lpt_no_choice"],
+            ["sweep"],
+            ["proofs"],
+            ["obs"],
+            ["soak"],
+            ["loadgen", "--port", "1"],
+            ["serve", "--port", "0"],
+        )
+    ),
+    ["run", "bogus"],
+    ["run", "lpt_no_choice", "--model", "bogus"],
+    ["sweep", "--model", "bogus"],
+    ["sweep", "--cell-timeout", "nan"],
+    ["sweep", "--cell-timeout", "inf"],
+    ["serve", "--port", "0", "--strategy", "bogus"],
+    ["serve", "--port", "0", "--model", "bogus"],
+    ["serve", "--port", "0", "--pace", "-1"],
+    ["serve", "--port", "0", "--pace", "nan"],
+    ["soak", "--strategy", "bogus"],
+]
 
 
 class TestParser:
@@ -88,6 +117,17 @@ class TestParser:
         assert set(FAMILIES) == {*WORKLOAD_FAMILIES, "identical", "staircase"}
         assert len(FAMILIES) == len(set(FAMILIES))
 
+    @pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+    def test_bad_input_is_a_usage_error(self, argv):
+        """A negative seed, an unknown model or strategy spec, a non-finite
+        cell timeout or pace: one usage error (exit 2), no traceback.  Run
+        in a fresh process, so a daemon that wrongly starts cannot hang
+        the suite."""
+        proc = run_cli(argv, stdout=subprocess.DEVNULL)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip()
+
     def test_unknown_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--bogus"])
@@ -165,9 +205,32 @@ class TestMain:
         assert sum(line.startswith("class ") for line in lines) == 1
         assert "class        : repro.core.strategies.ls_group.LSGroup" in lines
 
-    def test_bad_strategy_raises(self):
-        with pytest.raises(ValueError):
-            main(["run", "bogus"])
+    def test_sweep_with_every_cell_quarantined(self, monkeypatch, capsys):
+        """With no record left, the sweep prints its resilience lines and
+        exits nonzero instead of failing to format an empty table."""
+        monkeypatch.setenv("REPRO_INJECT_CELL_FAULTS", "every=1,fails=-1")
+        argv = ["sweep", "--n", "6", "--m", "2", "--seeds", "1", "--retries", "1"]
+        assert main([*argv, "--no-cache"]) == 1
+        captured = capsys.readouterr()
+        assert "cells quarantined" in captured.out
+        assert "  quarantined: " in captured.out
+        assert "no cell produced a record" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv", [["proofs"], ["fig6"], ["run", "lpt_no_choice", "--gantt"]], ids=" ".join
+    )
+    def test_closed_stdout_ends_quietly(self, argv):
+        """A reader that closes the pipe before the command writes
+        (``repro proofs | head -c 10``) gets no ``BrokenPipeError``
+        traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_cli(argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.returncode == 1
 
     def test_proofs_command(self, capsys):
         rc = main(["proofs", "--n", "10", "--m", "3"])

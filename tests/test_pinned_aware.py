@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.analysis.ratios import build_placement, run_strategy
 from repro.core.model import make_instance
 from repro.core.placement import Placement
-from repro.core.strategies.selective import PinnedAwarePolicy
+from repro.core.strategies.selective import PinnedAwarePolicy, pinned_tables
 from repro.core.strategy import SchedulerView, TwoPhaseStrategy
 from repro.faults import CrashRecover, CrashStop, FaultPlan
 from repro.registry import make_strategy
@@ -47,7 +47,7 @@ class _FixedPinned(TwoPhaseStrategy):
         return Placement(instance, tuple(frozenset(s) for s in sets))
 
     def make_policy(self, instance, placement):
-        return PinnedAwarePolicy(instance, placement)
+        return PinnedAwarePolicy(pinned_tables(instance, placement))
 
 
 def _summation_instance():
@@ -69,7 +69,7 @@ class TestSummationContract:
         outranks its own head (task 1)."""
         inst = _summation_instance()
         placement = _FixedPinned().place(inst)
-        policy = PinnedAwarePolicy(inst, placement)
+        policy = PinnedAwarePolicy(pinned_tables(inst, placement))
         assert policy.select(0, SchedulerView(inst, placement)) == 0
 
     def test_kernel_equals_replay(self):
@@ -181,7 +181,8 @@ class TestAbortEquivalence:
         except ValueError:
             return  # e.g. B < n: Phase 1 refuses the instance
         realization = sample_realization(inst, "uniform", seed + 1)
-        clean = simulate(placement, realization, PinnedAwarePolicy(inst, placement))
+        tables = pinned_tables(inst, placement)
+        clean = simulate(placement, realization, PinnedAwarePolicy(tables))
         pinned = [
             r for r in clean.runs
             if len(placement.machines_for(r.tid)) == 1 and r.end > r.start
@@ -199,7 +200,7 @@ class TestAbortEquivalence:
             CrashRecover(hit.machine, (hit.start + hit.end) / 2, downtime),
             CrashStop(stopped, own_end + stop_after),
         )
-        new = _outcome(placement, realization, PinnedAwarePolicy(inst, placement), faults)
+        new = _outcome(placement, realization, PinnedAwarePolicy(tables), faults)
         ref = _outcome(placement, realization, _ReferencePinnedAware(inst, placement), faults)
         assert new == ref
         if new[0] != "error":

@@ -107,6 +107,8 @@ class TestRetryPolicy:
             ({"backoff_s": -1.0}, "backoff_s"),
             ({"backoff_factor": 0.5}, "backoff_factor"),
             ({"timeout_s": 0.0}, "timeout_s"),
+            ({"timeout_s": float("nan")}, "timeout_s"),
+            ({"timeout_s": float("inf")}, "timeout_s"),
         ],
     )
     def test_rejects_malformed(self, kwargs, match):

@@ -69,6 +69,13 @@ def test_non_finite_alpha_rejected(alpha):
         ServiceScheduler("ls_group[k=2]", m=4, alpha=alpha)
 
 
+def test_negative_seed_rejected():
+    """The duration draws key a NumPy generator on the seed, which must
+    be >= 0: refuse it up front instead of failing every admission."""
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ServiceScheduler("ls_group[k=2]", m=4, seed=-1)
+
+
 def test_capability_gate_rejects_non_batch_strategies():
     with pytest.raises(CapabilityError):
         OnlinePlacer("sabo[delta=0.5]", 4)

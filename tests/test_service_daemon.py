@@ -319,3 +319,11 @@ def test_degraded_admission_returns_503():
     run(_with_daemon(scenario, m=2))
 
 
+
+
+@pytest.mark.parametrize("pace", [-1.0, float("nan"), float("inf")])
+def test_pace_must_be_finite_and_non_negative(pace):
+    """The pump paces itself when ``pace > 0`` and yields every few steps
+    when ``pace == 0``; a pace that is neither would never yield."""
+    with pytest.raises(ValueError, match="pace"):
+        ServiceDaemon(ServiceScheduler("ls_group[k=2]", m=4), port=0, pace=pace)
