@@ -90,7 +90,7 @@ _seconds = _number(float, lambda v: 0.0 < v < math.inf, "a finite number of seco
 _pace = _number(float, lambda v: 0.0 <= v < math.inf, "a finite pace >= 0")
 
 
-def _usage_error(args: argparse.Namespace, error: Exception) -> int:
+def _usage_error(args: argparse.Namespace, error: Exception | str) -> int:
     """Report a value the parser accepted but the command cannot use: one
     line on stderr, and the usage-error exit code."""
     print(f"repro {args.command}: {error}", file=sys.stderr)
@@ -1211,8 +1211,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.service.loadgen import make_workload, run_loadgen
 
     if (args.port is None) == (args.socket is None):
-        print("loadgen: pass exactly one of --port or --socket", file=sys.stderr)
-        return 2
+        return _usage_error(args, "pass exactly one of --port or --socket")
     workload = make_workload(args.tenants, args.tasks, seed=args.seed)
     report = asyncio.run(
         run_loadgen(
@@ -1271,8 +1270,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             try:
                 schedule = schedule.merge(ChaosSchedule.parse(spec, topology))
             except ValueError as exc:
-                print(f"soak: {exc}", file=sys.stderr)
-                return 2
+                return _usage_error(args, exc)
         config_kw = dict(
             topology=topology,
             strategy=args.strategy,
@@ -1293,8 +1291,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             if args.live:
                 check_positive_float(args.pace, "pace")
         except (ValueError, CapabilityError) as exc:
-            print(f"soak: {exc}", file=sys.stderr)
-            return 2
+            return _usage_error(args, exc)
         if args.live:
             report = run_soak_live(config, socket_path=args.socket, pace=args.pace)
         else:
@@ -1344,9 +1341,10 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
-    A reader that closes stdout early (``repro proofs | head``) ends the
-    command quietly: what is left of stdout goes to devnull, so no
-    ``BrokenPipeError`` traceback, and the exit code is 1.
+    A ``BrokenPipeError`` ends the command with one line on stderr and
+    exit code 1, not a traceback.  When it is stdout's (``repro proofs |
+    head``), what is left of stdout goes to devnull; when it is another
+    pipe's (a daemon socket that dropped), the line says so.
     """
     parser = build_parser()
     args, rest = parser.parse_known_args(argv)
@@ -1357,8 +1355,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         code = args.handler(args)
         sys.stdout.flush()
-    except BrokenPipeError:
+    except BrokenPipeError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 1
     return code
 

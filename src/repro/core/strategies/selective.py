@@ -168,13 +168,17 @@ class PinnedAwarePolicy:
             if not view.is_started(j) and placement.allows(j, machine):
                 cand = j
                 break
-        if cand is not None and (own is None or self._rank[cand] < self._rank[own]):
-            # Eligibility: this machine's pinned backlog must be minimal
-            # among the machines that could host the replicated task.
-            suffix, heads = self._suffix, self._head
-            min_rem = min(suffix[i][heads[i]] for i in placement.machines_for(cand))
-            if suffix[machine][head] <= min_rem + 1e-12:
+        if cand is not None:
+            if own is None:
+                # An empty queue's backlog, 0.0, is minimal: take it.
                 return cand
+            if self._rank[cand] < self._rank[own]:
+                # Eligibility: this machine's pinned backlog must be minimal
+                # among the machines that could host the replicated task.
+                suffix, heads = self._suffix, self._head
+                min_rem = min(suffix[i][heads[i]] for i in placement.machines_for(cand))
+                if suffix[machine][head] <= min_rem + 1e-12:
+                    return cand
         if own is not None:
             self._head[machine] = head + 1
         return own

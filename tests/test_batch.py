@@ -672,36 +672,41 @@ class TestReplayStacks:
             )
             for i in range(count)
         ]
-        checked = 0
         specs = [make_strategy(spec) for spec in REPLAY_SPECS[family]]
-        for strategy in [*specs, *REPLAY_EDGES]:
-            plans, reals = [], []
-            for inst in instances:
-                try:
-                    plan = build_plan(strategy, inst)
-                except ValueError:
-                    continue  # Phase 1 refuses the instance (B < n, C too small)
-                if not isinstance(plan, ReplayPlan):
-                    continue  # disjoint windows compile to the closed form
-                plans.append(plan)
-                reals.append([
-                    Realization(
-                        inst, tuple(rng.choice(_TIED_ACTUALS[half]) for _ in range(n))
-                    )
-                    for _ in range(rng.randint(1, 3))
-                ])
-            if not plans:
-                continue
-            matrix = np.array([r.actuals for rs in reals for r in rs])
-            swept = sweep_makespans(plans, matrix, [len(rs) for rs in reals])
-            expected = [
-                run_strategy(strategy, r.instance, r).makespan.hex()
-                for rs in reals
-                for r in rs
-            ]
-            assert [v.hex() for v in swept.tolist()] == expected, strategy.name
-            checked += 1
-        assert checked, f"no spec of family {family!r} compiled to a replay plan"
+        checked = [_stack_matches(s, instances, rng, half) for s in specs]
+        assert any(checked), f"no spec of family {family!r} compiled to a replay plan"
+        for edge in REPLAY_EDGES:
+            assert _stack_matches(edge, instances, rng, half), edge.name
+
+
+def _stack_matches(strategy, instances, rng, half) -> bool:
+    """Sweep ``strategy``'s replay plans on ``instances`` as one stack,
+    with 1-3 tied realizations each, and compare every row with
+    ``run_strategy``; ``False`` when no instance compiled to a replay."""
+    plans, reals = [], []
+    for inst in instances:
+        try:
+            plan = build_plan(strategy, inst)
+        except ValueError:
+            continue  # Phase 1 refuses the instance (B < n, C too small)
+        if not isinstance(plan, ReplayPlan):
+            continue  # disjoint windows compile to the closed form
+        plans.append(plan)
+        reals.append([
+            Realization(
+                inst, tuple(rng.choice(_TIED_ACTUALS[half]) for _ in range(inst.n))
+            )
+            for _ in range(rng.randint(1, 3))
+        ])
+    if not plans:
+        return False
+    matrix = np.array([r.actuals for rs in reals for r in rs])
+    swept = sweep_makespans(plans, matrix, [len(rs) for rs in reals])
+    expected = [
+        run_strategy(strategy, r.instance, r).makespan.hex() for rs in reals for r in rs
+    ]
+    assert [v.hex() for v in swept.tolist()] == expected, strategy.name
+    return True
 
 
 class TestReplayGuard:

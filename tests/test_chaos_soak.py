@@ -195,7 +195,7 @@ class TestSoakCliValidation:
     def test_exits_2_with_a_message(self, argv, capsys):
         assert main(["soak", *argv]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("soak: ")
+        assert err.startswith("repro soak: ")
         assert "Traceback" not in err
 
 

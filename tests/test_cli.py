@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import os
 import subprocess
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
-from tests.conftest import run_cli, run_python
+from tests.conftest import _checkout_env, run_cli, run_python
 
 #: Values from outside that each command must refuse with a usage error.
 BAD_INPUTS = [
@@ -231,6 +232,27 @@ class TestMain:
             os.close(write_end)
         assert "Traceback" not in proc.stderr, proc.stderr
         assert proc.returncode == 1
+
+    def test_another_broken_pipe_is_reported(self):
+        """A ``BrokenPipeError`` that is not stdout's (a daemon socket that
+        dropped) ends with one line on stderr naming the command."""
+        code = (
+            "import sys\n"
+            "from repro import cli\n"
+            "def dropped(args):\n"
+            "    raise BrokenPipeError(32, 'the daemon dropped the socket')\n"
+            "cli._cmd_proofs = dropped\n"
+            "sys.exit(cli.main(['proofs']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=_checkout_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "repro proofs: [Errno 32] the daemon dropped the socket\n"
 
     def test_proofs_command(self, capsys):
         rc = main(["proofs", "--n", "10", "--m", "3"])
