@@ -206,13 +206,15 @@ def measured_ratio(
     *,
     exact_limit: int = 22,
     validate: bool = True,
+    placement: Placement | None = None,
 ) -> RatioRecord:
     """Run the strategy and divide its makespan by the clairvoyant optimum.
 
     The guarantee recorded alongside is the strategy's own
     ``guarantee(instance)`` if it defines one (all paper strategies do).
+    ``placement`` passes to :func:`run_strategy` unchanged.
     """
-    outcome = run_strategy(strategy, instance, realization, validate=validate)
+    outcome = run_strategy(strategy, instance, realization, validate=validate, placement=placement)
     optimum = optimal_makespan(realization.actuals, instance.m, exact_limit=exact_limit)
     return RatioRecord(
         outcome, optimum, outcome.makespan / optimum.value, guarantee_of(strategy, instance)

@@ -640,7 +640,7 @@ def _cmd_artifact(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.analysis.ratios import measured_ratio
+    from repro.analysis.ratios import build_placement, measured_ratio
     from repro.registry import make_strategy
     from repro.uncertainty.stochastic import check_model, sample_realization
 
@@ -651,8 +651,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return _usage_error(args, exc)
     with _observability(args):
         instance = _instance(args)
+        try:
+            placement = build_placement(strategy, instance)
+        except ValueError as exc:  # Phase 1 cannot place this instance
+            return _usage_error(args, exc)
         realization = sample_realization(instance, args.model, args.seed + 1)
-        record = measured_ratio(strategy, instance, realization)
+        record = measured_ratio(strategy, instance, realization, placement=placement)
         out = record.outcome
         print(f"strategy     : {out.strategy_name}")
         print(f"instance     : {instance.name} (alpha={instance.alpha})")
@@ -887,7 +891,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     the SLO verdict, making this a one-command end-to-end check of the
     faults + obs + SLO stack.
     """
-    from repro.analysis.ratios import measured_ratio
+    from repro.analysis.ratios import build_placement, measured_ratio
     from repro.faults import inject
     from repro.obs import JsonlSink, MemorySink
     from repro.obs import disable as obs_disable
@@ -909,8 +913,12 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     memory = sinks[0] if isinstance(sinks[0], MemorySink) else None
     try:
         instance = _instance(args)
+        try:
+            placement = build_placement(strategy, instance)
+        except ValueError as exc:  # Phase 1 cannot place this instance
+            return _usage_error(args, exc)
         realization = sample_realization(instance, args.model, args.seed + 1)
-        record = measured_ratio(strategy, instance, realization)
+        record = measured_ratio(strategy, instance, realization, placement=placement)
         counters = tracer.registry.counters
         print(f"strategy     : {record.outcome.strategy_name}")
         print(f"instance     : {instance.name} (alpha={instance.alpha})")

@@ -29,6 +29,7 @@ replication/makespan tradeoff than the group strategy's divisor grid.
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from typing import NamedTuple
 
 from repro._validation import check_fraction, check_positive_int
@@ -55,19 +56,25 @@ class PinnedTables(NamedTuple):
     machine ``i`` alone, in dispatch order; ``suffix[i][k]`` is the
     estimate of ``queues[i][k:]`` summed left to right, ending in
     ``0.0``; ``candidates`` lists the tasks several machines may take, in
-    dispatch order.
+    dispatch order, which must be rank order (no candidate ranks before
+    the one listed ahead of it): the policy stops looking for a
+    candidate once the first unstarted one ranks no better than the
+    machine's own head.  With ``barrier`` set, a machine whose queue is
+    empty takes a candidate only once every machine's queue has started.
 
     ABO's tables (:func:`repro.memory.abo.abo_tables`) rank every pinned
     task ahead of every candidate, so a machine always runs its own
     queue first and takes a candidate only once its queue is empty,
     whatever the backlogs.  Their ranks decide every pick and the
     backlogs are never compared, so their suffix sums are all ``0.0``.
+    Only ABO's strict reading of Phase 2 sets ``barrier``.
     """
 
     rank: list[int]
     queues: list[list[int]]
     suffix: list[list[float]]
     candidates: list[int]
+    barrier: bool = False
 
 
 def pinned_tables(instance: Instance, placement: Placement) -> PinnedTables:
@@ -126,62 +133,102 @@ class PinnedAwarePolicy:
     estimate is a precomputed suffix sum.  The sums are accumulated left
     to right (``math.fsum`` or the compensated ``sum()`` of Python 3.12
     would round differently), so every interpreter compares the same
-    floats.  An abort (``view.abort_epoch``) reverts a machine's running
-    task to unstarted, and a new run brings a new view, so either
-    re-derives the heads from the view: one policy object can serve
-    several runs.
+    floats.  Candidates are listed in rank order, so a low-water mark
+    finds the first unstarted one, and when it ranks no better than the
+    machine's own head the head wins without a scan.  With the tables'
+    ``barrier`` (ABO's strict Phase 2), a machine whose queue is empty
+    gets nothing until every queue head has reached its end, and the
+    kernel retires it; a count of the leading machines whose queues
+    ended makes that test O(m) over a run.  An abort
+    (``view.abort_epoch``) reverts a machine's running task to
+    unstarted, and a new run brings a new view, so either re-derives the
+    marks from the view: one policy object can serve several runs.
 
     The policy is built from a :class:`PinnedTables`, whoever built it
-    (:func:`pinned_tables`, or ABO's own), and reads the placement from
-    the view; the batch replay (:mod:`repro.simulation.batch`) compiles
-    the same ``tables`` instead of calling ``select``.
+    (:func:`pinned_tables`, or ABO's own), and refuses tables whose
+    candidates are out of rank order (``ValueError``).  It reads the
+    placement from the view; the batch replay
+    (:mod:`repro.simulation.batch`) compiles the same ``tables`` instead
+    of calling ``select``, and leaves barrier tables to the kernel.
     """
 
     def __init__(self, tables: PinnedTables) -> None:
+        ranks = [tables.rank[j] for j in tables.candidates]
+        if ranks != sorted(ranks):
+            raise ValueError("PinnedTables: candidates must be listed in rank order")
         self.tables = tables
-        self._rank, self._queues, self._suffix, self._multi = tables
+        self._rank, self._queues, self._suffix, self._multi, barrier = tables
+        # The barrier gate opens once this many leading queues have all
+        # started (0: no gate).
+        self._gate = len(self._queues) if barrier else 0
         self._view: SchedulerView | None = None
+        self._sets: tuple[frozenset[int], ...] = ()  # the view's machine sets
         self._seen_abort_epoch = 0
         self._head = [0] * len(self._queues)
         self._first_multi = 0  # low-water mark into _multi
+        self._queues_done = 0  # leading machines whose queues all started
 
     def select(self, machine: int, view: SchedulerView) -> int | None:
+        started = view.is_started
         if view is not self._view or view.abort_epoch != self._seen_abort_epoch:
-            self._view = view
+            # A new run or an abort: re-derive every mark from the view.
+            self._view, self._sets = view, view.placement.machine_sets
             self._seen_abort_epoch = view.abort_epoch
-            self._first_multi = 0
-            self._head = [
-                next((k for k, j in enumerate(q) if not view.is_started(j)), len(q))
-                for q in self._queues
-            ]
+            self._first_multi = self._queues_done = 0
+            self._head = heads = []
+            for q in self._queues:
+                k = 0
+                while k < len(q) and started(q[k]):
+                    k += 1
+                heads.append(k)
         queue, head = self._queues[machine], self._head[machine]
         own = queue[head] if head < len(queue) else None
-        multi = self._multi
-        while self._first_multi < len(multi) and view.is_started(
-            multi[self._first_multi]
-        ):
-            self._first_multi += 1
-        placement = view.placement
-        cand: int | None = None
-        for pos in range(self._first_multi, len(multi)):
-            j = multi[pos]
-            if not view.is_started(j) and placement.allows(j, machine):
-                cand = j
-                break
-        if cand is not None:
-            if own is None:
-                # An empty queue's backlog, 0.0, is minimal: take it.
-                return cand
-            if self._rank[cand] < self._rank[own]:
-                # Eligibility: this machine's pinned backlog must be minimal
-                # among the machines that could host the replicated task.
-                suffix, heads = self._suffix, self._head
-                min_rem = min(suffix[i][heads[i]] for i in placement.machines_for(cand))
-                if suffix[machine][head] <= min_rem + 1e-12:
-                    return cand
-        if own is not None:
+        multi, first, rank = self._multi, self._first_multi, self._rank
+        if own is None:
+            if self._queues_done < self._gate and not self._queues_started():
+                return None  # the barrier gate is shut
+        elif first == len(multi) or rank[multi[first]] >= rank[own]:
+            # Candidates are in rank order and the low-water mark only
+            # moves forward, so when the candidate at the mark, started or
+            # not, ranks no better than the head, none can outrank it.
             self._head[machine] = head + 1
+            return own
+        while first < len(multi) and started(multi[first]):
+            first += 1
+        self._first_multi = first
+        # The first unstarted candidate this machine may run.
+        sets = self._sets
+        cand = multi[first] if first < len(multi) else None
+        if cand is not None and machine not in sets[cand]:
+            cand = None  # a loop, not a generator: see _least_backlog
+            for j in islice(multi, first + 1, None):
+                if machine in sets[j] and not started(j):
+                    cand = j
+                    break
+        if own is None:
+            # An empty queue's backlog, 0.0, is minimal: take it.
+            return cand
+        if cand is not None and rank[cand] < rank[own]:
+            # Eligibility: this machine's pinned backlog must be minimal
+            # among the machines that could host the replicated task.
+            if self._suffix[machine][head] <= self._least_backlog(sets[cand]) + 1e-12:
+                return cand
+        self._head[machine] = head + 1
         return own
+
+    def _least_backlog(self, machines: frozenset[int]) -> float:
+        """The least remaining pinned estimate over ``machines`` (kept out
+        of ``select``, whose locals a generator would turn into cells)."""
+        suffix, heads = self._suffix, self._head
+        return min(suffix[i][heads[i]] for i in machines)
+
+    def _queues_started(self) -> bool:
+        """The barrier gate: whether every queue head reached its end."""
+        queues, heads, done = self._queues, self._head, self._queues_done
+        while done < len(queues) and heads[done] == len(queues[done]):
+            done += 1
+        self._queues_done = done
+        return done == len(queues)
 
 
 @register_strategy(

@@ -1,6 +1,6 @@
 """Memory-aware model: SBO split, SABO and ABO algorithms, Pareto analysis."""
 
-from repro.memory.abo import ABO, ABOPolicy
+from repro.memory.abo import ABO
 from repro.memory.capped import CappedReplication, min_feasible_capacity
 from repro.memory.frontier import (
     FrontierPoint,
@@ -26,7 +26,6 @@ __all__ = [
     "SBOSplit",
     "SABO",
     "ABO",
-    "ABOPolicy",
     "ReferenceSchedule",
     "makespan_reference",
     "memory_reference",

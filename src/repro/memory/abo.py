@@ -27,7 +27,8 @@ of :class:`~repro.core.strategies.selective.PinnedAwarePolicy` once every
 pinned task ranks ahead of every replicated one: :func:`abo_tables` lays
 it out that way, and the batch replay compiles the same tables.  The
 strict global barrier is available as ``barrier=True`` for the ablation
-bench; :class:`ABOPolicy` runs it, on the event kernel only.
+bench: the same policy over the same tables with their ``barrier`` gate
+set, which the batch compiler refuses, so it runs on the event kernel.
 """
 
 from __future__ import annotations
@@ -36,14 +37,16 @@ from repro._validation import check_delta
 from repro.core.model import Instance
 from repro.core.placement import Placement
 from repro.core.strategies.selective import PinnedAwarePolicy, PinnedTables
-from repro.core.strategy import OnlinePolicy, SchedulerView, TwoPhaseStrategy
+from repro.core.strategy import OnlinePolicy, TwoPhaseStrategy
 from repro.memory.sbo import sbo_split
 from repro.registry import Capabilities, Choice, Flag, Float, register_strategy
 
-__all__ = ["ABO", "ABOPolicy", "abo_tables"]
+__all__ = ["ABO", "abo_tables"]
 
 
-def abo_tables(instance: Instance, placement: Placement) -> PinnedTables:
+def abo_tables(
+    instance: Instance, placement: Placement, barrier: bool = False
+) -> PinnedTables:
     """ABO's Phase 2 as :class:`~repro.core.strategies.selective.PinnedTables`.
 
     Each machine's pinned :math:`S_2` queue and the replicated
@@ -53,7 +56,9 @@ def abo_tables(instance: Instance, placement: Placement) -> PinnedTables:
     from ``placement.meta["s1"]``, not from machine-set sizes: at
     ``m = 1`` every set is a singleton and :math:`S_2` still runs first.
     The ranks decide every pick, so the suffix sums are all ``0.0`` (see
-    :class:`~repro.core.strategies.selective.PinnedTables`).
+    :class:`~repro.core.strategies.selective.PinnedTables`).  ``barrier``
+    sets the tables' gate: the strict reading, where no machine takes
+    replicated work before every pinned task has started.
     """
     s1 = set(placement.meta["s1"])
     queues: list[list[int]] = [[] for _ in range(instance.m)]
@@ -69,70 +74,7 @@ def abo_tables(instance: Instance, placement: Placement) -> PinnedTables:
     for pos, j in enumerate(pinned + candidates):
         rank[j] = pos
     suffix = [[0.0] * (len(queue) + 1) for queue in queues]
-    return PinnedTables(rank, queues, suffix, candidates)
-
-
-class ABOPolicy:
-    """ABO's strict global-barrier Phase 2 (the ablation).
-
-    A machine runs its own pinned queue first, and takes replicated work
-    only once *every* pinned task of every machine has started; a
-    machine the barrier refuses idles for good (with no faults or
-    releases, the kernel retires it).  The batch compiler refuses this
-    policy, so its runs stay on the event kernel.  It reads the queues
-    and the replicated order of :func:`abo_tables`.
-
-    Each pick is the first unstarted task of a fixed list, and a started
-    task stays started until an abort (machine-failure extension), so a
-    low-water mark per list stands in for the scan: a head per pinned
-    queue, one into the replicated order, and the number of leading
-    machines whose pinned queues have all started.  A poll then costs
-    O(1) amortized, and the barrier test O(m) amortized over a run.  An
-    abort bumps ``view.abort_epoch`` and reverts a task to unstarted, and
-    a new run brings a new view, so either resets the marks to the front
-    of their lists.
-    """
-
-    def __init__(self, tables: PinnedTables) -> None:
-        self._queues = tables.queues
-        self._replicated = tables.candidates
-        self._view: SchedulerView | None = None
-        self._seen_abort_epoch = 0
-        self._heads = [0] * len(self._queues)
-        self._first_replicated = 0
-        self._machines_done = 0  # leading machines whose queues all started
-
-    def select(self, machine: int, view: SchedulerView) -> int | None:
-        if view is not self._view or view.abort_epoch != self._seen_abort_epoch:
-            self._view = view
-            self._seen_abort_epoch = view.abort_epoch
-            self._heads = [0] * len(self._queues)
-            self._first_replicated = 0
-            self._machines_done = 0
-        started = view.is_started
-        queues = self._queues
-        head = self._advance_head(machine, started)
-        if head < len(queues[machine]):
-            return queues[machine][head]
-        while self._machines_done < len(queues):
-            i = self._machines_done
-            if self._advance_head(i, started) < len(queues[i]):
-                return None
-            self._machines_done += 1
-        replicated = self._replicated
-        pos = self._first_replicated
-        while pos < len(replicated) and started(replicated[pos]):
-            pos += 1
-        self._first_replicated = pos
-        return replicated[pos] if pos < len(replicated) else None
-
-    def _advance_head(self, machine: int, started) -> int:
-        """Move ``machine``'s head past its started pinned tasks; return it."""
-        queue, head = self._queues[machine], self._heads[machine]
-        while head < len(queue) and started(queue[head]):
-            head += 1
-        self._heads[machine] = head
-        return head
+    return PinnedTables(rank, queues, suffix, candidates, barrier)
 
 
 @register_strategy(
@@ -205,8 +147,7 @@ class ABO(TwoPhaseStrategy):
         )
 
     def make_policy(self, instance: Instance, placement: Placement) -> OnlinePolicy:
-        tables = abo_tables(instance, placement)
-        return ABOPolicy(tables) if self.barrier else PinnedAwarePolicy(tables)
+        return PinnedAwarePolicy(abo_tables(instance, placement, self.barrier))
 
     # -- guarantees -----------------------------------------------------------------
     def makespan_guarantee(self, instance: Instance, *, rho1: float | None = None) -> float:

@@ -61,14 +61,15 @@ class Capabilities:
     supports_batch:
         The fault-free run of this strategy compiles to one of the batch
         backend's plan tiers (:mod:`repro.simulation.batch`): a fully
-        vectorized completion sweep for partition-structured fixed
-        orders and barrier-free ABO, or a replay of the policy's own
-        ``select`` for overlapping ranges and pinned-aware policies —
-        all bit-identical to the event kernel.  The flag is a
-        *claim*, not a bypass: ``build_plan`` re-verifies the structure
-        and raises ``BatchUnsupported`` for configurations it cannot
-        replay (e.g. the ABO barrier ablation), which fall back to the
-        per-event :class:`~repro.simulation.kernel.EventKernel`.
+        vectorized completion sweep for fixed orders over a machine
+        partition, or a lockstep replay of the tables the policy
+        decides from for other fixed orders and for pinned-aware
+        policies, barrier-free ABO included — all bit-identical to
+        the event kernel.  The flag is a *claim*, not a bypass:
+        ``build_plan`` re-verifies the structure and raises
+        ``BatchUnsupported`` for configurations it cannot replay (e.g.
+        the ABO barrier ablation), which fall back to the per-event
+        :class:`~repro.simulation.kernel.EventKernel`.
     online_placement:
         Phase 1 is greedy least-estimated-load assignment over an
         equal-group machine partition, so the service daemon

@@ -55,13 +55,14 @@ flag: the Phase-2 policy must be one of the two compilable types
 (:class:`FixedOrderPolicy`, :class:`PinnedAwarePolicy`), and a
 pinned-aware policy's tables, whoever built them, must agree with the
 placement: each queued task pinned to exactly its queue's machine, and
-the queues plus the candidates a permutation of the tasks.  The
+the queues plus the candidates a permutation of the tasks; and their
+``barrier`` gate, which the replay does not run, must be off.  The
 allowlist is by exact type because the replay compiles each policy's
 tables, and its rule reads only which tasks started (no clock, no
 revealed actuals): a policy that decides otherwise must stay on the
 kernel.
-Anything else — adaptive policies with bespoke dispatch, the ABO global
-barrier, fault plans, release times — raises :class:`BatchUnsupported`
+Anything else — adaptive policies with bespoke dispatch, ABO's barrier
+tables, fault plans, release times — raises :class:`BatchUnsupported`
 and the caller falls back to the event kernel, so the flag can never
 produce silently-wrong records.
 """
@@ -166,9 +167,10 @@ class ReplayPlan:
         allowed-machine masks.
 
     :func:`sweep_makespans` runs one poll rule over these tables for
-    every row of a stack at once (see :func:`_lockstep_replay`).  A
-    policy with another decision, such as ABO's global barrier, would
-    join as one more table the rule reads.
+    every row of a stack at once (see :func:`_lockstep_replay`).  The
+    rule has no barrier gate yet, so :func:`build_plan` refuses tables
+    with ``PinnedTables.barrier`` set (ABO's strict Phase 2); on the
+    replay the gate would be one more table the rule reads.
     """
 
     strategy_name: str
@@ -306,10 +308,13 @@ def _check_tables(
 ) -> None:
     """Refuse pinned-aware tables the replay would misread.
 
-    The replay advances a machine's queue only on that machine, so every
-    queued task must be pinned to exactly its queue's machine; and every
-    task must be queued or a candidate, once.
+    The replay has no barrier gate, so barrier tables stay on the
+    kernel.  It advances a machine's queue only on that machine, so
+    every queued task must be pinned to exactly its queue's machine; and
+    every task must be queued or a candidate, once.
     """
+    if tables.barrier:
+        raise BatchUnsupported(f"{strategy_name}: the barrier gate has no replay yet")
     m = placement.instance.m
     if len(tables.queues) != m:
         raise BatchUnsupported(

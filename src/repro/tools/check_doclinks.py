@@ -2,23 +2,25 @@
 
 Documentation rots through its links first: a renamed doc, a reworded
 heading, and the cross-reference silently points nowhere.  This lint
-walks ``README.md`` and ``docs/*.md`` (plus any extra paths given),
-extracts every inline markdown link, and checks:
+walks ``README.md``, ``docs/*.md`` and the other top-level docs
+(``CONTRIBUTING.md``, ``DESIGN.md``, ``EXPERIMENTS.md``, ``ROADMAP.md``,
+``bench/README.md``) — or only the paths given — extracts every inline
+markdown link outside code, and checks:
 
 * **relative file targets exist** (``docs/service.md``, ``../README.md``
   — resolved from the linking file's directory; external ``http(s)://``
   and ``mailto:`` targets are out of scope);
 * **anchors resolve**: ``file.md#some-heading`` (and same-file
   ``#heading``) must match a heading in the target, using GitHub's
-  slugging rules (lowercase, punctuation stripped, spaces to hyphens,
-  duplicate slugs suffixed ``-1``, ``-2``, ...);
+  slugging rules (lowercase, punctuation stripped, each space to one
+  hyphen, duplicate slugs suffixed ``-1``, ``-2``, ...);
 * **the architecture hub is complete**: ``docs/architecture.md`` must
   link every other file in ``docs/`` — it is the documented entry point,
   so a doc it misses is unreachable from the front door.
 
 Usage::
 
-    python -m repro.tools.check_doclinks             # lint README + docs/
+    python -m repro.tools.check_doclinks             # lint the docs above
     python -m repro.tools.check_doclinks PATH ...    # lint specific files
 
 Exit code 0 when clean, 1 with one ``path:line: message`` per violation —
@@ -41,14 +43,16 @@ __all__ = ["extract_links", "heading_slugs", "check_file", "check_hub", "main"]
 #: (GitHub requires escaping them anyway).
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(\s*(<[^>]*>|[^)\s]+)(?:\s+\"[^\"]*\")?\s*\)")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
+#: An inline code span: a run of backticks, then text up to the same run.
+_CODE_RE = re.compile(r"(`+).+?\1")
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
 
 
 def extract_links(text: str) -> list[tuple[int, str]]:
     """All inline link targets in ``text`` as ``(line_number, target)``.
 
-    Fenced code blocks are skipped — a ``[x](y)`` inside an example
-    snippet is content, not a cross-reference.
+    Fenced code blocks and inline code spans are skipped — a ``[x](y)``
+    inside an example snippet is content, not a cross-reference.
     """
     links: list[tuple[int, str]] = []
     in_fence = False
@@ -59,7 +63,7 @@ def extract_links(text: str) -> list[tuple[int, str]]:
             continue
         if in_fence:
             continue
-        for match in _LINK_RE.finditer(line):
+        for match in _LINK_RE.finditer(_CODE_RE.sub("", line)):
             target = match.group(1).strip()
             if target.startswith("<") and target.endswith(">"):
                 target = target[1:-1].strip()
@@ -73,7 +77,9 @@ def _slugify(heading: str) -> str:
     text = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", heading)
     text = text.replace("`", "").replace("*", "").strip().lower()
     text = re.sub(r"[^\w\s-]", "", text, flags=re.UNICODE)
-    return re.sub(r"\s+", "-", text.strip())
+    # Each space is one hyphen, "a — b" is "a--b", and nothing is trimmed
+    # once the punctuation is gone.
+    return text.replace(" ", "-")
 
 
 def heading_slugs(text: str) -> set[str]:
@@ -149,8 +155,9 @@ def check_hub(hub: Path, docs_dir: Path, root: Path) -> list[str]:
 
 
 def _default_paths(root: Path) -> list[Path]:
-    paths = [root / "README.md"]
-    paths.extend(sorted((root / "docs").glob("*.md")))
+    top = ("README.md", "CONTRIBUTING.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md")
+    paths = [root / name for name in (*top, "bench/README.md")]
+    paths += sorted((root / "docs").glob("*.md"))
     return [p for p in paths if p.exists()]
 
 
@@ -161,7 +168,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         description="check that relative markdown links and anchors resolve",
     )
     parser.add_argument(
-        "paths", nargs="*", type=Path, help="files/dirs to lint (default: README + docs/)"
+        "paths", nargs="*", type=Path, help="files/dirs to lint (default: the docs)"
     )
     parser.add_argument(
         "--root", type=Path, default=Path.cwd(), help="repository root (default: cwd)"

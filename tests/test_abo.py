@@ -10,7 +10,7 @@ from repro.analysis.ratios import run_strategy
 from repro.core.strategies.selective import PinnedAwarePolicy
 from repro.exact.optimal import optimal_makespan
 from repro.faults import CrashRecover, FaultPlan
-from repro.memory.abo import ABO, ABOPolicy, abo_tables
+from repro.memory.abo import ABO, abo_tables
 from repro.memory.model import memory_lower_bound
 from repro.memory.sabo import SABO
 from repro.simulation import simulate
@@ -148,25 +148,30 @@ def _recoverable_crashes(draw, instance):
 
 
 class TestHeadPointers:
-    """Both Phase-2 policies pick what a scan of the view picks: the
-    pinned-aware rule over :func:`abo_tables` without the barrier,
-    :class:`ABOPolicy` with it."""
+    """Both readings of Phase 2 are the pinned-aware rule over
+    :func:`abo_tables`, the strict one with the tables' barrier gate set,
+    and pick what a scan of the view picks."""
 
     def test_each_mode_has_its_policy(self):
         inst = planted_two_class(3, 6, m=3)
         placement = ABO(1.0).place(inst)
-        assert type(ABO(1.0).make_policy(inst, placement)) is PinnedAwarePolicy
-        barrier = ABO(1.0, barrier=True).make_policy(inst, placement)
-        assert type(barrier) is ABOPolicy
+        for barrier in (False, True):
+            policy = ABO(1.0, barrier=barrier).make_policy(inst, placement)
+            assert type(policy) is PinnedAwarePolicy
+            assert policy.tables.barrier is barrier
+            assert policy.tables == abo_tables(inst, placement, barrier)
 
     def test_tables_rank_every_pinned_task_first(self):
         inst = planted_two_class(3, 6, m=3)
         placement = ABO(1.0).place(inst)
-        rank, queues, suffix, candidates = abo_tables(inst, placement)
-        pinned = [j for queue in queues for j in queue]
+        tables = abo_tables(inst, placement)
+        rank, candidates = tables.rank, tables.candidates
+        pinned = [j for queue in tables.queues for j in queue]
         assert sorted(pinned) == sorted(placement.meta["s2"])
         assert max(rank[j] for j in pinned) < min(rank[j] for j in candidates)
-        assert all(set(sums) == {0.0} for sums in suffix)
+        assert [rank[j] for j in candidates] == sorted(rank[j] for j in candidates)
+        assert all(set(sums) == {0.0} for sums in tables.suffix)
+        assert tables.barrier is False
 
     @given(data=st.data(), barrier=st.booleans(), delta=st.sampled_from(DELTAS))
     def test_same_picks_as_a_scan_under_aborts(self, data, barrier, delta):

@@ -127,13 +127,14 @@ class TestCapabilityFlag:
             assert supports_batch(strategy)
 
     def test_barrier_ablation_flag_stays_but_compile_refuses(self):
-        """The barrier ablation shares ABO's registry entry (flag True) but
-        its dispatch stalls on remote pinned state — ``build_plan`` must
-        refuse it so the grid falls back to the event kernel."""
+        """The barrier ablation shares ABO's registry entry (flag True) and
+        its policy (a ``PinnedAwarePolicy``), but its tables' barrier gate
+        has no replay — ``build_plan`` must refuse it, naming the gate, so
+        the grid falls back to the event kernel."""
         strategy = make_strategy("abo[delta=0.5,barrier]")
         assert supports_batch(strategy)
         inst = _rand_sized_instance(10, 4, 1.5, 21)
-        with pytest.raises(BatchUnsupported, match="barrier"):
+        with pytest.raises(BatchUnsupported, match="the barrier gate"):
             build_plan(strategy, inst)
 
     def test_family_map_covers_every_flagged_entry(self):

@@ -35,6 +35,11 @@ BAD_INPUTS = [
     ["serve", "--port", "0", "--pace", "-1"],
     ["serve", "--port", "0", "--pace", "nan"],
     ["soak", "--strategy", "bogus"],
+    # Specs that parse but whose Phase 1 cannot place the instance.
+    ["run", "ls_group[k=3]", "--m", "4"],
+    ["run", "overlap_windows[k=3,w=2]", "--m", "4"],
+    ["run", "budgeted[B=1]", "--n", "10", "--m", "3"],
+    ["obs", "--strategy", "ls_group[k=3]", "--m", "4"],
 ]
 
 
@@ -120,8 +125,9 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
     def test_bad_input_is_a_usage_error(self, argv):
-        """A negative seed, an unknown model or strategy spec, a non-finite
-        cell timeout or pace: one usage error (exit 2), no traceback.  Run
+        """A negative seed, an unknown model or strategy spec, a spec that
+        does not fit the instance, a non-finite cell timeout or pace: one
+        usage error (exit 2), no traceback.  Run
         in a fresh process, so a daemon that wrongly starts cannot hang
         the suite."""
         proc = run_cli(argv, stdout=subprocess.DEVNULL)

@@ -3,6 +3,7 @@
 from pathlib import Path
 
 from repro.tools.check_doclinks import (
+    _default_paths,
     check_file,
     check_hub,
     extract_links,
@@ -20,9 +21,13 @@ def test_extract_links_finds_inline_and_skips_fences():
         "x = '[not a link](nope.md)'\n"
         "```\n"
         "External [site](https://example.com) and [anchor](#section).\n"
+        "Code `table[k][1](m)` and ``a `[b](c)` d`` is not a link; "
+        "[`code` text](code.md) is.\n"
     )
     targets = [t for _, t in extract_links(text)]
-    assert targets == ["docs/guide.md", "pic.png", "https://example.com", "#section"]
+    assert targets == [
+        "docs/guide.md", "pic.png", "https://example.com", "#section", "code.md"
+    ]
 
 
 def test_heading_slugs_follow_github_rules():
@@ -30,11 +35,16 @@ def test_heading_slugs_follow_github_rules():
         "# The perf-trajectory artifact (`BENCH_perf.json`)\n"
         "## Phase 2: dispatch!\n"
         "## Phase 2: dispatch!\n"
+        "### `abo` — ABO\n"
+        "### Decision structures → plan tiers\n"
     )
     slugs = heading_slugs(text)
     assert "the-perf-trajectory-artifact-bench_perfjson" in slugs
     assert "phase-2-dispatch" in slugs
     assert "phase-2-dispatch-1" in slugs  # duplicate headings dedup
+    # Every space is one hyphen, even where punctuation between two went.
+    assert "abo--abo" in slugs
+    assert "decision-structures--plan-tiers" in slugs
 
 
 def test_broken_link_and_anchor_detected(tmp_path):
@@ -61,6 +71,12 @@ def test_hub_completeness_check(tmp_path):
 def test_repo_docs_are_link_clean(monkeypatch, capsys):
     monkeypatch.chdir(REPO)
     assert main([]) == 0
+
+
+def test_default_run_covers_the_top_level_docs():
+    linted = {path.relative_to(REPO).as_posix() for path in _default_paths(REPO)}
+    top = {"README.md", "CONTRIBUTING.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"}
+    assert top | {"bench/README.md", "docs/architecture.md"} <= linted
 
 
 def test_architecture_hub_links_every_doc():

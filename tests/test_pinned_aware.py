@@ -10,7 +10,10 @@ contracts are pinned here:
   agrees with the kernel on an instance where the two sums differ;
 * the abort bookkeeping: under crash-recover and crash-stop faults the
   policy dispatches exactly as the per-event scan over the view it
-  replaced.
+  replaced;
+* the rank order of the candidates, which lets the policy take its own
+  head without a scan: the table builders keep it and the policy
+  refuses tables that break it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import math
 import random
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.ratios import build_placement, run_strategy
@@ -28,6 +32,7 @@ from repro.core.placement import Placement
 from repro.core.strategies.selective import PinnedAwarePolicy, pinned_tables
 from repro.core.strategy import SchedulerView, TwoPhaseStrategy
 from repro.faults import CrashRecover, CrashStop, FaultPlan
+from repro.memory.abo import ABO, abo_tables
 from repro.registry import make_strategy
 from repro.simulation.batch import ReplayPlan, build_plan, sweep_makespans
 from repro.simulation.engine import SimulationError, simulate
@@ -205,3 +210,58 @@ class TestAbortEquivalence:
         assert new == ref
         if new[0] != "error":
             assert new[1], "the crash-recover fault should abort a running task"
+
+
+@st.composite
+def _tied_placements(draw):
+    """A small instance whose integral estimates tie often, and any
+    placement of it (each task on a non-empty set of machines)."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=5))
+    estimates = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n, max_size=n))
+    sizes = draw(st.lists(st.sampled_from([0.0, 1.0, 4.0]), min_size=n, max_size=n))
+    machines = st.frozensets(st.integers(min_value=0, max_value=m - 1), min_size=1)
+    sets = draw(st.lists(machines, min_size=n, max_size=n))
+    inst = make_instance(estimates, m, 1.5, sizes=sizes, name="tied")
+    return Placement(inst, tuple(sets))
+
+
+def _placement(estimates, m, sets):
+    inst = make_instance(estimates, m, 1.5, sizes=[1.0] * len(estimates), name="edge")
+    return Placement(inst, tuple(frozenset(s) for s in sets))
+
+
+class TestRankOrder:
+    def test_candidates_out_of_rank_order_are_refused(self):
+        inst = _summation_instance()
+        everywhere = Placement(inst, tuple(frozenset({0, 1}) for _ in range(inst.n)))
+        tables = pinned_tables(inst, everywhere)
+        assert len(tables.candidates) == inst.n
+        PinnedAwarePolicy(tables)
+        swapped = [tables.candidates[1], tables.candidates[0], *tables.candidates[2:]]
+        with pytest.raises(ValueError, match="rank order"):
+            PinnedAwarePolicy(tables._replace(candidates=swapped))
+
+    @given(
+        placement=_tied_placements(),
+        delta=st.sampled_from([0.5, 1.0, 2.0]),
+        barrier=st.booleans(),
+    )
+    @example(placement=_placement([2.0, 1.0], 4, [{0, 1}, {3}]), delta=1.0, barrier=True)
+    @example(placement=_placement([1.0, 3.0, 2.0], 1, [{0}] * 3), delta=1.0, barrier=False)
+    @example(
+        placement=_placement([2.0] * 6, 3, [{0, 1, 2}, {1}, {0, 2}] * 2),
+        delta=0.5,
+        barrier=True,
+    )
+    def test_builders_list_candidates_in_rank_order(self, placement, delta, barrier):
+        """``pinned_tables`` on any placement and ``abo_tables`` on ABO's,
+        including n < m, m = 1 and exactly tied estimates."""
+        inst = placement.instance
+        for tables in (
+            pinned_tables(inst, placement),
+            abo_tables(inst, ABO(delta).place(inst), barrier),
+        ):
+            ranks = [tables.rank[j] for j in tables.candidates]
+            assert ranks == sorted(ranks)
+            assert PinnedAwarePolicy(tables).tables is tables
