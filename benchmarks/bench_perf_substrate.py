@@ -141,7 +141,7 @@ def bench_grid_parallel_speedup(benchmark):
 
 
 def _batch_grid_args():
-    """Every supports_batch family on a kernel-dominated sweep."""
+    """The closed-form partition families on a kernel-dominated sweep."""
     strategies = [
         "lpt_no_choice",
         "lpt_no_restriction",

@@ -2,11 +2,12 @@
 
 :mod:`repro.simulation.batch` turns one (strategy, instance) pair into a
 vectorized completion sweep; this module lifts that to grid granularity:
-:func:`batch_eligible` routes cells, :func:`group_stacks` groups a
-chunk's cells into *stacks* — the (strategy, instance) packs of one
-strategy on same-shape instances — and :func:`execute_pack` runs one
-stack: its closed-form plans, every realization model and seed, in one
-``(R, n)`` NumPy pass, and its replay plans in another.  It assembles
+:func:`group_stacks` groups a chunk's cells into *stacks* — the
+(strategy, instance) packs of one strategy on same-shape instances — and
+:func:`execute_pack` runs one stack: its closed-form plans, every
+realization model and seed, in one ``(R, n)`` NumPy pass, and its replay
+plans in another.  Which packs sweep is :func:`try_plan`'s call alone:
+a pack it refuses runs on the per-cell kernel.  It assembles
 the exact :class:`~repro.analysis.records.ExperimentRecord` the per-cell
 path produces:
 
@@ -46,10 +47,8 @@ from repro.simulation.batch import (
     build_plan,
     sweep_makespans,
 )
-from repro.simulation.batch import supports_batch as _supports_batch
 
 __all__ = [
-    "batch_eligible",
     "execute_pack",
     "group_packs",
     "group_stacks",
@@ -57,18 +56,8 @@ __all__ = [
 ]
 
 
-def batch_eligible(spec: CellSpec) -> bool:
-    """Whether this cell may take the batch fast path (capability gate).
-
-    The structural preconditions are still verified per pack by
-    :func:`repro.simulation.batch.build_plan`; a cell that passes here
-    but fails there falls back to the event kernel.
-    """
-    return _supports_batch(spec.strategy)
-
-
 def group_packs(cells: Sequence[CellSpec]) -> list[list[CellSpec]]:
-    """Group eligible cells into (strategy, instance) packs, stable order.
+    """Group cells into (strategy, instance) packs, stable order.
 
     Identity (not equality) keys: the grid enumerates shared strategy and
     instance objects, so identity grouping is exact and cheap.
@@ -80,7 +69,7 @@ def group_packs(cells: Sequence[CellSpec]) -> list[list[CellSpec]]:
 
 
 def group_stacks(cells: Sequence[CellSpec]) -> list[list[list[CellSpec]]]:
-    """Group eligible cells into stacks of packs, stable order.
+    """Group cells into stacks of packs, stable order.
 
     A stack holds the (strategy, instance) packs of one strategy object
     on instances of one ``(n, m)`` shape, so their closed-form plans
@@ -98,20 +87,23 @@ def try_plan(spec: CellSpec, memo: GroupMemo) -> Plan | None:
     """Compile this cell's (strategy, instance) pair, or ``None``.
 
     ``None`` means "use the per-cell path": either the structure is
-    unsupported (:class:`BatchUnsupported`) or Phase 1 itself refuses the
-    instance (``ValueError``, e.g. a ``k`` that does not divide ``m``) —
-    the per-cell path turns the latter into the canonical
-    :class:`~repro.analysis.records.SkippedCell`, so the fallback must
-    not duplicate that logic.  A refusal hands the placement
-    :func:`build_plan` already built to ``memo``, so the pack's cells
-    run Phase 2 on it instead of running Phase 1 each.
+    unsupported (:class:`BatchUnsupported`) or compiling raised —
+    Phase 1 refusing the instance (``ValueError``, e.g. a ``k`` that
+    does not divide ``m``) or any other crash.  The per-cell path turns
+    the former into the canonical
+    :class:`~repro.analysis.records.SkippedCell` and retries and
+    quarantines the latter, so the fallback must not duplicate that
+    logic.  A refusal hands the placement :func:`build_plan` already
+    built to ``memo``, so the pack's cells run Phase 2 on it instead of
+    running Phase 1 each.  ``KeyboardInterrupt`` and ``SystemExit``
+    propagate.
     """
     try:
         return build_plan(spec.strategy, spec.instance)
     except BatchUnsupported as exc:
         memo.share_placement(spec, exc.placement)
         return None
-    except ValueError:
+    except Exception:
         return None
 
 

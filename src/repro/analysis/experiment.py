@@ -9,9 +9,10 @@ Keeping the sweep in one driver means every bench agrees on provenance
 fields and determinism.
 
 Every run takes one path: probe the cache once per cell, hand the cold
-cells to :func:`~repro.analysis.parallel.execute_packs` (batch packs) and
-:func:`~repro.analysis.parallel.execute_cells` (event-kernel cells), then
-merge in cell-index order.  Three settings shape that path:
+cells to one executor call —
+:func:`~repro.analysis.parallel.execute_packs` (batch packs) or
+:func:`~repro.analysis.parallel.execute_cells` (event-kernel cells) —
+then merge in cell-index order.  Three settings shape that path:
 
 * **workers** (``workers=N``, default 1) — the width of the process pool
   the executor fans chunks out over; one worker is the inline case of
@@ -21,12 +22,13 @@ merge in cell-index order.  Three settings shape that path:
 * **cached** (``cache=CellCache(...)``) — cell outcomes are fingerprinted
   and persisted by :mod:`repro.analysis.cache`; warm cells are never
   recomputed;
-* **batched** (``batch=True``, the default) — cells whose strategy
-  declares the ``supports_batch`` capability are grouped into
-  (strategy, instance) packs and replayed by the vectorized NumPy sweep
-  (:mod:`repro.analysis.batch`) instead of the per-event kernel; records
-  are bit-identical, and packs the compiler refuses fall back to the
-  kernel inside the same chunk.
+* **batched** (``batch=True``, the default) — every cold cell ships in
+  a (strategy, instance) pack, and each pack the batch compiler
+  (:func:`~repro.simulation.batch.build_plan`) accepts is replayed by the
+  vectorized NumPy sweep (:mod:`repro.analysis.batch`) instead of the
+  per-event kernel; records are bit-identical, and packs the compiler
+  refuses run on the kernel inside the same chunk, on the pack's
+  shared placement.
 
 See ``docs/performance.md`` for the worker model, determinism guarantee,
 and cache invalidation rules.
@@ -42,7 +44,6 @@ from repro.analysis.parallel import (
     DEFAULT_RETRY,
     CellOutcome,
     CellSpec,
-    GroupMemo,
     RetryPolicy,
     enumerate_cells,
     execute_cells,
@@ -113,9 +114,10 @@ class ExperimentGrid:
         land in :attr:`skipped` as ``kind="quarantined"`` entries rather
         than aborting the sweep.
     batch:
-        Route ``supports_batch`` strategies through the vectorized batch
-        backend (default on).  Records are bit-identical to the per-cell
-        path — disable only to benchmark the event kernel itself.
+        Ship cells in (strategy, instance) packs and sweep every pack the
+        batch compiler accepts (default on).  Records are bit-identical
+        to the per-cell path — disable only to benchmark the event
+        kernel itself.
     batched_cells:
         How many cells of the last ``run()`` the batch backend served
         (cache hits excluded).  Mirrored into the grid manifest.
@@ -182,41 +184,35 @@ class ExperimentGrid:
                 self.seeds,
                 self.exact_limit,
             )
-            packs, pending, hits = self._collect_packs(cells, tracer)
-            # With one worker both calls run in this process; the shared
-            # memo samples and solves each realization group once.
-            memo = GroupMemo()
-            swept, pack_traces = execute_packs(
-                packs,
-                workers=self.workers,
-                traced=tracer.enabled,
-                retry=self.retry,
-                memo=memo,
+            cold, hits = self._probe(cells, tracer)
+            from repro.faults import inject
+
+            if self.batch and inject.active_spec() is None:
+                from repro.analysis.batch import group_packs
+
+                execute, work = execute_packs, group_packs(cold)
+            else:
+                # The cell-fault injection harness validates the per-cell
+                # resilient executor; batching would mask the injected faults.
+                execute, work = execute_cells, cold
+            computed, traces = execute(
+                work, workers=self.workers, traced=tracer.enabled, retry=self.retry
             )
-            computed, cell_traces = execute_cells(
-                pending,
-                workers=self.workers,
-                traced=tracer.enabled,
-                retry=self.retry,
-                memo=memo,
-            )
-            for wt in pack_traces + cell_traces:
+            for wt in traces:
                 replay_events(tracer, wt.events, worker=wt.worker)
                 merge_registry_summary(tracer.registry, wt.metrics)
-            records = self._merge(cells, hits, swept + computed, total)
+            records = self._merge(cells, hits, computed, total)
         if tracer.enabled:
             self._emit_manifest(tracer, records, total, grid_span.duration)
         return records
 
-    def _collect_packs(
+    def _probe(
         self, cells: list[CellSpec], tracer
-    ) -> tuple[list[list[CellSpec]], list[CellSpec], list[CellOutcome]]:
-        """Probe the cache once per cell and split the cold cells.
+    ) -> tuple[list[CellSpec], list[CellOutcome]]:
+        """Probe the cache once per cell: (cold cells, cache hits).
 
-        Returns (batch packs, per-cell kernel cells, cache hits).  Cold
-        ``supports_batch`` cells are grouped into (strategy, instance)
-        packs; plans are *not* compiled here — the chunk that runs a pack
-        compiles (and verifies) it, and a refused pack degrades to the
+        Plans are *not* compiled here — the chunk that runs a pack
+        compiles (and verifies) it, and a refused pack runs on the
         per-cell kernel inside that chunk.
         """
         hits: list[CellOutcome] = []
@@ -227,25 +223,7 @@ class ExperimentGrid:
                 cold.append(spec)
             else:
                 hits.append(outcome)
-        from repro.faults import inject
-
-        if not self.batch or inject.active_spec() is not None:
-            # The cell-fault injection harness validates the per-cell
-            # resilient executor; batching would mask the injected faults.
-            return [], cold, hits
-        from repro.analysis.batch import batch_eligible, group_packs
-
-        # Eligibility depends only on the strategy: decide it once per
-        # strategy object, not once per cell.
-        eligible: dict[int, bool] = {}
-        batched: list[CellSpec] = []
-        pending: list[CellSpec] = []
-        for spec in cold:
-            ok = eligible.get(id(spec.strategy))
-            if ok is None:
-                ok = eligible[id(spec.strategy)] = batch_eligible(spec)
-            (batched if ok else pending).append(spec)
-        return group_packs(batched), pending, hits
+        return cold, hits
 
     def _merge(
         self,

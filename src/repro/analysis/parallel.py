@@ -22,16 +22,13 @@ Design points:
   one :class:`GroupMemo`, so each (instance, model, seed) realization is
   sampled and its optimum solved once per chunk, whichever path serves
   the cell.
-* **Spec-string transport** — registry-representable strategies cross the
-  process boundary as canonical spec strings (``"ls_group[k=3]"``), not
-  pickled objects: workers rebuild them through
-  :func:`repro.registry.make_strategy` (memoized per chunk), so payloads
-  stay small and a strategy whose *object* happens to be unpicklable
-  still parallelizes as long as it is registered.
-* **Inline fallback** — an unpicklable chunk (custom realization
-  factories built from closures, unregistered closure-built strategies)
-  or an unavailable pool (restricted environments) runs in-process;
-  callers never have to care.
+* **Pickle transport** — the parent pickles each chunk once and the
+  worker loads it.  Pickle keeps one object per strategy and per
+  instance within a chunk, so the worker groups the chunk's packs into
+  the same stacks the parent would.
+* **Inline fallback** — a chunk that does not pickle (custom realization
+  factories or strategies built from closures) or an unavailable pool
+  (restricted environments) runs in-process; callers never have to care.
 * **Resilience** — every cell runs under a :class:`RetryPolicy`: a cell
   that raises (or exceeds a per-cell wall-clock timeout) is retried with
   exponential backoff, and a cell that keeps failing is *quarantined* as
@@ -52,7 +49,7 @@ import pickle
 import threading
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.analysis import ratios
@@ -90,6 +87,10 @@ RealizationFactory = Callable[[Instance, int], Realization]
 #: handful of events per cell, so this comfortably holds the largest
 #: chunks while bounding memory on runaway grids.
 _WORKER_EVENT_CAPACITY = 100_000
+
+#: Growth of the retry backoff: each retry of a cell sleeps this many
+#: times longer than the one before.
+BACKOFF_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -156,9 +157,7 @@ class RetryPolicy:
         :class:`~repro.analysis.records.SkippedCell` instead of raising.
     backoff_s:
         Sleep before the second attempt; each further retry multiplies it
-        by ``backoff_factor``.  Zero disables sleeping (tests).
-    backoff_factor:
-        Exponential growth of the backoff.
+        by :data:`BACKOFF_FACTOR`.  Zero disables sleeping (tests).
     timeout_s:
         Optional per-attempt wall-clock budget.  ``None`` (the default)
         runs the cell directly in the calling thread; a number runs it in
@@ -171,7 +170,6 @@ class RetryPolicy:
 
     max_attempts: int = 3
     backoff_s: float = 0.05
-    backoff_factor: float = 2.0
     timeout_s: float | None = None
 
     def __post_init__(self) -> None:
@@ -179,8 +177,6 @@ class RetryPolicy:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.backoff_s < 0:
             raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
-        if self.backoff_factor < 1.0:
-            raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
         if self.timeout_s is not None and not 0 < self.timeout_s < math.inf:
             raise ValueError(
                 f"timeout_s must be positive and finite, got {self.timeout_s}"
@@ -461,7 +457,7 @@ def run_cell_resilient(
                 )
                 if delay > 0:
                     time.sleep(delay)
-                delay *= retry.backoff_factor
+                delay *= BACKOFF_FACTOR
             continue
         return CellOutcome(
             outcome.index,
@@ -493,25 +489,21 @@ def run_cell_resilient(
 
 
 def _run_chunk(
-    cells: Sequence[CellSpec],
-    batched: bool,
-    retry: RetryPolicy,
-    memo: GroupMemo | None = None,
+    cells: Sequence[CellSpec], batched: bool, retry: RetryPolicy
 ) -> list[CellOutcome]:
     """Run one chunk in this process: the body of every worker and fallback.
 
     With ``batched`` the cells are regrouped into stacks — the (strategy,
     instance) packs of one strategy on same-shape instances — and each
     stack runs through the vectorized sweep; the cells of a pack the
-    batch compiler refuses — or whose Phase 1 rejects the instance — run
-    through the resilient per-cell kernel path here, under the same memo
+    batch compiler refuses — or whose compile raises — run through the
+    resilient per-cell kernel path here, under the chunk's one memo
     (which carries a refused pack's placement to its cells).
     Lazy import: the batch executor imports this module at module level.
     """
     from repro.analysis import batch
 
-    if memo is None:
-        memo = GroupMemo()
+    memo = GroupMemo()
     if not batched:
         return [run_cell_resilient(spec, memo, retry) for spec in cells]
     outcomes: list[CellOutcome] = []
@@ -523,9 +515,9 @@ def _run_chunk(
 
 
 def _worker_chunk(
-    payload: tuple[Sequence[CellSpec], bool, bool, bool, RetryPolicy]
+    payload: tuple[bytes, bool, bool, bool, RetryPolicy]
 ) -> tuple[list[CellOutcome], WorkerTrace | None]:
-    """Process-pool entry point: decode one chunk and run it, capturing its trace.
+    """Process-pool entry point: unpickle one chunk and run it, capturing its trace.
 
     The worker *always* rebuilds its tracer state: with the ``fork``
     start method a child inherits the parent's enabled tracer and open
@@ -537,7 +529,7 @@ def _worker_chunk(
     sink (``events``): a counters-only parent would drop every event.
     """
     chunk, batched, traced, events, retry = payload
-    cells = _decode_chunk(chunk)
+    cells = pickle.loads(chunk)
     tracer = get_tracer()
     tracer.enabled = False
     tracer.sinks = []
@@ -598,105 +590,40 @@ def _chunks(packs: Sequence[Sequence[CellSpec]], workers: int) -> list[list[Cell
     return chunks
 
 
-@dataclass(frozen=True)
-class _StrategyRef:
-    """Canonical registry spec standing in for a strategy over IPC.
-
-    Occupies ``CellSpec.strategy`` between :func:`_encode_chunk` in the
-    parent and :func:`_decode_chunk` in the worker; never escapes the
-    pool path.
-    """
-
-    spec: str
-
-
-def _encode_chunk(chunk: list[CellSpec]) -> list[CellSpec]:
-    """Swap registry-representable strategies for their canonical specs.
-
-    Strategies the registry cannot round-trip (unregistered classes,
-    out-of-band mutations) stay as objects and rely on pickling, exactly
-    as before.
-    """
-    from repro.registry import try_describe_strategy
-
-    specs: dict[int, str | None] = {}
-    encoded: list[CellSpec] = []
-    for cell in chunk:
-        key = id(cell.strategy)
-        if key not in specs:
-            specs[key] = try_describe_strategy(cell.strategy)
-        spec = specs[key]
-        encoded.append(
-            replace(cell, strategy=_StrategyRef(spec)) if spec is not None else cell
-        )
-    return encoded
-
-
-def _decode_chunk(chunk: Sequence[CellSpec]) -> list[CellSpec]:
-    """Rebuild strategies from spec strings, one instance per distinct spec.
-
-    The per-chunk memo keeps strategy identity stable within the chunk,
-    so grouping and per-strategy timers behave as if the original object
-    had been shipped.
-    """
-    from repro.registry import make_strategy
-
-    built: dict[str, TwoPhaseStrategy] = {}
-    decoded: list[CellSpec] = []
-    for cell in chunk:
-        ref = cell.strategy
-        if isinstance(ref, _StrategyRef):
-            strategy = built.get(ref.spec)
-            if strategy is None:
-                strategy = built[ref.spec] = make_strategy(ref.spec)
-            cell = replace(cell, strategy=strategy)
-        decoded.append(cell)
-    return decoded
-
-
-def _picklable(chunk: list[CellSpec]) -> bool:
-    try:
-        pickle.dumps(chunk)
-    except Exception:
-        return False
-    return True
-
-
 def _fan_out(
     packs: Sequence[Sequence[CellSpec]],
     batched: bool,
     workers: int,
     traced: bool,
     retry: RetryPolicy,
-    memo: GroupMemo | None,
 ) -> tuple[list[CellOutcome], list[WorkerTrace]]:
     """Run every pack and return (outcomes sorted by index, worker traces).
 
     ``workers <= 1`` runs everything as one inline chunk under the
-    caller's tracer (no traces to merge).  ``workers > 1`` ships
-    picklable chunks of whole packs to a process pool, one future per
-    chunk; unpicklable chunks, a pool that cannot start, and *individual
-    crashed chunks* (a worker killed mid-flight, a broken pool) all run
-    inline instead, so the call always completes with the full outcome
-    list.  Inline chunks share ``memo``.
+    caller's tracer (no traces to merge).  ``workers > 1`` pickles each
+    chunk of whole packs once and ships it to a process pool, one future
+    per chunk; chunks that do not pickle, a pool that cannot start, and
+    *individual failed chunks* (a worker killed mid-flight, a broken
+    pool, a chunk the worker could not load) all run inline instead, so
+    the call always completes with the full outcome list.
     """
     if not packs:
         return [], []
     outcomes: list[CellOutcome] = []
     traces: list[WorkerTrace] = []
     inline: list[list[CellSpec]] = []
-    remote: list[list[CellSpec]] = []  # original chunks (failover recovery)
-    shipped: list[list[CellSpec]] = []  # spec-encoded twins submitted to the pool
+    remote: list[list[CellSpec]] = []  # chunks kept for failover recovery
+    shipped: list[bytes] = []  # their pickles, submitted to the pool
     if workers <= 1:
         inline.append([spec for pack in packs for spec in pack])
     else:
         for chunk in _chunks(packs, workers):
-            encoded = _encode_chunk(chunk)
-            if _picklable(encoded):
-                remote.append(chunk)
-                shipped.append(encoded)
-            else:
+            try:
+                shipped.append(pickle.dumps(chunk))
+            except Exception:
                 inline.append(chunk)
+            else:
+                remote.append(chunk)
     if remote:
         # A forked child duplicates any buffered sink bytes; flush first so
         # nothing is written twice when the child tears down.
@@ -716,9 +643,10 @@ def _fan_out(
                 for i, future in enumerate(futures):
                     try:
                         chunk_outcomes, trace = future.result()
-                    except (OSError, RuntimeError, pickle.PickleError):
-                        # This chunk's worker died (BrokenProcessPool is a
-                        # RuntimeError); recover just this chunk inline.
+                    except Exception:
+                        # This chunk's worker died (BrokenProcessPool) or
+                        # could not load the chunk; recover just this chunk
+                        # inline, where a fault of the chunk itself raises.
                         tracer.count("grid.chunk_failovers")
                         continue
                     done.add(i)
@@ -731,7 +659,7 @@ def _fan_out(
             pass
         inline += [chunk for i, chunk in enumerate(remote) if i not in done]
     for chunk in inline:
-        outcomes.extend(_run_chunk(chunk, batched, retry, memo))
+        outcomes.extend(_run_chunk(chunk, batched, retry))
     outcomes.sort(key=lambda o: o.index)
     return outcomes, traces
 
@@ -742,14 +670,13 @@ def execute_cells(
     workers: int = 1,
     traced: bool = False,
     retry: RetryPolicy = DEFAULT_RETRY,
-    memo: GroupMemo | None = None,
 ) -> tuple[list[CellOutcome], list[WorkerTrace]]:
     """Run cells on the event kernel; (outcomes sorted by index, worker traces).
 
     Each cell runs under ``retry`` (see :func:`run_cell_resilient`);
     :func:`_fan_out` describes the worker model and its fallbacks.
     """
-    return _fan_out([[spec] for spec in cells], False, workers, traced, retry, memo)
+    return _fan_out([[spec] for spec in cells], False, workers, traced, retry)
 
 
 def execute_packs(
@@ -758,7 +685,6 @@ def execute_packs(
     workers: int = 1,
     traced: bool = False,
     retry: RetryPolicy = DEFAULT_RETRY,
-    memo: GroupMemo | None = None,
 ) -> tuple[list[CellOutcome], list[WorkerTrace]]:
     """Run same-(strategy, instance) packs through the vectorized sweep.
 
@@ -767,4 +693,4 @@ def execute_packs(
     chunk, so one unsupported pack never poisons the others;
     :func:`_fan_out` describes the worker model and its fallbacks.
     """
-    return _fan_out(packs, True, workers, traced, retry, memo)
+    return _fan_out(packs, True, workers, traced, retry)

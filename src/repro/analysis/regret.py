@@ -77,30 +77,24 @@ def _scenario_makespans(
 
     The inner loop of the min-max-regret table is a same-(strategy,
     instance) pack by construction, so it compiles to one ``(S, n)``
-    vectorized sweep for every ``supports_batch`` strategy — the outer
-    argmin over strategies stays scalar.  The sweep is bit-identical to
-    the event kernel (the exactness contract of
+    vectorized sweep whenever the batch compiler accepts the pair — the
+    outer argmin over strategies stays scalar.  The sweep is bit-identical
+    to the event kernel (the exactness contract of
     :mod:`repro.simulation.batch`), so the regret table and the min-max
-    winner cannot shift when a family gains the capability; anything the
+    winner cannot shift when a family starts to compile; anything the
     compiler refuses falls back to the per-scenario kernel loop.
     """
-    from repro.simulation.batch import (
-        BatchUnsupported,
-        build_plan,
-        supports_batch,
-        sweep_makespans,
-    )
+    from repro.simulation.batch import BatchUnsupported, build_plan, sweep_makespans
 
-    if supports_batch(strategy):
-        try:
-            plan = build_plan(strategy, instance)
-        except (BatchUnsupported, ValueError):
-            pass
-        else:
-            import numpy as np
+    try:
+        plan = build_plan(strategy, instance)
+    except (BatchUnsupported, ValueError):
+        pass
+    else:
+        import numpy as np
 
-            matrix = np.asarray([s.actuals for s in scenarios], dtype=np.float64)
-            return [float(v) for v in sweep_makespans(plan, matrix)]
+        matrix = np.asarray([s.actuals for s in scenarios], dtype=np.float64)
+        return [float(v) for v in sweep_makespans(plan, matrix)]
     return [
         run_strategy(strategy, instance, s, validate=False).makespan
         for s in scenarios

@@ -33,9 +33,10 @@ table); ``repro obs`` is the same machinery with tracing always on.
 ``--workers N`` fans cells over a process pool (identical results to
 serial), and cell outcomes are cached in the artifact store under
 ``.repro-store/`` between invocations (``--no-cache`` / ``--cache-dir``
-override; see ``docs/performance.md`` and ``docs/artifacts.md``).  Strategies with the ``supports_batch``
-capability take the vectorized batch backend (bit-identical records);
-``--no-batch`` forces every cell through the event kernel.  ``sweep``
+override; see ``docs/performance.md`` and ``docs/artifacts.md``).  Every
+(strategy, instance) pack the batch compiler accepts takes the vectorized
+batch backend (bit-identical records); ``--no-batch`` forces every cell
+through the event kernel.  ``sweep``
 also exports telemetry (``--metrics-out [PATH]`` writes an OpenMetrics
 artifact, default ``results/telemetry.prom``) and profiles grid cells
 opt-in (``--profile`` → cProfile top-N per cell, folded into span

@@ -27,7 +27,7 @@ __all__ = ["LPTNoChoice"]
     "lpt_no_choice",
     family="core",
     theorem="Theorem 2",
-    capabilities=Capabilities(replication_factor="none", supports_batch=True, online_placement=True),
+    capabilities=Capabilities(replication_factor="none", online_placement=True),
     sweep=SweepRule(order=0, enumerate=lambda m: ["lpt_no_choice"]),
 )
 class LPTNoChoice(TwoPhaseStrategy):

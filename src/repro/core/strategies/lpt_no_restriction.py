@@ -25,7 +25,7 @@ __all__ = ["LPTNoRestriction"]
     "lpt_no_restriction",
     family="core",
     theorem="Theorem 3",
-    capabilities=Capabilities(replication_factor="full", supports_batch=True, online_placement=True),
+    capabilities=Capabilities(replication_factor="full", online_placement=True),
     sweep=SweepRule(order=1, enumerate=lambda m: ["lpt_no_restriction"]),
 )
 class LPTNoRestriction(TwoPhaseStrategy):

@@ -46,7 +46,7 @@ def equal_groups(m: int, k: int) -> list[list[int]]:
     params=(Int("k", ge=1, doc="number of machine groups; must divide m"),),
     family="core",
     theorem="Theorem 4",
-    capabilities=Capabilities(replication_factor="group", supports_batch=True, online_placement=True),
+    capabilities=Capabilities(replication_factor="group", online_placement=True),
     sweep=SweepRule(
         order=2, enumerate=lambda m: [f"ls_group[k={k}]" for k in divisors(m)]
     ),
@@ -117,7 +117,7 @@ class LSGroup(TwoPhaseStrategy):
     params=(Int("k", ge=1, doc="number of machine groups; must divide m"),),
     family="core",
     theorem="§5.3 ablation (no proven bound)",
-    capabilities=Capabilities(replication_factor="group", supports_batch=True, online_placement=True),
+    capabilities=Capabilities(replication_factor="group", online_placement=True),
     sweep=SweepRule(
         order=3,
         ablation=True,

@@ -38,7 +38,7 @@ __all__ = ["NonClairvoyantLS"]
     ),
     family="core",
     theorem="Graham LS bound 2−1/m (α→∞ limit)",
-    capabilities=Capabilities(replication_factor="full", supports_batch=True),
+    capabilities=Capabilities(replication_factor="full"),
 )
 class NonClairvoyantLS(TwoPhaseStrategy):
     """Estimate-blind online List Scheduling over full replication.

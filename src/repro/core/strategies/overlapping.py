@@ -64,7 +64,7 @@ def window_machines(m: int, k: int, overlap: int) -> list[frozenset[int]]:
     ),
     family="core",
     theorem="conclusion: 'more general replication policies' (bench E5)",
-    capabilities=Capabilities(replication_factor="group", supports_batch=True),
+    capabilities=Capabilities(replication_factor="group"),
 )
 class OverlappingWindows(TwoPhaseStrategy):
     """Group replication with overlapping machine windows.

@@ -252,7 +252,7 @@ class PinnedAwarePolicy:
     family="core",
     theorem="conclusion: replication-cost model (bench E5)",
     capabilities=Capabilities(
-        supports_releases=False, replication_factor="selective", supports_batch=True
+        supports_releases=False, replication_factor="selective"
     ),
     builder=lambda fraction, basis: SelectiveReplication(
         fraction, by_work=basis == "work"
@@ -352,7 +352,7 @@ def _lpt_with_offset(times: list[float], m: int, offset: float) -> list[int]:
     family="core",
     theorem="conclusion: replication-cost model (bench E5)",
     capabilities=Capabilities(
-        supports_releases=False, replication_factor="budgeted", supports_batch=True
+        supports_releases=False, replication_factor="budgeted"
     ),
 )
 class BudgetedReplication(TwoPhaseStrategy):

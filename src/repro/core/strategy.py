@@ -51,7 +51,6 @@ class SchedulerView:
         # Bumped whenever a task is aborted (machine failure); policies
         # with cached dispatch state use it to invalidate their caches.
         self._abort_epoch = 0
-        self._failed_machines: set[int] = set()
 
     # -- static problem data (always visible) ----------------------------------
     @property
@@ -94,14 +93,6 @@ class SchedulerView:
         epoch change: an aborted task becomes unstarted again.
         """
         return self._abort_epoch
-
-    def is_failed(self, machine: int) -> bool:
-        """Whether ``machine`` is currently down (it may recover later).
-
-        Crash-stop machines stay failed forever; crash-recover machines
-        (``repro.faults`` extension) leave this set when they rejoin.
-        """
-        return machine in self._failed_machines
 
     def revealed_actual(self, tid: int) -> float:
         """Actual time of a *completed* task.
@@ -154,13 +145,6 @@ class SchedulerView:
         self._running.pop(tid, None)
         self._started.discard(tid)
         self._abort_epoch += 1
-
-    def _mark_machine_failed(self, machine: int) -> None:
-        self._failed_machines.add(machine)
-
-    def _mark_machine_recovered(self, machine: int) -> None:
-        """A crashed machine finished its downtime and rejoined."""
-        self._failed_machines.discard(machine)
 
 
 @runtime_checkable

@@ -56,7 +56,6 @@ def _risk_aware_extract(strategy: RiskAwareReplication) -> dict[str, object]:
         supports_releases=False,
         supports_hetero=True,
         replication_factor="selective",
-        supports_batch=True,
     ),
     builder=lambda fraction: RiskAwareReplication(fraction),
     extract=_risk_aware_extract,

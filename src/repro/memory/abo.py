@@ -97,7 +97,6 @@ def abo_tables(
         supports_releases=False,
         memory_aware=True,
         replication_factor="selective",
-        supports_batch=True,
     ),
 )
 class ABO(TwoPhaseStrategy):

@@ -66,7 +66,6 @@ def min_feasible_capacity(instance: Instance) -> float:
         supports_releases=False,
         memory_aware=True,
         replication_factor="budgeted",
-        supports_batch=True,
     ),
 )
 class CappedReplication(TwoPhaseStrategy):

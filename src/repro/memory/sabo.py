@@ -42,7 +42,7 @@ __all__ = ["SABO"]
     family="memory",
     theorem="Theorems 5–6",
     capabilities=Capabilities(
-        memory_aware=True, replication_factor="none", supports_batch=True
+        memory_aware=True, replication_factor="none"
     ),
 )
 class SABO(TwoPhaseStrategy):

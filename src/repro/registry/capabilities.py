@@ -58,25 +58,12 @@ class Capabilities:
     memory_aware:
         Phase 1 reads task *sizes* (the Section-6 memory model), not just
         time estimates.
-    supports_batch:
-        The fault-free run of this strategy compiles to one of the batch
-        backend's plan tiers (:mod:`repro.simulation.batch`): a fully
-        vectorized completion sweep for fixed orders over a machine
-        partition, or a lockstep replay of the tables the policy
-        decides from for other fixed orders and for pinned-aware
-        policies, barrier-free ABO included — all bit-identical to
-        the event kernel.  The flag is a *claim*, not a bypass:
-        ``build_plan`` re-verifies the structure and raises
-        ``BatchUnsupported`` for configurations it cannot replay (e.g.
-        the ABO barrier ablation), which fall back to the per-event
-        :class:`~repro.simulation.kernel.EventKernel`.
     online_placement:
         Phase 1 is greedy least-estimated-load assignment over an
         equal-group machine partition, so the service daemon
         (:mod:`repro.service.placement`) can run it *incrementally* in
         arrival order and reproduce the offline placement bit for bit.
-        Strictly narrower than ``supports_batch``: many batchable
-        placements (memory-balanced pinning, selective replication,
+        Many placements (memory-balanced pinning, selective replication,
         budgeted caps) depend on seeing the whole task set and cannot be
         kept online.
     replication_factor:
@@ -87,7 +74,6 @@ class Capabilities:
     supports_releases: bool = True
     supports_hetero: bool = False
     memory_aware: bool = False
-    supports_batch: bool = False
     online_placement: bool = False
     replication_factor: str = "none"
 

@@ -55,7 +55,7 @@ __all__ = ["RobustPinnedPlacement"]
     ),
     family="robust",
     theorem="Theorem 1 comparison (bench E15)",
-    capabilities=Capabilities(replication_factor="none", supports_batch=True),
+    capabilities=Capabilities(replication_factor="none"),
 )
 class RobustPinnedPlacement(TwoPhaseStrategy):
     """Min-max pinned assignment over sampled extreme scenarios.

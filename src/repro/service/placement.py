@@ -52,8 +52,8 @@ class OnlinePlacer:
         family with the ``online_placement`` capability — the flag that
         certifies greedy least-load Phase 1 over an equal-group machine
         partition, which is exactly the structure an online admission
-        path can keep incrementally.  (``supports_batch`` is no longer a
-        usable proxy: the batch compiler now also replays placements —
+        path can keep incrementally.  (Whether a strategy batches is no
+        proxy: the batch compiler also replays placements —
         memory-balanced pinning, selective replication — that need the
         whole task set up front and cannot be hosted online.)
     m:

@@ -46,12 +46,11 @@ completions surface in ``(time, seq)`` order, one per step — which polls
 tied completions in the order the ``EventQueue`` does, since a
 completion changes nothing a policy reads (see :func:`_lockstep_replay`).
 ``tests/test_batch.py`` asserts equality property-style across random
-instances for every ``supports_batch`` family.
+instances for an exemplar of every registry family.
 
-**Eligibility.**  A strategy opts in via the ``supports_batch``
-capability flag (:class:`repro.registry.Capabilities`), and
-:func:`build_plan` then *verifies* the structure instead of trusting the
-flag: the Phase-2 policy must be one of the two compilable types
+**Eligibility.**  :func:`build_plan` is the only router: it runs Phase 1
+and builds the policy, then checks the pair's structure.  The Phase-2
+policy must be one of the two compilable types
 (:class:`FixedOrderPolicy`, :class:`PinnedAwarePolicy`), and a
 pinned-aware policy's tables, whoever built them, must agree with the
 placement: each queued task pinned to exactly its queue's machine, and
@@ -63,8 +62,8 @@ revealed actuals): a policy that decides otherwise must stay on the
 kernel.
 Anything else — adaptive policies with bespoke dispatch, ABO's barrier
 tables, fault plans, release times — raises :class:`BatchUnsupported`
-and the caller falls back to the event kernel, so the flag can never
-produce silently-wrong records.
+and the caller falls back to the event kernel, so no pair the sweep
+would misread is ever swept.
 """
 
 from __future__ import annotations
@@ -87,7 +86,6 @@ __all__ = [
     "BatchPlan",
     "ReplayPlan",
     "Plan",
-    "supports_batch",
     "build_plan",
     "sweep_makespans",
     "batch_makespans",
@@ -225,19 +223,6 @@ def _replay_plan(
 Plan = Union[BatchPlan, ReplayPlan]
 
 
-def supports_batch(strategy: TwoPhaseStrategy) -> bool:
-    """Whether the registry declares ``strategy`` batch-sweepable.
-
-    Purely the capability lookup — :func:`build_plan` still verifies the
-    structure before any batch run.  Unregistered strategies return
-    ``False`` (they always take the event kernel).
-    """
-    from repro.registry import capabilities_of
-
-    caps = capabilities_of(strategy)
-    return caps is not None and caps.supports_batch
-
-
 def build_plan(strategy: TwoPhaseStrategy, instance: Instance) -> Plan:
     """Compile one (strategy, instance) pair into the cheapest plan.
 
@@ -247,7 +232,7 @@ def build_plan(strategy: TwoPhaseStrategy, instance: Instance) -> Plan:
     its exact type: :class:`FixedOrderPolicy` compiles to the closed-form
     sweep (or the replay when the placement is not a partition),
     ``PinnedAwarePolicy`` to the replay.  Every precondition is verified
-    against the placement — the capability flag is never trusted.  Raises
+    against the placement, whoever built the strategy.  Raises
     :class:`BatchUnsupported` when the pair must use the event kernel
     (its ``placement`` is the one Phase 1 built), and propagates
     ``ValueError`` from Phase 1 unchanged (e.g. a group strategy whose

@@ -196,7 +196,6 @@ class EventKernel:
                     self.queue.push(until, EventKind.MACHINE_RECOVERY, machine)
             return
         self.down_until[machine] = until
-        self.view._mark_machine_failed(machine)
         if math.isfinite(downtime):
             self.queue.push(ev.time + downtime, EventKind.MACHINE_RECOVERY, machine)
         if self.tracer.enabled:
@@ -225,7 +224,6 @@ class EventKernel:
         if ev.time < self.down_until.get(machine, math.inf):
             return  # already up, or superseded by a longer overlapping outage
         del self.down_until[machine]
-        self.view._mark_machine_recovered(machine)
         if self.tracer.enabled:
             self.tracer.count("sim.machine_recoveries")
             self.tracer.event("machine_recovery", machine=machine, t=ev.time)
@@ -262,19 +260,27 @@ class EventKernel:
             return
         choice = self.policy.select(machine, self.view)
         if choice is None:
-            # Work-conserving re-poll: if unreleased tasks could later run
-            # here, wake the machine at the next release time.
-            future = [
-                r
-                for r, j in self.pending_releases
-                if j not in self.released
-                and self.placement.allows(j, machine)
-                and r > ev.time
-            ]
-            if future:
-                self.queue.push(min(future), EventKind.MACHINE_IDLE, machine)
+            self._repoll(machine, ev.time)
             return
         self._dispatch(choice, machine, ev.time)
+
+    def _repoll(self, machine: int, now: float) -> None:
+        """Work-conserving re-poll: if unreleased tasks could later run on
+        ``machine``, wake it at the next release time.
+
+        Kept out of :meth:`_on_idle` so that handler's locals are not
+        closure cells: a comprehension there would make every idle poll
+        build them, though only a ``None`` selection needs it.
+        """
+        future = [
+            r
+            for r, j in self.pending_releases
+            if j not in self.released
+            and self.placement.allows(j, machine)
+            and r > now
+        ]
+        if future:
+            self.queue.push(min(future), EventKind.MACHINE_IDLE, machine)
 
     def _dispatch(self, tid: int, machine: int, now: float) -> None:
         if not 0 <= tid < self.n:

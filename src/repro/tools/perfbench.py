@@ -16,9 +16,9 @@ root) so the repository carries its own performance trajectory:
   ``batch_memory_speedup_x`` (gated: absolute floor always, baseline
   band when the key exists) measures what the plan-compiler tiers
   bought the families that used to fall back to the kernel, and the
-  derived ``batch_coverage`` (fraction of registered strategies with
-  ``supports_batch``, gated ≥ :data:`DEFAULT_COVERAGE_FLOOR`) keeps the
-  registry from quietly growing kernel-bound families;
+  derived ``batch_coverage`` (the share of the two batch grids' cells a
+  compiled plan served, gated ≥ :data:`DEFAULT_COVERAGE_FLOOR`) fails
+  the gate when the compiler quietly stops accepting a family;
 * ``cached_resweep`` — the same grid served warm from a
   :class:`~repro.analysis.cache.CellCache`;
 * ``parallel_grid`` — the same grid fanned over a 2-process pool with
@@ -105,7 +105,10 @@ import sys
 import time
 from collections.abc import Callable, Sequence
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.analysis.experiment import ExperimentGrid
 
 SCHEMA = "repro.perfbench/1"
 HISTORY_SCHEMA = "repro.perfbench-history/1"
@@ -119,8 +122,8 @@ DEFAULT_FLOOR = 2.0
 #: Ceiling on the disabled-tracer overhead estimate, percent of the
 #: untraced event-kernel sweep.  Fresh-run-only (no baseline involved).
 DEFAULT_OVERHEAD_LIMIT_PCT = 2.0
-#: Floor on ``batch_coverage`` — the fraction of registered strategies
-#: whose capability set declares ``supports_batch``.  Fresh-run-only.
+#: Floor on ``batch_coverage`` — the share of the batch grids' cells a
+#: compiled plan served.  Fresh-run-only.
 DEFAULT_COVERAGE_FLOOR = 0.8
 #: The derived speedup ratios gated in ``--check``: each must clear the
 #: absolute floor on every fresh run (baseline key present or not), and
@@ -202,23 +205,14 @@ _MEMORY_STRATEGIES = [
 ]
 
 
-def batch_coverage() -> float:
-    """Fraction of registered strategies declaring ``supports_batch``.
+def batch_coverage(grids: Sequence[ExperimentGrid]) -> float:
+    """Share of the grids' cells a compiled plan served in their last run.
 
-    Counts statically declared capabilities (entries with dynamic
-    per-instance capabilities count only if their static set has the
-    flag), so the number is a property of the registry, not of any
-    particular grid.
+    The grids ran with batching on: their ``batched_cells`` over their
+    ``total_cells()``, pooled.  It measures what the compiler accepted
+    on these instances, not what any strategy claims.
     """
-    from repro.registry import strategy_entries
-
-    entries = strategy_entries()
-    flagged = sum(
-        1
-        for e in entries
-        if e.capabilities is not None and e.capabilities.supports_batch
-    )
-    return flagged / len(entries)
+    return sum(g.batched_cells for g in grids) / sum(g.total_cells() for g in grids)
 
 
 def _count_tracer_calls(reference_run: Callable[[], Any]) -> dict[str, int]:
@@ -357,12 +351,14 @@ def run_bench(*, quick: bool = True, repeats: int | None = None) -> dict[str, An
     # exercises the batch × parallel composition (packs sharded across
     # the pool) against the serial kernel.
     serial_records = grid(batch=False).run()
-    batch_records = grid(batch=True).run()
+    batch_grid = grid(batch=True)
+    batch_records = batch_grid.run()
     parallel_records = grid(batch=False, workers=2).run()
     records_equal = serial_records == batch_records == parallel_records
     assert records_equal, "batch/serial/parallel record lists diverged"
     mem_serial = memory_grid(batch=False).run()
-    mem_batch = memory_grid(batch=True).run()
+    mem_batch_grid = memory_grid(batch=True)
+    mem_batch = mem_batch_grid.run()
     mem_pooled = memory_grid(batch=True, workers=2).run()
     memory_records_equal = mem_serial == mem_batch == mem_pooled
     records_equal = records_equal and memory_records_equal
@@ -479,7 +475,7 @@ def run_bench(*, quick: bool = True, repeats: int | None = None) -> dict[str, An
         "batch_speedup_x": statistics.median(gate_passes["batch_speedup_x"]),
         "batch_memory_speedup_x": statistics.median(gate_passes["batch_memory_speedup_x"]),
         "gate_passes": gate_passes,
-        "batch_coverage": batch_coverage(),
+        "batch_coverage": batch_coverage([batch_grid, mem_batch_grid]),
         "cache_speedup_x": ek / scenarios["cached_resweep"]["min_s"],
         "records_equal": records_equal,
         "tracer_calls": tracer_calls,
@@ -620,8 +616,8 @@ def check_regression(
     if coverage is not None and coverage < DEFAULT_COVERAGE_FLOOR:
         problems.append(
             f"batch_coverage {coverage:.3f} is below the "
-            f"{DEFAULT_COVERAGE_FLOOR} floor — too few registered "
-            "strategies declare supports_batch"
+            f"{DEFAULT_COVERAGE_FLOOR} floor — a compiled plan served too "
+            "small a share of the batch grids' cells"
         )
     for key in GATED_SPEEDUPS:
         speedup = fresh["derived"].get(key)

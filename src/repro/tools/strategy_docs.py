@@ -99,7 +99,6 @@ def _flag_cell(caps) -> str:
         "supports_releases": "releases",
         "supports_hetero": "hetero",
         "memory_aware": "memory",
-        "supports_batch": "batch",
         "online_placement": "online",
     }
     names = [short[f] for f in caps.flags()]

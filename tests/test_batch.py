@@ -1,10 +1,10 @@
 """Tests for the vectorized batch backend and its grid fast path.
 
-The load-bearing property: for every ``supports_batch`` strategy, the
-batch sweep's makespans — and the grid records built from them — are
-**bit-identical** to the per-event :class:`EventKernel` path, across
-random instances, realization models, and seeds.  Everything the flag
-does not cover must fall back transparently.
+The load-bearing property: for every strategy the batch compiler
+accepts, the batch sweep's makespans — and the grid records built from
+them — are **bit-identical** to the per-event :class:`EventKernel` path,
+across random instances, realization models, and seeds.  Everything the
+compiler refuses must fall back transparently.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from repro.core.model import Instance, make_instance
 from repro.core.placement import Placement
 from repro.core.strategies.selective import PinnedAwarePolicy, PinnedTables
 from repro.core.strategy import FixedOrderPolicy, TwoPhaseStrategy
-from repro.registry import capabilities_of, full_sweep, make_strategy, strategy_entries
+from repro.registry import full_sweep, make_strategy, strategy_entries
 from repro.simulation.batch import (
     BatchPlan,
     BatchUnsupported,
     ReplayPlan,
     batch_makespans,
     build_plan,
-    supports_batch,
     sweep_makespans,
 )
 from repro.simulation.engine import SimulationError, simulate
@@ -42,7 +41,7 @@ from repro.workloads.suites import memory_suite
 # One exemplar spec list per registry family, used by the per-family
 # bit-exactness property tests below *and* by the CI batch-equivalence
 # matrix (`pytest tests/test_batch.py -k <family>`).  Kept in sync with
-# the registry by ``test_family_map_covers_every_flagged_entry``.
+# the registry by ``test_family_map_covers_every_entry``.
 FAMILY_SPECS: dict[str, tuple[str, ...]] = {
     "core": (
         "lpt_no_choice",
@@ -101,72 +100,37 @@ def _rand_sized_instance(n: int, m: int, alpha: float, seed: int) -> Instance:
     )
 
 
-def _batchable(m: int) -> list[TwoPhaseStrategy]:
-    """Every sweep strategy for ``m`` that declares supports_batch."""
-    found = [s for s in full_sweep(m, include_ablation=True) if supports_batch(s)]
-    assert found, "the sweep should always contain batchable strategies"
-    return found
+class TestRouting:
+    """The compiler alone decides which pairs sweep: no registry entry
+    claims it (``tests/test_grid_executor.py`` sweeps an unregistered
+    fixed order)."""
 
-
-class TestCapabilityFlag:
-    def test_core_families_declare_it(self):
-        for spec in ("lpt_no_choice", "lpt_no_restriction", "ls_group[k=2]",
-                     "lpt_group[k=2]"):
-            caps = capabilities_of(make_strategy(spec))
-            assert caps is not None and caps.supports_batch, spec
-            assert "supports_batch" in caps.flags()
-
-    def test_memory_robust_and_hetero_families_declare_it(self):
-        for spec in ("capped[C=5.0]", "abo[delta=0.5]", "sabo[delta=0.5]",
-                     "nonclairvoyant_ls", "risk_aware[0.3]", "robust_pinned",
-                     "selective[0.3,count]", "budgeted[B=10]",
-                     "overlap_windows[k=2,w=2]"):
-            strategy = make_strategy(spec)
-            caps = capabilities_of(strategy)
-            assert caps is not None and caps.supports_batch, spec
-            assert supports_batch(strategy)
-
-    def test_barrier_ablation_flag_stays_but_compile_refuses(self):
-        """The barrier ablation shares ABO's registry entry (flag True) and
-        its policy (a ``PinnedAwarePolicy``), but its tables' barrier gate
-        has no replay — ``build_plan`` must refuse it, naming the gate, so
-        the grid falls back to the event kernel."""
+    def test_barrier_ablation_compile_refuses(self):
+        """The barrier ablation shares ABO's registry entry and its policy
+        (a ``PinnedAwarePolicy``), but its tables' barrier gate has no
+        replay — ``build_plan`` must refuse it, naming the gate, so the
+        grid falls back to the event kernel."""
         strategy = make_strategy("abo[delta=0.5,barrier]")
-        assert supports_batch(strategy)
         inst = _rand_sized_instance(10, 4, 1.5, 21)
         with pytest.raises(BatchUnsupported, match="the barrier gate"):
             build_plan(strategy, inst)
 
-    def test_family_map_covers_every_flagged_entry(self):
-        """Every statically flagged registry entry has at least one exemplar
-        spec in FAMILY_SPECS, under its own family key — so a new
-        ``supports_batch`` flag cannot dodge the per-family CI matrix."""
+    def test_family_map_covers_every_entry(self):
+        """Every registry entry has at least one exemplar spec in
+        FAMILY_SPECS, under its own family key — so a new entry cannot
+        dodge the per-family CI matrix, where ``TestFamilyBitExact``
+        fails on any exemplar that stops compiling."""
         covered = {
             spec.split("[")[0]
             for specs in FAMILY_SPECS.values()
             for spec in specs
         }
         for entry in strategy_entries():
-            caps = entry.capabilities
-            if caps is None or not caps.supports_batch:
-                continue
             assert entry.name in covered, f"{entry.name} missing from FAMILY_SPECS"
             assert any(
                 spec.split("[")[0] == entry.name
                 for spec in FAMILY_SPECS[entry.family]
             ), f"{entry.name} listed under the wrong family"
-
-    def test_unregistered_strategy_is_not_batchable(self):
-        class Anon(TwoPhaseStrategy):
-            name = "anon"
-
-            def place(self, instance):  # pragma: no cover - never called
-                raise NotImplementedError
-
-            def make_policy(self, instance, placement):  # pragma: no cover
-                raise NotImplementedError
-
-        assert not supports_batch(Anon())
 
 
 class TestBuildPlan:
@@ -323,7 +287,7 @@ class TestBitExactEquality:
     ):
         inst = _rand_instance(n, m, alpha, seed)
         realization = sample_realization(inst, model, seed + 1)
-        for strategy in _batchable(m):
+        for strategy in full_sweep(m, include_ablation=True):
             outcome = run_strategy(strategy, inst, realization)
             (swept,) = batch_makespans(strategy, inst, [realization.actuals])
             assert swept == outcome.makespan, (
@@ -759,8 +723,8 @@ class TestTransparentFallback:
 
     def test_mixed_grid_matches_serial(self, inst):
         """The memory/adaptive families now compile to plans; the barrier
-        ablation (flagged but refused at compile) falls back to the event
-        kernel inside the same batch-enabled grid."""
+        ablation (refused at compile) falls back to the event kernel
+        inside the same batch-enabled grid."""
         kwargs = dict(
             strategies=["lpt_no_choice", "capped[C=5.0]", "abo[delta=0.5]",
                         "abo[delta=0.5,barrier]", "nonclairvoyant_ls",
@@ -845,8 +809,8 @@ class TestBatchParallelComposition:
     def test_unsupported_pack_degrades_in_worker_without_poisoning_chunk(
         self, insts
     ):
-        """The barrier ablation is capability-flagged, so its cells ship to
-        the pool as a pack — the worker's compile refuses it and runs
+        """Every cold cell ships in a pack, so the barrier ablation's cells
+        reach the pool as one — the worker's compile refuses it and runs
         those cells through the event kernel, while the packs sharing its
         chunk still take the sweep."""
         kwargs = dict(

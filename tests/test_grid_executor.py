@@ -31,15 +31,16 @@ from repro.obs import MemorySink, observed
 from repro.registry import make_strategy
 
 
-class KernelOnlyLPT(LPTNoChoice):
-    """Unregistered, so never batch-eligible: always the per-cell kernel."""
+class UnregisteredLPT(LPTNoChoice):
+    """Unregistered, and swept all the same: the compiler routes a pack by
+    its structure, not by the registry."""
 
-    name = "kernel_only_lpt"
+    name = "unregistered_lpt"
 
 
 #: One strategy per serving path: closed form, replay plan, a pack the
-#: batch compiler refuses, and a cell that never ships as a pack.
-MIXED = ["ls_group[k=2]", "capped[C=1000]", "abo[delta=1,barrier]", KernelOnlyLPT()]
+#: batch compiler refuses, and a closed form outside the registry.
+MIXED = ["ls_group[k=2]", "capped[C=1000]", "abo[delta=1,barrier]", UnregisteredLPT()]
 SEEDS = (0, 1)
 MODELS = ("uniform", "log_uniform")
 
@@ -87,9 +88,9 @@ class TestOneExecutor:
                 assert warm.run() == reference, (workers, batch, "warm")
                 assert warm_cache.misses == 0
                 if batch:
-                    # The barrier ablation and the unregistered strategy
-                    # take the kernel; the other two are swept.
-                    assert cold.batched_cells == 2 * 2 * 2 * 2
+                    # The barrier ablation takes the kernel; the other
+                    # three, the unregistered strategy too, are swept.
+                    assert cold.batched_cells == 2 * 2 * 2 * 3
 
     @pytest.mark.parametrize("batch", [True, False])
     def test_one_optimum_and_one_realization_per_group(self, batch, monkeypatch):
@@ -175,11 +176,12 @@ class TestStacks:
             for e in sink.events
             if e.name == "grid.batch_pack"
         )
-        # The closed-form and the replay strategy are swept on every
-        # instance; the refused pack and the kernel-only cells are not.
+        # Every strategy but the refused barrier ablation (MIXED's third)
+        # is swept on every instance.
         expected = {
             (strategy.name, instance.name)
-            for strategy in grid.strategies[:2]  # MIXED's first two
+            for strategy in grid.strategies
+            if strategy is not grid.strategies[2]
             for instance in grid.instances
         }
         assert set(seen) == expected and set(seen.values()) == {1}
@@ -187,8 +189,7 @@ class TestStacks:
         assert batched == grid.batched_cells == len(expected) * len(MODELS) * len(SEEDS)
         assert records == _grid(count=3, batch=False).run()
 
-    def test_mixed_tiers_in_one_stack_match_the_kernel(self, monkeypatch):
-        monkeypatch.setattr(batch_module, "batch_eligible", lambda spec: True)
+    def test_mixed_tiers_in_one_stack_match_the_kernel(self):
         kwargs = dict(
             strategies=[ShapeShifter(), "ls_group[k=2]", "lpt_no_choice"],
             instances=_instances(3),
@@ -298,3 +299,39 @@ class TestRefusedPackPlacement:
         assert records == ExperimentGrid(
             instances=instances, batch=False, **self.KWARGS
         ).run()
+
+
+class TestCompileCrash:
+    """A pack whose compile raises is a cell fault like any other: its
+    cells take the resilient per-cell path, are retried and quarantined,
+    and the sweep completes — batched or not, pooled or inline."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_crashing_phase1_quarantines_as_without_batching(
+        self, workers, monkeypatch
+    ):
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers inherit the crashing Phase 1 only when forked")
+
+        def crash(self, instance):
+            raise RuntimeError("phase 1 crashed")
+
+        monkeypatch.setattr(LPTNoChoice, "place", crash)
+        kwargs = dict(
+            strategies=["lpt_no_choice", "ls_group[k=2]"],
+            instances=_instances(2),
+            realization_models=["uniform"],
+            seeds=(0,),
+            exact_limit=12,
+            retry=parallel_module.RetryPolicy(backoff_s=0.0),
+        )
+        kernel = ExperimentGrid(batch=False, **kwargs)
+        expected = kernel.run()
+        grid = ExperimentGrid(workers=workers, **kwargs)
+        with observed() as tracer:
+            records = grid.run()
+            failovers = tracer.registry.counters.get("grid.chunk_failovers")
+        assert records == expected
+        assert grid.skipped == kernel.skipped
+        assert [s.kind for s in grid.skipped] == ["quarantined"] * 2
+        assert failovers is None or failovers.value == 0

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.placement import Placement
-from repro.core.strategy import OnlinePolicy, SchedulerView
+from repro.core.strategies.selective import PinnedAwarePolicy
+from repro.core.strategy import FixedOrderPolicy, OnlinePolicy, SchedulerView
 from repro.faults import (
     CorrelatedFailure,
     CrashRecover,
@@ -328,7 +329,6 @@ class _ReferenceFaultAwareKernel(_ReferenceEventKernel):
             return
         self.failed.add(machine)
         self.down_until[machine] = until
-        self.view._mark_machine_failed(machine)
         if math.isfinite(downtime):
             self.queue.push(ev.time + downtime, EventKind.MACHINE_RECOVERY, machine)
         if self.observer.enabled:
@@ -358,7 +358,6 @@ class _ReferenceFaultAwareKernel(_ReferenceEventKernel):
             return
         self.failed.discard(machine)
         self.down_until.pop(machine, None)
-        self.view._mark_machine_recovered(machine)
         if self.observer.enabled:
             self.observer.count("sim.machine_recoveries")
             self.observer.event("machine_recovery", machine=machine, t=ev.time)
@@ -678,3 +677,25 @@ class TestTracedRunValidates:
             )
         stats, errors = validate_trace(path)
         assert errors == []
+
+
+class TestHotPathsBuildNoCells:
+    """The kernel's per-event handlers and the compiled policies' ``select``
+    run once per event or poll.  None of them may turn its locals into
+    closure cells (a comprehension or nested function reading a local
+    does, before 3.12), or every call builds the cells, whichever branch
+    it takes."""
+
+    @pytest.mark.parametrize(
+        "func",
+        [
+            EventKernel._on_idle,
+            EventKernel._dispatch,
+            EventKernel.run,
+            PinnedAwarePolicy.select,
+            FixedOrderPolicy.select,
+        ],
+        ids=lambda func: func.__qualname__,
+    )
+    def test_no_cell_variables(self, func):
+        assert func.__code__.co_cellvars == ()

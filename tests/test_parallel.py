@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.analysis.experiment import ExperimentGrid, run_grid
@@ -20,6 +22,12 @@ from repro.workloads.generators import uniform_instance
 @pytest.fixture
 def instances():
     return [uniform_instance(10, 2, alpha=1.5, seed=s) for s in range(2)]
+
+
+class UnregisteredLPT(LPTNoChoice):
+    """A strategy class outside the registry (module level, so it pickles)."""
+
+    name = "unregistered_lpt"
 
 
 def _strategies():
@@ -182,34 +190,40 @@ class TestCellSpec:
 
 
 class TestSpecTransport:
-    """Strategies cross the pool boundary as canonical spec strings."""
+    """Cell specs cross the pool boundary as one pickle per chunk."""
 
-    def test_registered_strategies_encode_to_refs(self, instances):
-        from repro.analysis.parallel import _decode_chunk, _encode_chunk, _StrategyRef
+    def test_a_worker_stacks_a_chunk_as_the_parent_would(self):
+        """Pickle keeps one object per strategy within a chunk, so each
+        pooled chunk of same-shape packs sweeps as a single stack."""
+        from repro.analysis.batch import group_packs, group_stacks
+        from repro.analysis.parallel import _chunks
 
-        cells = enumerate_cells(
-            [LPTNoChoice(), LSGroup(2)], instances, ["uniform"], (0,), 22
+        insts = [uniform_instance(10, 2, alpha=1.5, seed=s) for s in range(16)]
+        strategies = [LPTNoChoice()]
+        cells = enumerate_cells(strategies, insts, ["uniform"], (0,), 22)
+        chunks = _chunks(group_packs(cells), 2)
+        assert len(chunks) < len(cells)
+        assert all(len(group_stacks(chunk)) == 1 for chunk in chunks)
+        grid = ExperimentGrid(
+            strategies=strategies, instances=insts, realization_models=["uniform"],
+            workers=2,
         )
-        encoded = _encode_chunk(cells)
-        assert all(isinstance(c.strategy, _StrategyRef) for c in encoded)
-        assert encoded[1].strategy.spec == "ls_group[k=2]"
-        decoded = _decode_chunk(encoded)
-        assert [c.strategy.name for c in decoded] == [
-            c.strategy.name for c in cells
-        ]
-        # One rebuilt instance per distinct spec within the chunk.
-        assert decoded[0].strategy is decoded[2].strategy
+        with observed() as tracer:
+            grid.run()
+            stacks = tracer.registry.timers["span.grid.batch"].count
+        assert stacks == len(chunks)
+        assert grid.batched_cells == len(cells)
 
     def test_unregistered_strategy_passes_through(self, instances):
-        from repro.analysis.parallel import _decode_chunk, _encode_chunk
-
-        class Local(LPTNoChoice):
-            name = "local_variant"
-
-        cells = enumerate_cells([Local()], instances, ["uniform"], (0,), 22)
-        encoded = _encode_chunk(cells)
-        assert encoded[0].strategy is cells[0].strategy  # object shipped as-is
-        assert _decode_chunk(encoded)[0].strategy is cells[0].strategy
+        """No registry lookup on the way: an unregistered strategy crosses
+        the pool as itself."""
+        cells = enumerate_cells([UnregisteredLPT()], instances, ["uniform"], (0,), 22)
+        assert type(pickle.loads(pickle.dumps(cells))[0].strategy) is UnregisteredLPT
+        serial = run_grid([UnregisteredLPT()], instances, ["uniform"], seeds=(0, 1))
+        pooled = run_grid(
+            [UnregisteredLPT()], instances, ["uniform"], seeds=(0, 1), workers=2
+        )
+        assert pooled == serial
 
     def test_pooled_results_match_serial_for_param_strategies(self, instances):
         records_serial = run_grid(

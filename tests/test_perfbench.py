@@ -58,17 +58,26 @@ class TestRunBench:
         assert derived["batch_memory_speedup_x"] > 1.0
         assert derived["batch_coverage"] >= perfbench.DEFAULT_COVERAGE_FLOOR
 
-    def test_batch_coverage_counts_the_registry(self):
-        from repro.registry import strategy_entries
+    def test_batch_coverage_is_the_batched_share_of_cells(self):
+        from repro.analysis.experiment import ExperimentGrid
+        from repro.workloads import generate
 
-        coverage = perfbench.batch_coverage()
-        assert 0.0 < coverage <= 1.0
-        flagged = sum(
-            1
-            for e in strategy_entries()
-            if e.capabilities is not None and e.capabilities.supports_batch
-        )
-        assert coverage == flagged / len(strategy_entries())
+        def grid(*strategies):
+            g = ExperimentGrid(
+                strategies=list(strategies),
+                instances=[generate("uniform", 12, 4, 2.0, 0)],
+                realization_models=["uniform"],
+                seeds=(0, 1),
+                exact_limit=8,
+            )
+            g.run()
+            return g
+
+        # The barrier ablation's pack is refused: its cells take the kernel.
+        mixed = grid("lpt_no_choice", "abo[delta=1,barrier]")
+        assert perfbench.batch_coverage([mixed]) == 0.5
+        swept = grid("lpt_no_choice", "abo[delta=1]", "ls_group[k=2]")
+        assert perfbench.batch_coverage([mixed, swept]) == (2 + 6) / (4 + 6)
 
 
 class TestWritePayload:
