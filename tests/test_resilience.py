@@ -105,6 +105,7 @@ class TestRetryPolicy:
         [
             ({"max_attempts": 0}, "max_attempts"),
             ({"backoff_s": -1.0}, "backoff_s"),
+            ({"timeout_s": -1.0}, "timeout_s"),
             ({"timeout_s": 0.0}, "timeout_s"),
             ({"timeout_s": float("nan")}, "timeout_s"),
             ({"timeout_s": float("inf")}, "timeout_s"),
