@@ -26,7 +26,11 @@ Observability: each stack opens a ``grid.batch`` span, and each
 and bumps ``grid.batch_packs``; every cell served by the sweep bumps
 ``grid.cells_done`` (keeping the grid's aggregate counters identical in
 meaning to the per-cell path) plus the batch-specific
-``grid.cells_batched`` counter.
+``grid.cells_batched`` counter.  When a profiling spec is armed and the
+tracer is enabled, the stack's sweep runs under cProfile and its top
+rows land in the ``grid.batch`` span's ``profile`` attribute plus
+``profile.*`` registry timers, as :func:`~repro.analysis.parallel.run_cell`
+does per cell (:mod:`repro.obs.profiling`).
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numpy as np
 from repro.analysis.parallel import CellOutcome, CellSpec, GroupMemo
 from repro.analysis.records import ExperimentRecord
 from repro.exact.optimal import optimal_makespan
+from repro.obs import profiling
 from repro.obs.tracer import get_tracer
 from repro.simulation.batch import (
     BatchPlan,
@@ -107,6 +112,24 @@ def try_plan(spec: CellSpec, memo: GroupMemo) -> Plan | None:
         return None
 
 
+def _sweep(
+    closed: list[tuple[Sequence[CellSpec], Plan]],
+    replayed: list[tuple[Sequence[CellSpec], Plan]],
+    matrix: np.ndarray,
+) -> list[float]:
+    """The stack's makespans: closed-form rows first, then the replay
+    rows, each kind one slice of ``matrix``."""
+    makespans: list[float] = []
+    for kind in (closed, replayed):
+        if kind:
+            rows = [len(pack) for pack, _ in kind]
+            plans = [plan for _, plan in kind]
+            row = len(makespans)
+            block = matrix[row : row + sum(rows)]
+            makespans += sweep_makespans(plans, block, rows).tolist()
+    return makespans
+
+
 def execute_pack(
     packs: Sequence[Sequence[CellSpec]], memo: GroupMemo
 ) -> tuple[list[CellOutcome], list[CellSpec]]:
@@ -142,23 +165,24 @@ def execute_pack(
     if not served:
         return [], left
 
-    # Closed-form rows first, then the replay rows: each kind is one slice.
     reals = [memo.realization(spec) for pack, _ in served for spec in pack]
     matrix = np.array([r.actuals for r in reals], dtype=np.float64)
+    profile_spec = profiling.active_spec() if tracer.enabled else None
     with tracer.span(
         "grid.batch",
         strategy=served[0][1].strategy_name,
         instances=len(served),
         cells=len(reals),
-    ):
-        makespans: list[float] = []
-        for kind in (closed, replayed):
-            if kind:
-                rows = [len(pack) for pack, _ in kind]
-                plans = [plan for _, plan in kind]
-                row = len(makespans)
-                block = matrix[row : row + sum(rows)]
-                makespans += sweep_makespans(plans, block, rows).tolist()
+    ) as batch_span:
+        if profile_spec is None:
+            makespans = _sweep(closed, replayed, matrix)
+        else:
+            makespans, profile_rows = profiling.profile_call(
+                _sweep, closed, replayed, matrix, top=profile_spec.top
+            )
+            if profile_rows:
+                batch_span.set(profile=profile_rows)
+                profiling.fold_rows(tracer.registry, profile_rows)
 
     records: list[ExperimentRecord] = []
     for pack, plan in served:

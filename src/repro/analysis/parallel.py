@@ -175,8 +175,8 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
+        if not 0 <= self.backoff_s < math.inf:
+            raise ValueError(f"backoff_s must be finite and >= 0, got {self.backoff_s}")
         if self.timeout_s is not None and not 0 < self.timeout_s < math.inf:
             raise ValueError(
                 f"timeout_s must be positive and finite, got {self.timeout_s}"

@@ -232,8 +232,8 @@ def _auto_adopt_volatile(store: ArtifactStore, base: str | Path | None) -> None:
 
     Volatile bytes are not fingerprinted, so adopting them silently is
     safe — it only records provenance for files already in the tree
-    (e.g. a committed ``BENCH_history.jsonl`` on a machine that never
-    ran ``repro perfbench``).
+    (e.g. a committed ``perf_batch_backend_speedup.txt`` on a machine
+    that never ran its bench).
     """
     for spec in SPECS:
         if not spec.volatile or store.contains(Stage.CURATED, spec.name):

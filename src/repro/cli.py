@@ -201,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--profile",
         action="store_true",
-        help="profile each grid cell under cProfile; top rows land in the "
-        "cell's span attributes and the grid manifest (implies metrics "
+        help="profile each grid cell or batch stack under cProfile; top rows "
+        "land in its span attributes and the grid manifest (implies metrics "
         "collection; costs real overhead)",
     )
     sweep.add_argument(
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--top",
-        type=int,
+        type=_count,
         default=15,
         metavar="N",
         help="critical-path rows to show before folding the tail (default: 15)",
@@ -420,14 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen = command(
         "loadgen", _cmd_loadgen, "drive seeded synthetic tenants against a running daemon"
     )
-    loadgen.add_argument("--tenants", type=int, default=100)
+    loadgen.add_argument("--tenants", type=_count, default=100)
     loadgen.add_argument(
-        "--tasks", type=int, default=5, help="tasks submitted per tenant"
+        "--tasks", type=_count, default=5, help="tasks submitted per tenant"
     )
     loadgen.add_argument("--seed", type=_seed, default=0, help="workload seed")
     loadgen.add_argument(
         "--concurrency",
-        type=int,
+        type=_count,
         default=64,
         help="max simultaneous tenant connections (fd cap)",
     )

@@ -22,6 +22,9 @@ The layer every other subsystem reports into:
 * :mod:`repro.obs.profiling` — opt-in cProfile hooks for grid cells
   (``repro sweep --profile``).
 
+Each name below is imported on first access (PEP 562), so a process
+that only traces does not load the analytics, export or SLO modules.
+
 Quickstart::
 
     from repro.obs import MemorySink, observed
@@ -31,68 +34,55 @@ Quickstart::
         print(tracer.registry.summary()["counters"])
 """
 
-# NOTE: repro.obs.validate is deliberately NOT imported here — importing
-# it from the package __init__ would trip CPython's double-import warning
-# when CI runs ``python -m repro.obs.validate``.  Import it directly:
-# ``from repro.obs.validate import validate_trace``.
-from repro.obs.analyze import SpanNode, TraceAnalysis, analyze_events, analyze_file
-from repro.obs.events import (
-    EVENT_KINDS,
-    EVENT_PAYLOAD_FIELDS,
-    SCHEMA_VERSION,
-    TraceEvent,
-    validate_record,
-)
-from repro.obs.export import (
-    registry_from_trace,
-    render_openmetrics,
-    validate_exposition,
-    write_exposition,
-)
-from repro.obs.merge import merge_registry_summary, replay_events
-from repro.obs.metrics import BUCKET_BOUNDS, Counter, Gauge, MetricsRegistry, Timer
-from repro.obs.slo import Objective, SLOReport, evaluate as evaluate_slo, parse_objectives
-from repro.obs.provenance import RunManifest, bench_manifest, environment_info, run_manifest
-from repro.obs.sink import JsonlSink, MemorySink, Sink, read_jsonl
-from repro.obs.tracer import Span, Tracer, disable, enable, get_tracer, observed
+from repro._exports import lazy_exports
 
-__all__ = [
-    "TraceEvent",
-    "EVENT_KINDS",
-    "EVENT_PAYLOAD_FIELDS",
-    "SCHEMA_VERSION",
-    "validate_record",
-    "Counter",
-    "Gauge",
-    "Timer",
-    "MetricsRegistry",
-    "Sink",
-    "MemorySink",
-    "JsonlSink",
-    "read_jsonl",
-    "Span",
-    "Tracer",
-    "get_tracer",
-    "enable",
-    "disable",
-    "observed",
-    "RunManifest",
-    "run_manifest",
-    "bench_manifest",
-    "environment_info",
-    "replay_events",
-    "merge_registry_summary",
-    "BUCKET_BOUNDS",
-    "SpanNode",
-    "TraceAnalysis",
-    "analyze_events",
-    "analyze_file",
-    "render_openmetrics",
-    "registry_from_trace",
-    "write_exposition",
-    "validate_exposition",
-    "Objective",
-    "SLOReport",
-    "parse_objectives",
-    "evaluate_slo",
-]
+# repro.obs.validate exports nothing here.  Import it directly:
+# ``from repro.obs.validate import validate_trace``.
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.obs.events": (
+            "TraceEvent",
+            "EVENT_KINDS",
+            "EVENT_PAYLOAD_FIELDS",
+            "SCHEMA_VERSION",
+            "validate_record",
+        ),
+        "repro.obs.metrics": (
+            "Counter",
+            "Gauge",
+            "Timer",
+            "MetricsRegistry",
+            "BUCKET_BOUNDS",
+        ),
+        "repro.obs.sink": ("Sink", "MemorySink", "JsonlSink", "read_jsonl"),
+        "repro.obs.tracer": (
+            "Span",
+            "Tracer",
+            "get_tracer",
+            "enable",
+            "disable",
+            "observed",
+        ),
+        "repro.obs.provenance": (
+            "RunManifest",
+            "run_manifest",
+            "bench_manifest",
+            "environment_info",
+        ),
+        "repro.obs.merge": ("replay_events", "merge_registry_summary"),
+        "repro.obs.analyze": (
+            "SpanNode",
+            "TraceAnalysis",
+            "analyze_events",
+            "analyze_file",
+        ),
+        "repro.obs.export": (
+            "render_openmetrics",
+            "registry_from_trace",
+            "write_exposition",
+            "validate_exposition",
+        ),
+        "repro.obs.slo": ("Objective", "SLOReport", "parse_objectives", "evaluate_slo"),
+    },
+)

@@ -31,7 +31,14 @@ from typing import Any, Iterable, Sequence
 
 from repro.obs.metrics import MetricsRegistry, Timer
 
-__all__ = ["Objective", "SLOResult", "SLOReport", "parse_objectives", "evaluate"]
+__all__ = [
+    "Objective",
+    "SLOResult",
+    "SLOReport",
+    "parse_objectives",
+    "evaluate",
+    "evaluate_slo",
+]
 
 _OBJECTIVE_RE = re.compile(
     r"^\s*(?:(?P<stat>[a-z0-9_]+)\s*\(\s*(?P<target>[^()\s][^()]*?)\s*\)"
@@ -223,3 +230,7 @@ def evaluate(
             )
         )
     return SLOReport(results=results)
+
+
+#: :func:`evaluate` under the name :mod:`repro.obs` exports it by.
+evaluate_slo = evaluate

@@ -31,8 +31,8 @@ long-running service that actually runs it:
 * :mod:`repro.service.client` / :mod:`repro.service.loadgen` — the
   asyncio client and the synthetic-tenant load generator
   (``repro loadgen``): thousands of concurrent tenants, seeded and
-  reproducible, reporting latency percentiles and throughput (also a
-  perfbench scenario, ``service_loadgen``).
+  reproducible, reporting latency percentiles and throughput (also
+  the burst behind perfbench's ``service_zero_drop`` objective).
 
 Quickstart::
 

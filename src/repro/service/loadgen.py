@@ -16,7 +16,7 @@ Two entry points:
   and the CI smoke job use).
 * :func:`run_burst` — spin an in-process daemon on a private transport,
   run the workload, shut it down, return both reports (what tests and
-  the ``service_loadgen`` perfbench scenario use).
+  perfbench's ``service_zero_drop`` objective use).
 
 Wang–Joshi–Wornell (arXiv 1404.1328) motivates the metrics reported
 here: per-task *latency* percentiles and throughput alongside the
@@ -256,8 +256,8 @@ def run_burst(
 ) -> LoadgenReport:
     """In-process end-to-end burst: daemon up, workload through, drain, down.
 
-    The loopback-TCP fixture behind the loadgen tests and the
-    ``service_loadgen`` perfbench scenario.  Synchronous on purpose —
+    The loopback-TCP fixture behind the loadgen tests and perfbench's
+    ``service_zero_drop`` objective.  Synchronous on purpose —
     it owns its event loop via :func:`asyncio.run`.
     """
     workload = make_workload(tenants, tasks_per_tenant, seed=seed)

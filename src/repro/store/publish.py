@@ -5,9 +5,9 @@ has an :class:`ArtifactSpec` here declaring its display title, the files
 it owns under ``results/`` (glob patterns — figure benches emit
 parameterized SVG families), and whether it is **volatile**.  Volatile
 artifacts carry wall-clock measurements (SLO latencies, speedup
-timings, the perf-trajectory history) whose bytes legitimately differ
-between runs; they are stored and listed but excluded from the report's
-input fingerprint and from ``repro report --check`` byte comparison.
+timings) whose bytes legitimately differ between runs; they are stored
+and listed but excluded from the report's input fingerprint and from
+``repro report --check`` byte comparison.
 
 :func:`publish_curated` snapshots one artifact's files into the store as
 a CURATED artifact; :func:`adopt_results` blesses a whole on-disk
@@ -95,13 +95,6 @@ SPECS: tuple[ArtifactSpec, ...] = (
         "Perf — batch backend speedup",
         volatile=True,
         kind="perfbench",
-    ),
-    ArtifactSpec(
-        name="BENCH_history",
-        title="Perf trajectory history",
-        patterns=("BENCH_history.jsonl",),
-        volatile=True,
-        kind="history",
     ),
 )
 

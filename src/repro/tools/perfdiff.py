@@ -1,11 +1,12 @@
 """Markdown diff of two perfbench result files, for CI step summaries.
 
-``repro.tools.perfbench --check`` is the *gate*: it fails the build when a
-speedup leaves its tolerance band.  This module is the *report*: given the
-committed ``BENCH_perf.json`` baseline and a freshly measured file, it
-renders a GitHub-flavoured markdown table of scenario medians and derived
-ratios so the perf-smoke job's step summary shows **what moved**, not just
-pass/fail.  CI appends the output to ``$GITHUB_STEP_SUMMARY``::
+``repro.tools.perfbench --check`` is the *gate*: it fails the build when
+the fresh run misses one of its objectives.  This module is the
+*report*: given the committed ``BENCH_perf.json`` baseline and a freshly
+measured file, it renders a GitHub-flavoured markdown table of scenario
+medians and derived ratios so the perf-smoke job's step summary shows
+**what moved**, not just pass/fail.  CI appends the output to
+``$GITHUB_STEP_SUMMARY``::
 
     python -m repro.tools.perfdiff BENCH_perf.json /tmp/BENCH_perf.fresh.json
 
@@ -26,8 +27,8 @@ from pathlib import Path
 __all__ = ["diff_markdown", "main"]
 
 # Flag a scenario row when its fresh median drifts more than this factor
-# from the baseline — purely cosmetic (the enforced bands live in
-# perfbench.check_regression), but it makes the summary scannable.
+# from the baseline — purely cosmetic (the enforced objectives live in
+# perfbench.objectives), but it makes the summary scannable.
 DRIFT_FLAG = 0.30
 
 
@@ -111,7 +112,7 @@ def diff_markdown(
     lines.append(
         f"Baseline `{base_host.get('git_describe', '?')}` → "
         f"fresh `{fresh_host.get('git_describe', '?')}` "
-        f"(repeats={fresh.get('repeats', '?')}, quick={fresh.get('quick', '?')})"
+        f"(repeats={fresh.get('repeats', '?')})"
     )
     lines += ["", "| scenario | baseline median | fresh median | fresh/baseline |"]
     lines.append("|---|---:|---:|---|")

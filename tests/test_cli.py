@@ -82,6 +82,10 @@ class TestParser:
             ["fig3", "--m", "0"],
             ["regimes", "--m", "x"],
             ["strategies", "--m", "0"],
+            ["loadgen", "--tenants", "0", "--socket", "x"],
+            ["loadgen", "--tasks", "-1", "--socket", "x"],
+            ["loadgen", "--concurrency", "0", "--socket", "x"],
+            ["obs", "analyze", "trace.jsonl", "--top", "-3"],
         ],
         ids=" ".join,
     )
@@ -188,7 +192,7 @@ class TestMain:
 
         seen = []
         monkeypatch.setattr(perfbench, "main", lambda argv: seen.append(argv) or 0)
-        argv = ["--quick", "--repeats", "2", "--out", "x.json", "--check", "-h"]
+        argv = ["--out", "x.json", "--check", "--baseline", "b.json", "-h"]
         assert main(["bench", *argv]) == 0
         assert seen == [argv]
 
@@ -360,13 +364,25 @@ class TestImports:
         assert lines[0] == "[]"
         assert lines[-1] == "[]"
 
+    def test_tracer_import_leaves_obs_analytics_unloaded(self):
+        """Every grid process imports the tracer; the trace analytics,
+        export and SLO modules load only when a command uses them."""
+        out = run_python(
+            "import sys\n"
+            "import repro.obs.tracer\n"
+            "print([m for m in ('repro.obs.analyze', 'repro.obs.export', 'repro.obs.slo')"
+            " if m in sys.modules])\n"
+        )
+        assert out.strip() == "[]"
+
     def test_every_export_resolves(self):
         """The lazy export tables name real objects, and an unknown name
         is an AttributeError, not an import error."""
         import repro
         import repro.analysis
+        import repro.obs
 
-        for package in (repro, repro.analysis):
+        for package in (repro, repro.analysis, repro.obs):
             for name in package.__all__:
                 assert getattr(package, name) is not None, name
             assert not hasattr(package, "no_such_name")

@@ -174,6 +174,32 @@ class TestGridIntegration:
         assert cums == sorted(cums, reverse=True)
         assert all(set(row) == {"func", "cells", "cum_s"} for row in profile)
 
+    def test_batched_grid_profiles_its_sweep(self):
+        """The default, batched path profiles each stack's sweep, and a
+        profiled run returns the records an unprofiled one does."""
+        import repro
+        from repro.analysis.experiment import ExperimentGrid
+
+        def grid():
+            return ExperimentGrid(
+                strategies=["lpt_no_choice", "ls_group[k=2]"],
+                instances=[repro.uniform_instance(8, 2, alpha=1.5, seed=0)],
+                realization_models=["log_uniform"],
+                seeds=(0, 1),
+            )
+
+        plain = grid().run()
+        configure(ProfileSpec(top=3))
+        sink = MemorySink()
+        with observed(sink) as tracer:
+            profiled = grid().run()
+            hot = [n for n in tracer.registry.timers if n.startswith("profile.")]
+        assert profiled == plain
+        assert hot
+        ends = [e for e in sink.by_kind("span_end") if e.name == "grid.batch"]
+        assert ends
+        assert all(1 <= len(e.payload["profile"]) <= 3 for e in ends)
+
     def test_unprofiled_grid_has_no_profile_attrs(self):
         import repro
         from repro.analysis.experiment import ExperimentGrid

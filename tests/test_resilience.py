@@ -109,6 +109,8 @@ class TestRetryPolicy:
             ({"timeout_s": 0.0}, "timeout_s"),
             ({"timeout_s": float("nan")}, "timeout_s"),
             ({"timeout_s": float("inf")}, "timeout_s"),
+            ({"backoff_s": float("inf")}, "backoff_s"),
+            ({"backoff_s": float("nan")}, "backoff_s"),
         ],
     )
     def test_rejects_malformed(self, kwargs, match):
