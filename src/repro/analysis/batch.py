@@ -6,8 +6,13 @@ vectorized completion sweep; this module lifts that to grid granularity:
 (strategy, instance) packs of one strategy on same-shape instances — and
 :func:`execute_pack` runs one stack: its closed-form plans, every
 realization model and seed, in one ``(R, n)`` NumPy pass, and its replay
-plans in another.  Which packs sweep is :func:`try_plan`'s call alone:
-a pack it refuses runs on the per-cell kernel.  It assembles
+plans in another.  Which packs sweep is
+:func:`~repro.simulation.batch.build_plan`'s call alone.  A partition
+strategy's stack (:func:`~repro.simulation.batch.stack_compiles`)
+compiles in one call, from its instances' Phase-1 group ids, with no
+placement built; any other stack, and a partition stack whose compile
+raises, compiles pack by pack through :func:`try_plan`, and a pack it
+refuses runs on the per-cell kernel.  It assembles
 the exact :class:`~repro.analysis.records.ExperimentRecord` the per-cell
 path produces:
 
@@ -17,11 +22,15 @@ path produces:
   realization, memoized per (instance, model, seed) *group* in the
   chunk's :class:`~repro.analysis.parallel.GroupMemo`, so one value
   serves every strategy instead of being recomputed per cell;
+* the replication is the plan's ``replication``, the placement's
+  ``max_j |M_j|`` (for a partition, its group size ``m / k``);
 * the record comes from :meth:`ExperimentRecord.measured
   <repro.analysis.records.ExperimentRecord.measured>`, the constructor
   the per-cell path uses too.
 
-Observability: each stack opens a ``grid.batch`` span, and each
+Observability: a partition stack's compile opens one ``phase1`` span and
+counts ``phase1.placements`` once per instance; each stack opens a
+``grid.batch`` span, and each
 (strategy, instance) pack it serves emits one ``grid.batch_pack`` event
 and bumps ``grid.batch_packs``; every cell served by the sweep bumps
 ``grid.cells_done`` (keeping the grid's aggregate counters identical in
@@ -50,6 +59,7 @@ from repro.simulation.batch import (
     BatchUnsupported,
     Plan,
     build_plan,
+    stack_compiles,
     sweep_makespans,
 )
 
@@ -112,6 +122,25 @@ def try_plan(spec: CellSpec, memo: GroupMemo) -> Plan | None:
         return None
 
 
+def _compile_stack(
+    packs: Sequence[Sequence[CellSpec]], memo: GroupMemo
+) -> list[Plan | None]:
+    """One plan per pack of a stack, ``None`` for the per-cell path.
+
+    A stack of a partition strategy compiles in one :func:`build_plan`
+    call; everything else, and a partition stack whose compile raises,
+    compiles pack by pack through :func:`try_plan`, so each refusal and
+    each crash stays its own pack's.
+    """
+    strategy = packs[0][0].strategy
+    if stack_compiles(strategy):
+        try:
+            return build_plan(strategy, [pack[0].instance for pack in packs])
+        except Exception:
+            pass  # pack by pack, the failure lands on the packs it belongs to
+    return [try_plan(pack[0], memo) for pack in packs]
+
+
 def _sweep(
     closed: list[tuple[Sequence[CellSpec], Plan]],
     replayed: list[tuple[Sequence[CellSpec], Plan]],
@@ -135,9 +164,10 @@ def execute_pack(
 ) -> tuple[list[CellOutcome], list[CellSpec]]:
     """Run one stack of same-(strategy, instance) packs through the sweep.
 
-    Every pack compiles on its own (one :func:`build_plan` per instance).
-    The closed-form plans sweep together in one ``sweep_makespans`` call
-    over their stacked rows, and the replay plans in another.
+    A partition strategy's stack compiles in one :func:`build_plan` call,
+    and any other stack pack by pack (see :func:`_compile_stack`).  The
+    closed-form plans sweep together in one ``sweep_makespans`` call over
+    their stacked rows, and the replay plans in another.
     ``memo`` is the chunk's :class:`~repro.analysis.parallel.GroupMemo`,
     shared with the per-cell path and across stacks, so a realization is
     sampled (and its optimum computed) once per (instance, model, seed)
@@ -155,8 +185,7 @@ def execute_pack(
     closed: list[tuple[Sequence[CellSpec], Plan]] = []
     replayed: list[tuple[Sequence[CellSpec], Plan]] = []
     left: list[CellSpec] = []
-    for pack in packs:
-        plan = try_plan(pack[0], memo)
+    for pack, plan in zip(packs, _compile_stack(packs, memo)):
         if plan is None:
             left.extend(pack)
         else:
@@ -193,7 +222,6 @@ def execute_pack(
             instance=pack[0].instance.name,
             cells=len(pack),
         )
-        replication = plan.placement.max_replication()
         for spec in pack:
             row = len(records)
             records.append(
@@ -202,7 +230,7 @@ def execute_pack(
                     spec.instance,
                     reals[row].label,
                     spec.seed,
-                    replication,
+                    plan.replication,
                     makespans[row],
                     memo.optimum(spec, optimal_makespan),
                     plan.guarantee,

@@ -1222,17 +1222,24 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     if (args.port is None) == (args.socket is None):
         return _usage_error(args, "pass exactly one of --port or --socket")
     workload = make_workload(args.tenants, args.tasks, seed=args.seed)
-    report = asyncio.run(
-        run_loadgen(
-            workload,
-            host=args.host,
-            port=args.port,
-            socket_path=args.socket,
-            concurrency=args.concurrency,
-            drain=args.drain and not args.shutdown,
-            shutdown=args.shutdown,
+    try:
+        report = asyncio.run(
+            run_loadgen(
+                workload,
+                host=args.host,
+                port=args.port,
+                socket_path=args.socket,
+                concurrency=args.concurrency,
+                drain=args.drain and not args.shutdown,
+                shutdown=args.shutdown,
+            )
         )
-    )
+    except OSError as exc:
+        address = args.socket if args.socket is not None else f"{args.host}:{args.port}"
+        print(
+            f"repro loadgen: cannot reach the daemon at {address}: {exc}", file=sys.stderr
+        )
+        return 1
     payload = report.as_dict()
     if args.json:
         from pathlib import Path

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from repro.core.model import Instance
 from repro.core.placement import Placement, single_machine_placement
-from repro.core.strategy import FixedOrderPolicy, OnlinePolicy, TwoPhaseStrategy
+from repro.core.strategies.partition import Partition, PartitionStrategy
 from repro.registry import Capabilities, SweepRule, register_strategy
-from repro.schedulers.lpt import lpt_assignment_by_task
 
 __all__ = ["LPTNoChoice"]
 
@@ -30,7 +29,7 @@ __all__ = ["LPTNoChoice"]
     capabilities=Capabilities(replication_factor="none", online_placement=True),
     sweep=SweepRule(order=0, enumerate=lambda m: ["lpt_no_choice"]),
 )
-class LPTNoChoice(TwoPhaseStrategy):
+class LPTNoChoice(PartitionStrategy):
     """LPT placement on estimates; no runtime flexibility.
 
     ``replication = 1`` (the cheapest possible placement), guarantee
@@ -39,17 +38,20 @@ class LPTNoChoice(TwoPhaseStrategy):
 
     name = "lpt_no_choice"
 
-    def place(self, instance: Instance) -> Placement:
-        assignment = lpt_assignment_by_task(instance.estimates, instance.m)
-        return single_machine_placement(
-            instance, assignment, meta={"strategy": self.name}
-        )
+    def group_count(self, instance: Instance) -> int:
+        # One group per machine: Phase 1 is LPT on the machines.
+        return instance.m
 
-    def make_policy(self, instance: Instance, placement: Placement) -> OnlinePolicy:
+    def dispatch_order(self, instance: Instance) -> list[int]:
         # Every task has a single allowed machine, so the dispatch order
         # cannot change the makespan; LPT order within each machine is used
         # for determinism and to match the paper's figures.
-        return FixedOrderPolicy(instance.lpt_order())
+        return instance.lpt_order()
+
+    def _placement(self, instance: Instance, partition: Partition) -> Placement:
+        return single_machine_placement(
+            instance, partition.group_of_task(), meta={"strategy": self.name}
+        )
 
     def guarantee(self, instance: Instance) -> float:
         """Theorem 2's bound evaluated on this instance's parameters."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.core.model import Instance
 from repro.core.placement import Placement, everywhere_placement
-from repro.core.strategy import FixedOrderPolicy, OnlinePolicy, TwoPhaseStrategy
+from repro.core.strategies.partition import Partition, PartitionStrategy
 from repro.registry import Capabilities, SweepRule, register_strategy
 
 __all__ = ["LPTNoRestriction"]
@@ -28,7 +28,7 @@ __all__ = ["LPTNoRestriction"]
     capabilities=Capabilities(replication_factor="full", online_placement=True),
     sweep=SweepRule(order=1, enumerate=lambda m: ["lpt_no_restriction"]),
 )
-class LPTNoRestriction(TwoPhaseStrategy):
+class LPTNoRestriction(PartitionStrategy):
     """Replicate everywhere; dispatch online in LPT order of the estimates.
 
     ``replication = m`` (the most expensive placement), guarantee
@@ -37,11 +37,14 @@ class LPTNoRestriction(TwoPhaseStrategy):
 
     name = "lpt_no_restriction"
 
-    def place(self, instance: Instance) -> Placement:
-        return everywhere_placement(instance, meta={"strategy": self.name})
+    def group_count(self, instance: Instance) -> int:
+        return 1
 
-    def make_policy(self, instance: Instance, placement: Placement) -> OnlinePolicy:
-        return FixedOrderPolicy(instance.lpt_order())
+    def dispatch_order(self, instance: Instance) -> list[int]:
+        return instance.lpt_order()
+
+    def _placement(self, instance: Instance, partition: Partition) -> Placement:
+        return everywhere_placement(instance, meta={"strategy": self.name})
 
     def guarantee(self, instance: Instance) -> float:
         """Combined Strategy-2 bound at this instance's parameters."""

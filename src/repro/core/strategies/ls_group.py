@@ -27,9 +27,8 @@ from repro._validation import check_group_count
 from repro.core.bounds import divisors
 from repro.core.model import Instance
 from repro.core.placement import Placement, group_placement
-from repro.core.strategy import FixedOrderPolicy, OnlinePolicy, TwoPhaseStrategy
+from repro.core.strategies.partition import Partition, PartitionStrategy
 from repro.registry import Capabilities, Int, SweepRule, register_strategy
-from repro.schedulers.list_scheduling import greedy_assign_heap
 
 __all__ = ["LSGroup", "LPTGroup", "equal_groups"]
 
@@ -51,7 +50,7 @@ def equal_groups(m: int, k: int) -> list[list[int]]:
         order=2, enumerate=lambda m: [f"ls_group[k={k}]" for k in divisors(m)]
     ),
 )
-class LSGroup(TwoPhaseStrategy):
+class LSGroup(PartitionStrategy):
     """List Scheduling over groups (Phase 1), online LS within groups (Phase 2).
 
     Parameters
@@ -77,33 +76,21 @@ class LSGroup(TwoPhaseStrategy):
     def base_name(cls) -> str:
         return "ls_group"
 
-    def _task_order(self, instance: Instance) -> list[int]:
+    def group_count(self, instance: Instance) -> int:
+        return check_group_count(self.k, instance.m)
+
+    def dispatch_order(self, instance: Instance) -> list[int]:
         if self._order_kind == "lpt":
             return instance.lpt_order()
         return instance.input_order()
 
-    def place(self, instance: Instance) -> Placement:
-        k = check_group_count(self.k, instance.m)
-        groups = equal_groups(instance.m, k)
-        order = self._task_order(instance)
-        # Phase 1: LS over k pseudo-machines (the groups) on the estimates.
-        result = greedy_assign_heap(instance.estimates, order, k)
-        group_of_task = [0] * instance.n
-        for pos, j in enumerate(result.order):
-            group_of_task[j] = result.assignment[pos]
+    def _placement(self, instance: Instance, partition: Partition) -> Placement:
         return group_placement(
             instance,
-            group_of_task,
-            groups,
-            meta={"strategy": self.name, "k": k},
+            partition.group_of_task(),
+            equal_groups(instance.m, partition.k),
+            meta={"strategy": self.name, "k": partition.k},
         )
-
-    def make_policy(self, instance: Instance, placement: Placement) -> OnlinePolicy:
-        # Phase 2: online LS within each group.  A FixedOrderPolicy over the
-        # same order realizes it: an idle machine scans for the first
-        # unstarted task placed on it, i.e. the first remaining task of its
-        # own group.
-        return FixedOrderPolicy(self._task_order(instance))
 
     def guarantee(self, instance: Instance) -> float:
         """Theorem 4's bound at this instance's parameters."""

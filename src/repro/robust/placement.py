@@ -106,6 +106,9 @@ class RobustPinnedPlacement(TwoPhaseStrategy):
 
         current = self._worst_makespan(loads)
         # First-improvement local search over single-task reassignments.
+        # A rejected move writes the two columns back as they were, so
+        # the loads do not drift from adding and subtracting the same
+        # durations.
         for _ in range(self.iterations):
             improved = False
             for j in range(n):
@@ -113,6 +116,7 @@ class RobustPinnedPlacement(TwoPhaseStrategy):
                 for dst in range(m):
                     if dst == src:
                         continue
+                    kept_src, kept_dst = loads[:, src].copy(), loads[:, dst].copy()
                     loads[:, src] -= durations[:, j]
                     loads[:, dst] += durations[:, j]
                     cand = self._worst_makespan(loads)
@@ -121,14 +125,21 @@ class RobustPinnedPlacement(TwoPhaseStrategy):
                         current = cand
                         improved = True
                         break
-                    loads[:, src] += durations[:, j]
-                    loads[:, dst] -= durations[:, j]
+                    loads[:, src], loads[:, dst] = kept_src, kept_dst
             if not improved:
                 break
+        # Accepted moves update the loads in place; the recorded worst
+        # makespan is summed afresh from the final assignment.
+        final = np.zeros((s, m))
+        for j, i in enumerate(assignment):
+            final[:, i] += durations[:, j]
         return single_machine_placement(
             instance,
             assignment,
-            meta={"strategy": self.name, "trained_worst_makespan": current},
+            meta={
+                "strategy": self.name,
+                "trained_worst_makespan": self._worst_makespan(final),
+            },
         )
 
     def make_policy(self, instance: Instance, placement: Placement) -> OnlinePolicy:

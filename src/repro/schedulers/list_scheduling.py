@@ -110,14 +110,17 @@ def greedy_assign_heap(
                 raise ValueError(f"initial_loads[{i}] must be finite and >= 0, got {x}")
     heap: list[tuple[float, int]] = [(start[i], i) for i in range(m)]
     heapq.heapify(heap)
-    loads = list(start)
     assignment: list[int] = []
+    append, replace = assignment.append, heapq.heapreplace
     for j in order:
-        load, i = heapq.heappop(heap)
-        assignment.append(i)
-        new_load = load + float(times[j])
-        loads[i] = new_load
-        heapq.heappush(heap, (new_load, i))
+        # Machine ids are distinct, so the least (load, id) is the same
+        # whatever the heap's internal layout: one replace is a pop + push.
+        load, i = heap[0]
+        append(i)
+        replace(heap, (load + float(times[j]), i))
+    loads = start
+    for load, i in heap:
+        loads[i] = load
     return AssignmentResult(tuple(assignment), tuple(loads), tuple(order))
 
 

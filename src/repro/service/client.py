@@ -32,8 +32,8 @@ class ServiceClient:
     """One keep-alive connection to the daemon.
 
     Construct with either ``host``/``port`` or ``socket_path``; use as an
-    async context manager (the connection opens lazily on first request
-    either way)::
+    async context manager (the connection opens on :meth:`connect` or
+    lazily on first request, either way)::
 
         async with ServiceClient(port=daemon.port) as client:
             task = await client.submit("tenant-0", 3.5, key="t0-0")
@@ -60,7 +60,9 @@ class ServiceClient:
     async def __aexit__(self, *exc: object) -> None:
         await self.close()
 
-    async def _connect(self) -> None:
+    async def connect(self) -> None:
+        """Open the connection now; the ``OSError`` of a daemon that is
+        not there surfaces here."""
         if self._writer is not None:
             return
         if self.socket_path is not None:
@@ -92,7 +94,7 @@ class ServiceClient:
         back as text.  Does *not* raise on error statuses — that is
         :meth:`_checked`'s job — so probes can inspect failures.
         """
-        await self._connect()
+        await self.connect()
         assert self._reader is not None and self._writer is not None
         body = b""
         if payload is not None:

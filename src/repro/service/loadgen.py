@@ -203,7 +203,8 @@ async def run_loadgen(
     semaphore admits ``concurrency`` sessions at a time).  With
     ``drain``/``shutdown`` the run ends by draining the daemon's queue
     (and stopping it), and ``final_status`` carries the daemon's last
-    stats — the zero-drop check is ``admitted == done`` there.
+    stats — the zero-drop check is ``admitted == done`` there.  Raises
+    the ``OSError`` of the first connection when no daemon listens.
     """
     client_kw: dict[str, Any] = (
         {"socket_path": socket_path} if socket_path else {"host": host, "port": port}
@@ -214,6 +215,10 @@ async def run_loadgen(
     latencies: list[float] = []
     decisions: list[tuple[str, str, int, float]] = []
     semaphore = asyncio.Semaphore(max(1, concurrency))
+    # Reach the daemon once before the tenants start: with none listening,
+    # the OSError surfaces now, not after every tenant's retry budget.
+    async with ServiceClient(**client_kw) as probe:
+        await probe.connect()
     started = time.perf_counter()
     await asyncio.gather(
         *(

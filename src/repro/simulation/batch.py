@@ -16,7 +16,8 @@ compiles the pair into the cheapest *plan* its decision structure admits:
   so a plan costs as many vectorized argmin+add steps as its longest
   group has tasks, not ``n``.  Plans of one strategy on same-shape
   instances sweep together as one *stack*: an ``(R, n)`` matrix holding
-  every instance's rows.
+  every instance's rows.  A partition strategy's stack also compiles in
+  one pass, from each task's group id (see :func:`build_plan`).
 * :class:`ReplayPlan` — everything with no closed form: a fixed order
   over an *arbitrary* placement (overlapping windows, gaps) and every
   :class:`~repro.core.strategies.selective.PinnedAwarePolicy`
@@ -48,8 +49,15 @@ completion changes nothing a policy reads (see :func:`_lockstep_replay`).
 ``tests/test_batch.py`` asserts equality property-style across random
 instances for an exemplar of every registry family.
 
-**Eligibility.**  :func:`build_plan` is the only router: it runs Phase 1
-and builds the policy, then checks the pair's structure.  The Phase-2
+**Eligibility.**  :func:`build_plan` is the only router.  A stack of a
+:class:`~repro.core.strategies.partition.PartitionStrategy` that keeps
+the base's ``place`` and ``make_policy`` (:func:`stack_compiles`:
+LPT-No Choice, LPT-No Restriction, LS-Group and its LPT ablation)
+compiles from its Phase-1 result alone: each task's group among ``k``
+equal contiguous machine groups, and the fixed dispatch order, which
+is a partition by construction (the tables are still checked to be a
+permutation in ``k`` groups).  Any other pair runs Phase 1 and builds
+the policy, then checks the pair's structure.  The Phase-2
 policy must be one of the two compilable types
 (:class:`FixedOrderPolicy`, :class:`PinnedAwarePolicy`), and a
 pinned-aware policy's tables, whoever built them, must agree with the
@@ -87,6 +95,7 @@ __all__ = [
     "ReplayPlan",
     "Plan",
     "build_plan",
+    "stack_compiles",
     "sweep_makespans",
     "batch_makespans",
 ]
@@ -113,9 +122,11 @@ class BatchPlan:
     ----------
     strategy_name:
         Display name of the compiled strategy (for records and spans).
-    placement:
-        The Phase-1 placement (computed once, shared by every realization
-        in the pack; carries the replication metrics records need).
+    instance:
+        The compiled instance.
+    replication:
+        ``max_j |M_j|`` of the pair's placement: the widest group's
+        machine count (records carry it).
     machines, tasks:
         The partition's ``k`` groups (verified contiguous and disjoint):
         ``machines[g]`` lists group ``g``'s machines in increasing order,
@@ -123,19 +134,18 @@ class BatchPlan:
         tasks group ``g`` places, in dispatch order, padded with ``n``
         (an empty task slot).  Both are ``intp`` arrays, ``(k, S)`` and
         ``(k, T)``: the sweep steps all ``k`` groups at once, ``T`` times.
+        The plans of one partition stack share ``machines`` and ``T``,
+        and a group may hold no task in some of them.
     guarantee:
         ``strategy.guarantee(instance)`` if defined, else ``None``.
     """
 
     strategy_name: str
-    placement: Placement
+    instance: Instance
+    replication: int
     machines: np.ndarray
     tasks: np.ndarray
     guarantee: float | None
-
-    @property
-    def instance(self) -> Instance:
-        return self.placement.instance
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +157,9 @@ class ReplayPlan:
     :class:`~repro.core.strategy.FixedOrderPolicy` over a non-partition
     placement (overlapping or gapped replica sets, where an idle machine
     may legally skip an earlier task it does not hold).  Both decide from
-    tables fixed by (instance, placement), built once per pack:
+    tables fixed by (instance, placement), built once per pack.  Like a
+    :class:`BatchPlan` it carries ``strategy_name``, ``instance``,
+    ``replication`` (the placement's ``max_j |M_j|``) and ``guarantee``.
 
     rank:
         ``(n + 1,)``: each task's rank (LPT, with ABO's pinned tasks
@@ -172,7 +184,8 @@ class ReplayPlan:
     """
 
     strategy_name: str
-    placement: Placement
+    instance: Instance
+    replication: int
     rank: np.ndarray
     queues: np.ndarray
     suffix: np.ndarray
@@ -180,10 +193,6 @@ class ReplayPlan:
     candidates: np.ndarray
     allowed: np.ndarray
     guarantee: float | None
-
-    @property
-    def instance(self) -> Instance:
-        return self.placement.instance
 
 
 def _replay_plan(
@@ -206,7 +215,8 @@ def _replay_plan(
     masks = [[i in sets[j] for i in range(m)] for j in tables.candidates]
     return ReplayPlan(
         strategy_name,
-        placement,
+        placement.instance,
+        placement.max_replication(),
         np.array([*tables.rank, n], dtype=np.intp),
         np.array(queues, dtype=np.intp),
         np.array(suffix, dtype=np.float64),
@@ -217,16 +227,37 @@ def _replay_plan(
     )
 
 
-#: Everything :func:`build_plan` can return; all variants share the
-#: ``strategy_name`` / ``placement`` / ``guarantee`` / ``instance`` surface
-#: the pack executor consumes.
+#: Everything :func:`build_plan` can return for one instance; all variants
+#: share the ``strategy_name`` / ``instance`` / ``replication`` /
+#: ``guarantee`` surface the pack executor consumes.
 Plan = Union[BatchPlan, ReplayPlan]
 
 
-def build_plan(strategy: TwoPhaseStrategy, instance: Instance) -> Plan:
-    """Compile one (strategy, instance) pair into the cheapest plan.
+def stack_compiles(strategy: TwoPhaseStrategy) -> bool:
+    """Whether :func:`build_plan` compiles a stack of ``strategy`` at once.
 
-    Runs Phase 1 once (through
+    True for a :class:`~repro.core.strategies.partition.PartitionStrategy`
+    whose :meth:`place` and :meth:`make_policy` are the base's, so both
+    derive from its :meth:`partition`; a subclass overriding either
+    compiles pack by pack, through its placement and policy.
+    """
+    from repro.core.strategies.partition import PartitionStrategy
+
+    cls = type(strategy)
+    return (
+        isinstance(strategy, PartitionStrategy)
+        and cls.place is PartitionStrategy.place
+        and cls.make_policy is PartitionStrategy.make_policy
+    )
+
+
+def build_plan(
+    strategy: TwoPhaseStrategy, instance: Instance | Sequence[Instance]
+) -> Plan | list[BatchPlan]:
+    """Compile one (strategy, instance) pair into the cheapest plan, or a
+    stack of same-shape instances of a partition strategy.
+
+    One instance: runs Phase 1 once (through
     :func:`~repro.analysis.ratios.build_placement`, traced like the
     per-cell path's), builds the Phase-2 policy once, and dispatches on
     its exact type: :class:`FixedOrderPolicy` compiles to the closed-form
@@ -238,7 +269,18 @@ def build_plan(strategy: TwoPhaseStrategy, instance: Instance) -> Plan:
     ``ValueError`` from Phase 1 unchanged (e.g. a group strategy whose
     ``k`` does not divide ``m`` — the same error the per-cell path turns
     into a skipped cell).
+
+    A sequence of instances of one ``(n, m)`` shape, for a strategy
+    :func:`stack_compiles`: runs each instance's Phase 1
+    (:meth:`~repro.core.strategies.partition.PartitionStrategy.partition`)
+    under one ``phase1`` span and returns one :class:`BatchPlan` per
+    instance, their tables laid out together from the group ids (see
+    :func:`_compile_partitions`); no placement or policy is built.
+    Raises :class:`BatchUnsupported` for any other strategy, and whatever
+    Phase 1 raises.
     """
+    if not isinstance(instance, Instance):
+        return _compile_partitions(strategy, instance)
     from repro.analysis.ratios import build_placement
 
     placement = build_placement(strategy, instance)
@@ -247,6 +289,85 @@ def build_plan(strategy: TwoPhaseStrategy, instance: Instance) -> Plan:
     except BatchUnsupported as exc:
         exc.placement = placement
         raise
+
+
+def _compile_partitions(
+    strategy: TwoPhaseStrategy, instances: Sequence[Instance]
+) -> list[BatchPlan]:
+    """:func:`build_plan` on a partition stack: Phase 1 per instance, on
+    the heap, then every instance's tables in one NumPy pass."""
+    from repro.analysis.ratios import guarantee_of
+    from repro.obs.tracer import get_tracer
+
+    if not stack_compiles(strategy):
+        raise BatchUnsupported(
+            f"{strategy.name}: not a partition strategy; compile it pack by pack"
+        )
+    n, m = instances[0].n, instances[0].m
+    if any((inst.n, inst.m) != (n, m) for inst in instances):
+        raise ValueError(f"a stack's instances must share one (n, m) = ({n}, {m})")
+    tracer = get_tracer()
+    with tracer.span(
+        "phase1", strategy=strategy.name, n=n, m=m, instances=len(instances)
+    ) as span:
+        parts = [strategy.partition(inst) for inst in instances]
+        k = parts[0].k
+        span.set(replication=m // k)
+    tracer.count("phase1.placements", len(instances))
+    orders = np.array([p.order for p in parts], dtype=np.intp).reshape(-1, n)
+    groups = np.array([p.groups for p in parts], dtype=np.intp).reshape(-1, n)
+    if (
+        m % k
+        or any(p.k != k for p in parts)
+        or (np.sort(orders, axis=1) != np.arange(n)).any()
+        or groups.min() < 0
+        or groups.max() >= k
+    ):
+        raise BatchUnsupported(
+            f"{strategy.name}: a partition is not {k} equal groups of "
+            "every task in a dispatch order"
+        )
+    machines, tasks = _group_tables(
+        np.arange(m, dtype=np.intp).reshape(k, m // k), groups, orders
+    )
+    return [
+        BatchPlan(
+            strategy.name, inst, m // k, machines, table, guarantee_of(strategy, inst)
+        )
+        for inst, table in zip(instances, tasks)
+    ]
+
+
+def _group_tables(
+    machines: np.ndarray, groups: np.ndarray, orders: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lay out the task tables of a stack of partitions.
+
+    ``machines`` is the ``(k, S)`` machine table; row ``i`` of the
+    ``(I, n)`` ``orders`` is instance ``i``'s dispatch order, and
+    ``groups[i, pos]`` the group (a row of ``machines``) of task
+    ``orders[i, pos]``.  A stable argsort of each row's group ids lists
+    every group's tasks in dispatch order; each row's groups are padded
+    with ``n`` to the longest group of the stack.  Returns the machine
+    table and the ``(I, k, T)`` task tables, without the groups empty in
+    every row; a group empty in only some rows keeps its slot there,
+    holding only padding, so its machines' loads stay ``+0.0``.
+    """
+    count, n = groups.shape
+    k = machines.shape[0]
+    rows = np.arange(count)[:, None]
+    by_group = groups.argsort(axis=1, kind="stable")
+    gids = groups[rows, by_group]
+    sizes = np.bincount((groups + k * rows).ravel(), minlength=count * k)
+    sizes = sizes.reshape(count, k)
+    first = sizes.cumsum(axis=1) - sizes  # each group's first sorted position
+    slot = np.arange(n) - first[rows, gids]
+    tasks = np.full((count, k, int(sizes.max())), n, dtype=np.intp)
+    tasks[rows, gids, slot] = orders[rows, by_group]
+    used = sizes.any(axis=0)
+    if used.all():
+        return machines, tasks
+    return machines[used], tasks[:, used]
 
 
 def _compile(
@@ -327,44 +448,42 @@ def _compile_fixed_order(
     """The closed-form sweep, or ``None`` when the placement is not a
     partition (overlapping or gapped replica sets need the replay)."""
     order = policy.order
-    n = instance.n
+    n, m = instance.n, instance.m
     _check_permutation(strategy.name, list(order), n)
 
-    # Each task joins the dispatch-order queue of its machine range.  Each
-    # distinct set object's range is computed once: a group placement
-    # shares one set per group.
+    # Each task's machine set must be a range.  Each distinct set
+    # object's range is computed once: a group placement shares one set
+    # per group.
     sets = placement.machine_sets
-    queues: dict[tuple[int, int], list[int]] = {}
-    queue_of: dict[int, list[int]] = {}
+    range_of: dict[int, tuple[int, int]] = {}
+    ranges: list[tuple[int, int]] = []
     for j in order:
         machines = sets[j]
-        queue = queue_of.get(id(machines))
-        if queue is None:
+        bound = range_of.get(id(machines))
+        if bound is None:
             a, b = min(machines), max(machines) + 1
             if b - a != len(machines):
                 return None  # a gapped set is not a range
-            queue = queue_of[id(machines)] = queues.setdefault((a, b), [])
-        queue.append(j)
+            bound = range_of[id(machines)] = (a, b)
+        ranges.append(bound)
     # Partition check: distinct ranges must not overlap, otherwise tasks
     # can start out of order (a machine may skip a task it does not hold
     # and run a later one first), which the in-order closed-form sweep
     # cannot express.  Disjoint ranges are groups that never interact.
-    bounds = sorted(queues)
+    bounds = sorted(set(range_of.values()))
     for (_, b_prev), (a_next, _) in zip(bounds, bounds[1:]):
         if a_next < b_prev:
             return None
-    # Pad every group to the widest and the longest one.
+    group = {bound: g for g, bound in enumerate(bounds)}
     width = max(b - a for a, b in bounds)
-    steps = max(len(queue) for queue in queues.values())
-    machines = [[*range(a, b), *[instance.m] * (width - (b - a))] for a, b in bounds]
-    tasks = [[*queues[bound], *[n] * (steps - len(queues[bound]))] for bound in bounds]
-    return BatchPlan(
-        strategy.name,
-        placement,
-        np.array(machines, dtype=np.intp).reshape(len(bounds), width),
-        np.array(tasks, dtype=np.intp).reshape(len(bounds), steps),
-        guarantee,
+    machines, tasks = _group_tables(
+        np.array(
+            [[*range(a, b), *[m] * (width - (b - a))] for a, b in bounds], dtype=np.intp
+        ).reshape(len(bounds), width),
+        np.array([[group[bound] for bound in ranges]], dtype=np.intp).reshape(1, n),
+        np.array([order], dtype=np.intp).reshape(1, n),
     )
+    return BatchPlan(strategy.name, instance, width, machines, tasks[0], guarantee)
 
 
 # -- plan execution ---------------------------------------------------------

@@ -18,19 +18,31 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+import repro.analysis.batch as batch_module
 from repro.analysis.experiment import ExperimentGrid
 from repro.analysis.ratios import run_strategy
 from repro.core.model import Instance, make_instance
-from repro.core.placement import Placement
+from repro.core.placement import (
+    Placement,
+    everywhere_placement,
+    group_placement,
+    single_machine_placement,
+)
+from repro.core.strategies import LPTGroup, LPTNoChoice, LPTNoRestriction, LSGroup
+from repro.core.strategies.ls_group import equal_groups
+from repro.core.strategies.partition import Partition, PartitionStrategy
 from repro.core.strategies.selective import PinnedAwarePolicy, PinnedTables
 from repro.core.strategy import FixedOrderPolicy, TwoPhaseStrategy
-from repro.registry import full_sweep, make_strategy, strategy_entries
+from repro.registry import entry_for, full_sweep, make_strategy, strategy_entries
+from repro.schedulers.list_scheduling import greedy_assign_heap
+from repro.schedulers.lpt import lpt_assignment_by_task
 from repro.simulation.batch import (
     BatchPlan,
     BatchUnsupported,
     ReplayPlan,
     batch_makespans,
     build_plan,
+    stack_compiles,
     sweep_makespans,
 )
 from repro.simulation.engine import SimulationError, simulate
@@ -502,9 +514,10 @@ class TestLockstepStacks:
                 reals = _stack_rows(inst, seed + 7 * i, integral)
                 plans.append(plan)
                 rows.append(reals)
+                placement = strategy.place(inst)
                 for real in reals:
-                    policy = strategy.make_policy(inst, plan.placement)
-                    expected.append(simulate(plan.placement, real, policy).makespan.hex())
+                    policy = strategy.make_policy(inst, placement)
+                    expected.append(simulate(placement, real, policy).makespan.hex())
             if not plans:
                 continue
             matrix = np.array([r.actuals for reals in rows for r in reals])
@@ -547,6 +560,160 @@ class TestLockstepStacks:
             sweep_makespans([replay_a, replay_a], np.ones((4, 6)), [1, 2])
         with pytest.raises(ValueError, match="row count"):
             sweep_makespans([replay_a, replay_a], np.ones((2, 6)))
+
+
+#: The families with a registered partition strategy (``core``), so the
+#: CI batch-equivalence leg of each runs ``TestPartitionStacks``.
+PARTITION_FAMILIES = sorted(
+    {e.family for e in strategy_entries() if issubclass(e.cls, PartitionStrategy)}
+)
+
+
+class EstimateGroups(LSGroup):
+    """LS-Group whose Phase 1 puts each task on group ``int(estimate) %
+    k`` instead of List Scheduling, so in a stack of such partitions a
+    group may be empty in some rows and not in others."""
+
+    @classmethod
+    def base_name(cls) -> str:
+        return "estimate_groups"
+
+    def partition(self, instance):
+        k = self.group_count(instance)
+        order = self.dispatch_order(instance)
+        return Partition(k, order, tuple(int(instance.estimates[j]) % k for j in order))
+
+
+class ReversedGroups(LSGroup):
+    """LS-Group dispatching in reverse input order: it overrides
+    ``make_policy``, so its Phase 2 no longer derives from its partition."""
+
+    @classmethod
+    def base_name(cls) -> str:
+        return "reversed_groups"
+
+    def make_policy(self, instance, placement):
+        return FixedOrderPolicy(reversed(range(instance.n)))
+
+
+def _parent_placement(strategy: PartitionStrategy, inst: Instance) -> Placement:
+    """The placement each strategy built from the heap result before the
+    three shared one Phase 1."""
+    meta = {"strategy": strategy.name}
+    if type(strategy) is LPTNoRestriction:
+        return everywhere_placement(inst, meta=meta)
+    if type(strategy) is LPTNoChoice:
+        return single_machine_placement(
+            inst, lpt_assignment_by_task(inst.estimates, inst.m), meta=meta
+        )
+    order = inst.lpt_order() if type(strategy) is LPTGroup else inst.input_order()
+    result = greedy_assign_heap(inst.estimates, order, strategy.k)
+    group_of_task = [0] * inst.n
+    for pos, j in enumerate(result.order):
+        group_of_task[j] = result.assignment[pos]
+    groups = equal_groups(inst.m, strategy.k)
+    return group_placement(inst, group_of_task, groups, meta={**meta, "k": strategy.k})
+
+
+class TestPartitionStacks:
+    """A stack of a partition strategy compiles in one ``build_plan`` call
+    from its group ids.  Stacks of 2-12 instances, with tied integral
+    estimates and actuals, ``n < k``, ``k = 1``, ``k = m`` and ``m = 1``,
+    sweep equal to ``simulate`` row by row (compared by ``float.hex``)
+    and to each instance compiled alone through its placement; and every
+    strategy places as it did before the three shared one Phase 1."""
+
+    @pytest.mark.parametrize("family", PARTITION_FAMILIES)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=12),
+        m=st.sampled_from([1, 2, 4, 6]),
+        count=st.integers(min_value=2, max_value=12),
+        seed=st.integers(min_value=0, max_value=10_000),
+        integral=st.booleans(),
+    )
+    def test_stack_matches_simulate_and_each_compile(
+        self, family, n, m, count, seed, integral
+    ):
+        rng = random.Random(seed)
+        instances = [
+            make_instance(
+                [float(rng.randint(1, 3)) if integral else rng.uniform(0.2, 10.0)
+                 for _ in range(n)],
+                m,
+                2.0,
+                name=f"part{seed}-{i}",
+            )
+            for i in range(count)
+        ]
+        rows = [_stack_rows(inst, seed + 7 * i, integral) for i, inst in enumerate(instances)]
+        matrix = np.array([r.actuals for reals in rows for r in reals])
+        counts = [len(reals) for reals in rows]
+        strategies = [
+            s for s in full_sweep(m, include_ablation=True)
+            if isinstance(s, PartitionStrategy) and entry_for(s).family == family
+        ]
+        assert strategies, f"no partition strategy in family {family!r} at m={m}"
+        for strategy in [*strategies, EstimateGroups(m)]:
+            assert stack_compiles(strategy)
+            plans = build_plan(strategy, instances)
+            stacked = sweep_makespans(plans, matrix, counts).tolist()
+            alone, expected = [], []
+            for inst, reals in zip(instances, rows):
+                single = build_plan(strategy, inst)
+                alone += sweep_makespans(single, np.array([r.actuals for r in reals])).tolist()
+                placement = strategy.place(inst)
+                if not isinstance(strategy, EstimateGroups):
+                    parent = _parent_placement(strategy, inst)
+                    assert placement.machine_sets == parent.machine_sets, strategy.name
+                    assert list(placement.meta.items()) == list(parent.meta.items())
+                for real in reals:
+                    policy = strategy.make_policy(inst, placement)
+                    expected.append(simulate(placement, real, policy).makespan.hex())
+            assert [v.hex() for v in stacked] == expected, strategy.name
+            assert [v.hex() for v in alone] == expected, strategy.name
+
+    def test_a_group_is_dropped_only_when_empty_in_every_row(self):
+        """Group ids 1 and 2 of four: group 2 is empty in the second row
+        only, so it keeps its slot there, padded; groups 0 and 3 are
+        empty in both rows and leave both tables."""
+        a = make_instance([1.0, 2.0, 1.0], 4, 2.0)
+        b = make_instance([1.0, 1.0, 1.0], 4, 2.0)
+        plan_a, plan_b = build_plan(EstimateGroups(4), [a, b])
+        assert plan_a.machines is plan_b.machines
+        assert plan_a.machines.tolist() == [[1], [2]]
+        assert plan_a.tasks.tolist() == [[0, 2, 3], [1, 3, 3]]
+        assert plan_b.tasks.tolist() == [[0, 1, 2], [3, 3, 3]]
+        assert (plan_a.replication, plan_b.replication) == (1, 1)
+
+    def test_an_overridden_policy_compiles_pack_by_pack(self, monkeypatch):
+        """A subclass that overrides ``make_policy`` takes no stack path:
+        ``build_plan`` refuses it a stack, and the grid compiles each of
+        its packs alone, through its placement and policy."""
+        instances = [_rand_instance(9, 4, 1.5, seed) for seed in range(3)]
+        strategy = ReversedGroups(2)
+        assert stack_compiles(LSGroup(2)) and not stack_compiles(strategy)
+        with pytest.raises(BatchUnsupported, match="pack by pack"):
+            build_plan(strategy, instances)
+        compiled = []
+        original = batch_module.build_plan
+
+        def recorded(strategy, instance):
+            compiled.append(instance)
+            return original(strategy, instance)
+
+        monkeypatch.setattr(batch_module, "build_plan", recorded)
+        kwargs = dict(
+            strategies=[strategy],
+            instances=instances,
+            realization_models=["uniform"],
+            seeds=[0, 1],
+            exact_limit=8,
+        )
+        grid = ExperimentGrid(**kwargs)
+        assert grid.run() == ExperimentGrid(batch=False, **kwargs).run()
+        assert grid.batched_cells == grid.total_cells()
+        assert compiled == instances
 
 
 class TestReplayPacks:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import socket
 import subprocess
 import sys
 
@@ -263,6 +264,28 @@ class TestMain:
         )
         assert proc.returncode == 1
         assert proc.stderr == "repro proofs: [Errno 32] the daemon dropped the socket\n"
+
+    def test_loadgen_with_no_daemon_at_the_socket_is_one_line(self, tmp_path, capsys):
+        """A socket path where no daemon listens ends with one line on
+        stderr naming the command and the path, not a traceback."""
+        path = tmp_path / "absent.sock"
+        assert main(["loadgen", "--tenants", "3", "--socket", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"repro loadgen: cannot reach the daemon at {path}: "
+            "[Errno 2] No such file or directory\n"
+        )
+
+    def test_loadgen_refused_at_the_port_is_one_line(self, capsys):
+        """A loopback port that was bound and then closed refuses the
+        connection: one line on stderr naming the command and the address."""
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        assert main(["loadgen", "--tenants", "3", "--port", str(port)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro loadgen: cannot reach the daemon at 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_proofs_command(self, capsys):
         rc = main(["proofs", "--n", "10", "--m", "3"])

@@ -26,6 +26,7 @@ from repro.analysis.parallel import _chunks, enumerate_cells, execute_packs
 from repro.core.model import make_instance
 from repro.core.placement import Placement
 from repro.core.strategies import LPTNoChoice
+from repro.core.strategies.partition import PartitionStrategy
 from repro.core.strategy import FixedOrderPolicy, TwoPhaseStrategy
 from repro.obs import MemorySink, observed
 from repro.registry import make_strategy
@@ -251,14 +252,24 @@ class TestRefusedPackPlacement:
     )
 
     def _count_phase1(self, monkeypatch) -> Counter:
+        """Phase-1 runs per (strategy, instance).  A partition strategy's
+        Phase 1 is its ``partition``, which a batched stack runs without
+        ``build_placement``; every other strategy's is ``build_placement``."""
         calls: Counter = Counter()
         build = ratios_module.build_placement
+        partition = PartitionStrategy.partition
 
         def counted(strategy, instance):
-            calls[strategy.name, instance.name] += 1
+            if not isinstance(strategy, PartitionStrategy):
+                calls[strategy.name, instance.name] += 1
             return build(strategy, instance)
 
+        def counted_partition(strategy, instance):
+            calls[strategy.name, instance.name] += 1
+            return partition(strategy, instance)
+
         monkeypatch.setattr(ratios_module, "build_placement", counted)
+        monkeypatch.setattr(PartitionStrategy, "partition", counted_partition)
         return calls
 
     def test_phase1_once_per_pack_with_batch_and_once_per_cell_without(

@@ -116,6 +116,30 @@ class TestGrahamProperties:
             assert min(r.loads) >= r.makespan - max(times) - 1e-9
 
 
+class TestHeapMatchesScan:
+    @given(
+        st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=30),
+        st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=8),
+        st.randoms(use_true_random=False),
+    )
+    def test_choices_and_loads_equal_a_least_load_scan(self, times, start, rng):
+        """Tie-dense integral times and start loads: every choice is the
+        least load, ties to the lowest machine, as a linear scan picks,
+        and the loads are the same IEEE sums (compared by ``float.hex``)."""
+        times = [float(t) for t in times]
+        order = list(range(len(times)))
+        rng.shuffle(order)
+        loads = [float(x) for x in start]
+        choices = []
+        for j in order:
+            i = min(range(len(loads)), key=lambda i: (loads[i], i))
+            choices.append(i)
+            loads[i] += times[j]
+        r = greedy_assign_heap(times, order, len(start), initial_loads=start)
+        assert list(r.assignment) == choices
+        assert [x.hex() for x in r.loads] == [x.hex() for x in loads]
+
+
 class TestBalanceGap:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from repro.exact.optimal import optimal_makespan
 from repro.robust import RobustPinnedPlacement
 from repro.uncertainty.stochastic import sample_realization
 from repro.workloads.generators import uniform_instance
+from repro.workloads.suites import memory_suite
 
 
 class TestPlacementBasics:
@@ -42,6 +43,20 @@ class TestPlacementBasics:
                 loads[:, i] += durations[:, j]
             return loads.max()
         assert worst(p_robust.fixed_assignment()) <= worst(p_lpt.fixed_assignment()) + 1e-9
+
+    def test_recorded_worst_makespan_is_the_final_assignments(self):
+        """``trained_worst_makespan`` is the worst makespan of the final
+        assignment over the training scenarios, summed afresh in task
+        order: rejected moves leave no drift in the loads it is read from."""
+        strategy = RobustPinnedPlacement()
+        for case in memory_suite(seeds=1):
+            inst = case.instance
+            durations = strategy._scenario_matrix(inst)
+            placement = strategy.place(inst)
+            loads = np.zeros((durations.shape[0], inst.m))
+            for j, i in enumerate(placement.fixed_assignment()):
+                loads[:, i] += durations[:, j]
+            assert placement.meta["trained_worst_makespan"] == loads.max(), inst.name
 
     def test_feasible_end_to_end(self):
         inst = uniform_instance(15, 4, alpha=1.6, seed=4)
