@@ -268,7 +268,7 @@ class IterativeSession:
         factors = true_durations / np.asarray(base.estimates)
         lo, hi = 1.0 / base.alpha, base.alpha
         factors = np.clip(factors, lo, hi)
-        return factors_realization(base, factors.tolist(), label="iterative")
+        return factors_realization(base, factors, label="iterative")
 
     def run(self, iterations: int, *, refine: bool = True, eta: float = 0.5) -> list[IterationResult]:
         """Run ``iterations`` passes; returns the per-iteration results."""

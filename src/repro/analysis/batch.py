@@ -17,7 +17,9 @@ the exact :class:`~repro.analysis.records.ExperimentRecord` the per-cell
 path produces:
 
 * the makespan comes from the sweep (bit-identical to the event kernel —
-  see the exactness contract in :mod:`repro.simulation.batch`);
+  see the exactness contract in :mod:`repro.simulation.batch`), whose
+  ``(R, n)`` matrix stacks each group's float64 row from the chunk's
+  :class:`~repro.analysis.parallel.GroupMemo`;
 * the optimum is :func:`repro.exact.optimal.optimal_makespan` on the same
   realization, memoized per (instance, model, seed) *group* in the
   chunk's :class:`~repro.analysis.parallel.GroupMemo`, so one value
@@ -26,7 +28,8 @@ path produces:
   ``max_j |M_j|`` (for a partition, its group size ``m / k``);
 * the record comes from :meth:`ExperimentRecord.measured
   <repro.analysis.records.ExperimentRecord.measured>`, the constructor
-  the per-cell path uses too.
+  the per-cell path uses too, and each outcome is one
+  :class:`~repro.analysis.parallel.CellOutcome` tuple.
 
 Observability: a partition stack's compile opens one ``phase1`` span and
 counts ``phase1.placements`` once per instance; each stack opens a
@@ -194,14 +197,14 @@ def execute_pack(
     if not served:
         return [], left
 
-    reals = [memo.realization(spec) for pack, _ in served for spec in pack]
-    matrix = np.array([r.actuals for r in reals], dtype=np.float64)
+    specs = [spec for pack, _ in served for spec in pack]
+    matrix = np.stack([memo.row(spec) for spec in specs])
     profile_spec = profiling.active_spec() if tracer.enabled else None
     with tracer.span(
         "grid.batch",
         strategy=served[0][1].strategy_name,
         instances=len(served),
-        cells=len(reals),
+        cells=len(specs),
     ) as batch_span:
         if profile_spec is None:
             makespans = _sweep(closed, replayed, matrix)
@@ -228,7 +231,7 @@ def execute_pack(
                 ExperimentRecord.measured(
                     plan.strategy_name,
                     spec.instance,
-                    reals[row].label,
+                    memo.realization(spec).label,
                     spec.seed,
                     plan.replication,
                     makespans[row],
@@ -239,9 +242,8 @@ def execute_pack(
     duration_each = (time.perf_counter() - start) / len(records)
     tracer.count("grid.cells_done", len(records))
     tracer.count("grid.cells_batched", len(records))
-    specs = (spec for pack, _ in served for spec in pack)
     outcomes = [
-        CellOutcome(spec.index, record, None, duration_each, batched=True)
+        tuple.__new__(CellOutcome, (spec.index, record, None, duration_each, 1, 0, True))
         for spec, record in zip(specs, records)
     ]
     return outcomes, left

@@ -21,7 +21,12 @@ Design points:
   runs everything as a single chunk.  Every chunk runs the same body with
   one :class:`GroupMemo`, so each (instance, model, seed) realization is
   sampled and its optimum solved once per chunk, whichever path serves
-  the cell.
+  the cell, and the batch path reads its actuals as one float64 row,
+  converted once per chunk however many strategies sweep it.
+* **Outcomes as tuples** — a :class:`CellOutcome` is a ``NamedTuple``
+  (as is the :class:`~repro.analysis.records.ExperimentRecord` it
+  carries), so the batch path builds one per cell with
+  ``tuple.__new__`` and a chunk's outcomes pickle as plain tuples.
 * **Pickle transport** — the parent pickles each chunk once and the
   worker loads it.  Pickle keeps one object per strategy and per
   instance within a chunk, so the worker groups the chunk's packs into
@@ -50,7 +55,9 @@ import threading
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
+
+import numpy as np
 
 from repro.analysis import ratios
 from repro.analysis.records import ExperimentRecord, SkippedCell
@@ -119,8 +126,7 @@ class CellSpec:
         return self.model(self.instance, self.seed)
 
 
-@dataclass(frozen=True)
-class CellOutcome:
+class CellOutcome(NamedTuple):
     """What one cell produced: a record, or a structured skip.
 
     ``attempts`` counts how many tries the cell needed (1 = clean first
@@ -257,6 +263,7 @@ class GroupMemo:
 
     def __init__(self) -> None:
         self.realizations: dict[int, Realization] = {}
+        self.rows: dict[int, np.ndarray] = {}
         self.optima: dict[int, OptimalValue] = {}
         self.placements: dict[tuple[int, int], tuple[Any, Any, Placement | None]] = {}
 
@@ -276,6 +283,19 @@ class GroupMemo:
         if realization is None:
             realization = self.realizations[spec.group] = spec.realization()
         return realization
+
+    def row(self, spec: CellSpec) -> np.ndarray:
+        """The group's actuals as one float64 row, converted on first use.
+
+        Every stack that sweeps the group reads this row, so a
+        realization's tuple becomes an array once, not once per strategy.
+        """
+        row = self.rows.get(spec.group)
+        if row is None:
+            row = self.rows[spec.group] = np.array(
+                self.realization(spec).actuals, dtype=np.float64
+            )
+        return row
 
     def optimum(
         self, spec: CellSpec, solve: Callable[..., OptimalValue]
@@ -459,14 +479,7 @@ def run_cell_resilient(
                     time.sleep(delay)
                 delay *= BACKOFF_FACTOR
             continue
-        return CellOutcome(
-            outcome.index,
-            outcome.record,
-            outcome.skipped,
-            outcome.duration_s,
-            attempts=attempt,
-            timed_out=timeouts,
-        )
+        return outcome._replace(attempts=attempt, timed_out=timeouts)
     tracer.count("grid.cells_quarantined")
     tracer.event(
         "grid.cell_quarantined",

@@ -7,15 +7,18 @@ row format every ``results/*.csv`` artifact is built from — and a
 cannot run on an instance (e.g. a group strategy whose ``k`` does not
 divide ``m``).
 
-Both types are leaf dataclasses of JSON scalars only: picklable (they
+Both types are ``NamedTuple`` classes of JSON scalars only: picklable (they
 cross process boundaries in the parallel backend), losslessly
 JSON-round-trippable (they live in the on-disk cell cache), and cheap to
-construct in hot sweep loops.
+construct in hot sweep loops: :meth:`ExperimentRecord.measured` builds
+its tuple with ``tuple.__new__``, skipping the keyword-argument
+constructor.  A record is read by attribute, :meth:`~ExperimentRecord.as_dict`
+or :meth:`~ExperimentRecord.to_cache_dict`, and copied with ``_replace``;
+like any tuple it also compares equal to a plain tuple of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from repro.analysis.ratios import within_guarantee
@@ -64,8 +67,7 @@ class SkippedCell(NamedTuple):
         }
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
+class ExperimentRecord(NamedTuple):
     """One cell of the grid, flattened for CSV output."""
 
     strategy: str
@@ -99,25 +101,26 @@ class ExperimentRecord:
 
         ``realization`` is the realization's label.  The event kernel
         labels its trace ``"strategy/realization"`` and a record keeps the
-        last path component of that label; the rule lives only here.
+        last path component of that label (the part of ``realization``
+        after its last ``/``); the rule lives only here.
         """
         ratio = makespan / optimum.value
-        return cls(
-            strategy=strategy,
-            instance_name=instance.name,
-            n=instance.n,
-            m=instance.m,
-            alpha=instance.alpha,
-            realization=f"{strategy}/{realization}".split("/")[-1],
-            seed=seed,
-            replication=replication,
-            makespan=makespan,
-            optimum=optimum.value,
-            optimum_exact=optimum.optimal,
-            ratio=ratio,
-            guarantee=guarantee,
-            within_guarantee=within_guarantee(ratio, guarantee, optimum.optimal),
-        )
+        return tuple.__new__(cls, (
+            strategy,
+            instance.name,
+            instance.n,
+            instance.m,
+            instance.alpha,
+            realization.rpartition("/")[2],
+            seed,
+            replication,
+            makespan,
+            optimum.value,
+            optimum.optimal,
+            ratio,
+            guarantee,
+            within_guarantee(ratio, guarantee, optimum.optimal),
+        ))
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -139,39 +142,9 @@ class ExperimentRecord:
 
     def to_cache_dict(self) -> dict[str, Any]:
         """Lossless JSON form (unlike :meth:`as_dict`, ``None`` survives)."""
-        return {
-            "strategy": self.strategy,
-            "instance_name": self.instance_name,
-            "n": self.n,
-            "m": self.m,
-            "alpha": self.alpha,
-            "realization": self.realization,
-            "seed": self.seed,
-            "replication": self.replication,
-            "makespan": self.makespan,
-            "optimum": self.optimum,
-            "optimum_exact": self.optimum_exact,
-            "ratio": self.ratio,
-            "guarantee": self.guarantee,
-            "within_guarantee": self.within_guarantee,
-        }
+        return self._asdict()
 
-    @staticmethod
-    def from_cache_dict(data: dict[str, Any]) -> "ExperimentRecord":
+    @classmethod
+    def from_cache_dict(cls, data: dict[str, Any]) -> "ExperimentRecord":
         """Inverse of :meth:`to_cache_dict`; raises on missing fields."""
-        return ExperimentRecord(
-            strategy=data["strategy"],
-            instance_name=data["instance_name"],
-            n=data["n"],
-            m=data["m"],
-            alpha=data["alpha"],
-            realization=data["realization"],
-            seed=data["seed"],
-            replication=data["replication"],
-            makespan=data["makespan"],
-            optimum=data["optimum"],
-            optimum_exact=data["optimum_exact"],
-            ratio=data["ratio"],
-            guarantee=data["guarantee"],
-            within_guarantee=data["within_guarantee"],
-        )
+        return cls._make(data[name] for name in cls._fields)

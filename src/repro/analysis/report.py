@@ -84,15 +84,25 @@ def _csv_summary(name: str, data: bytes, *, max_preview: int = 3) -> str:
     return "\n".join(lines)
 
 
-def _resolved(store: ArtifactStore) -> list[Artifact]:
-    """CURATED artifacts in registry order, then unknown names alphabetically."""
+def _resolved(store: ArtifactStore, base: str | Path | None) -> list[Artifact]:
+    """CURATED artifacts in registry order, then unknown names alphabetically.
+
+    An unknown name none of whose files is under ``results/`` is retired:
+    its spec was removed (a store written before then still holds it), so
+    it is not rendered, fingerprinted or written back.  An unknown
+    artifact whose files are on disk keeps its section.
+    """
     present = store.names(Stage.CURATED)
+    known = {spec.name for spec in SPECS}
     ordered = [spec.name for spec in SPECS if spec.name in present]
-    ordered += sorted(name for name in present if name not in {s.name for s in SPECS})
+    ordered += sorted(name for name in present if name not in known)
+    d = results_dir(base)
     artifacts = []
     for name in ordered:
         artifact = store.get(Stage.CURATED, name)
-        if artifact is not None:
+        if artifact is None:
+            continue
+        if name in known or any((d / fname).is_file() for fname in artifact.files):
             artifacts.append(artifact)
     return artifacts
 
@@ -129,7 +139,7 @@ def render_report(
     artifact is on disk but absent from (or corrupt in) the store, and
     ``FileNotFoundError`` when the store has nothing to render at all.
     """
-    artifacts = _resolved(store)
+    artifacts = _resolved(store, base)
     by_name = {a.name: a for a in artifacts}
 
     unresolvable = []
@@ -270,7 +280,7 @@ def generate_report(
     payload = text.encode("utf-8")
     if not out.exists() or out.read_bytes() != payload:
         out.write_bytes(payload)
-    artifacts = _resolved(store)
+    artifacts = _resolved(store, base)
     store.put(
         Stage.REPORT,
         "REPORT",

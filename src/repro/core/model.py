@@ -25,6 +25,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro._validation import (
     check_alpha,
@@ -33,6 +34,9 @@ from repro._validation import (
     check_non_negative_int,
     check_positive_float,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["Task", "Instance", "make_instance"]
 
@@ -138,6 +142,15 @@ class Instance:
     def estimates(self) -> tuple[float, ...]:
         """All estimated processing times, in task order (built once)."""
         return tuple(t.estimate for t in self.tasks)
+
+    @cached_property
+    def estimate_array(self) -> np.ndarray:
+        """:attr:`estimates` as a read-only float64 array (built once)."""
+        import numpy as np  # lazily: a model-only import stays numpy-free
+
+        array = np.array(self.estimates, dtype=np.float64)
+        array.flags.writeable = False
+        return array
 
     @property
     def sizes(self) -> tuple[float, ...]:

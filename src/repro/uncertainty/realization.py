@@ -7,7 +7,13 @@ semi-clairvoyant information model of the paper is enforced by the
 simulator, not here.
 
 Realizations validate the multiplicative band (Eq. 1) on construction, so an
-inadmissible adversary is impossible to express by accident.
+inadmissible adversary is impossible to express by accident.  The band is
+checked on a float64 array, in one NumPy pass (:func:`_all_admissible`);
+only an inadmissible realization walks its actuals one by one, to name the
+first bad index in the error.  :func:`factors_realization`, which every
+stochastic model and adversary builds through, multiplies the factors by
+:attr:`Instance.estimate_array <repro.core.model.Instance.estimate_array>`
+and checks that product once, so the actuals are never walked in Python.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro._validation import check_alpha, check_positive_float
 from repro.core.model import BAND_REL_TOL, Instance
@@ -48,8 +56,11 @@ class Realization:
             raise ValueError(
                 f"realization must cover all {inst.n} tasks, got {len(self.actuals)} values"
             )
-        if _all_admissible(inst, self.actuals):
-            return
+        try:
+            if _all_admissible(inst, np.asarray(self.actuals)):
+                return
+        except (TypeError, ValueError, ArithmeticError):
+            pass  # a value that cannot be compared; the loop names it
         # Only to raise: name the first inadmissible actual.
         for j, p in enumerate(self.actuals):
             check_positive_float(p, f"actuals[{j}]")
@@ -101,31 +112,28 @@ class Realization:
         The returned multipliers are *not* clamped: an out-of-band result
         raises, which is the desired behaviour for catching buggy adversaries.
         """
-        inst = self.instance
-        actuals = tuple(
-            inst.tasks[j].estimate * fn(j, self.factor(j)) for j in range(inst.n)
-        )
-        return Realization(inst, actuals, label=label or self.label)
+        factors = [fn(j, self.factor(j)) for j in range(self.instance.n)]
+        return factors_realization(self.instance, factors, label=label or self.label)
 
 
-def _all_admissible(instance: Instance, actuals: Sequence[float]) -> bool:
+def _all_admissible(instance: Instance, actuals: np.ndarray) -> bool:
     """Whether every actual is finite, positive and inside its alpha-band.
 
-    One pass over the expressions :func:`check_positive_float` and
+    One array pass over the expressions :func:`check_positive_float` and
     :meth:`Task.admits <repro.core.model.Task.admits>` evaluate, so it
-    accepts exactly what they accept.  False also when a value cannot be
-    compared; the caller's loop then raises the canonical error.
+    accepts exactly what they accept (IEEE comparisons are false on NaN).
+    The per-element loop in :meth:`Realization.__post_init__` runs only to
+    raise the canonical error for what this refuses.
     """
     a = check_alpha(instance.alpha)
-    slack_lo, slack_hi = 1.0 - BAND_REL_TOL, 1.0 + BAND_REL_TOL
-    inf = math.inf
-    try:
-        for e, p in zip(instance.estimates, actuals):
-            if not (0.0 < p < inf and (e / a) * slack_lo <= p <= (e * a) * slack_hi):
-                return False
-    except (TypeError, ValueError, ArithmeticError):
+    e = instance.estimate_array
+    p = actuals
+    if p.shape != e.shape:
         return False
-    return True
+    ok = (0.0 < p) & (p < math.inf)
+    ok &= (e / a) * (1.0 - BAND_REL_TOL) <= p
+    ok &= p <= (e * a) * (1.0 + BAND_REL_TOL)
+    return bool(ok.all())
 
 
 def truthful_realization(instance: Instance, label: str = "truthful") -> Realization:
@@ -141,11 +149,20 @@ def factors_realization(
     """Build a realization from per-task multiplicative factors.
 
     ``factors[j]`` must lie in ``[1/alpha, alpha]``; the actual time becomes
-    ``estimate[j] * factors[j]``.
+    ``estimate[j] * factors[j]``, one float64 product per task (the same
+    IEEE product as ``t.estimate * float(f)``).  ``factors`` may be any
+    sequence of reals; it is read as one float64 array.
     """
     if len(factors) != instance.n:
         raise ValueError(
             f"factors must cover all {instance.n} tasks, got {len(factors)}"
         )
-    actuals = tuple(t.estimate * float(f) for t, f in zip(instance.tasks, factors))
-    return Realization(instance, actuals, label=label)
+    product = instance.estimate_array * np.asarray(factors, dtype=np.float64)
+    actuals = tuple(product.tolist())
+    if not _all_admissible(instance, product):
+        # Only to raise: the constructor's loop names the first bad index.
+        return Realization(instance, actuals, label=label)
+    # Checked above, so skip the constructor's second check.
+    real = object.__new__(Realization)
+    real.__dict__.update(instance=instance, actuals=actuals, label=label)
+    return real

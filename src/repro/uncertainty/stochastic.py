@@ -56,7 +56,7 @@ def uniform_factors(instance: Instance, seed: int | np.random.Generator | None =
     rng = _rng(seed)
     a = instance.alpha
     factors = rng.uniform(1.0 / a, a, size=instance.n)
-    return factors_realization(instance, factors.tolist(), label="uniform")
+    return factors_realization(instance, factors, label="uniform")
 
 
 def log_uniform_factors(
@@ -68,7 +68,7 @@ def log_uniform_factors(
     factors = np.exp(rng.uniform(-log_a, log_a, size=instance.n)) if log_a > 0 else np.ones(
         instance.n
     )
-    return factors_realization(instance, factors.tolist(), label="log_uniform")
+    return factors_realization(instance, factors, label="log_uniform")
 
 
 def lognormal_factors(
@@ -91,7 +91,7 @@ def lognormal_factors(
     else:
         factors = np.exp(rng.normal(0.0, sigma_frac * log_a, size=instance.n))
         factors = np.clip(factors, 1.0 / a, a)
-    return factors_realization(instance, factors.tolist(), label="lognormal")
+    return factors_realization(instance, factors, label="lognormal")
 
 
 def bimodal_extreme_factors(
@@ -111,7 +111,7 @@ def bimodal_extreme_factors(
     a = instance.alpha
     ups = rng.random(instance.n) < p_up
     factors = np.where(ups, a, 1.0 / a)
-    return factors_realization(instance, factors.tolist(), label="bimodal_extreme")
+    return factors_realization(instance, factors, label="bimodal_extreme")
 
 
 def beta_factors(
@@ -132,7 +132,7 @@ def beta_factors(
     log_alpha = np.log(instance.alpha)
     u = rng.beta(a, b, size=instance.n)
     factors = np.exp(log_alpha * (2.0 * u - 1.0))
-    return factors_realization(instance, factors.tolist(), label=f"beta({a},{b})")
+    return factors_realization(instance, factors, label=f"beta({a},{b})")
 
 
 #: Registry of named stochastic models with default parameters, used by the

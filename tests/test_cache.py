@@ -116,10 +116,8 @@ class TestCellCache:
         cache = CellCache(tmp_path)
         spec = _spec(instance)
         outcome = run_cell(spec)
-        record = dataclasses.replace(
-            outcome.record, guarantee=None, within_guarantee=None
-        )
-        cache.put(spec, dataclasses.replace(outcome, record=record))
+        record = outcome.record._replace(guarantee=None, within_guarantee=None)
+        cache.put(spec, outcome._replace(record=record))
         cached = cache.get(spec).record
         assert cached == record
         assert cached.guarantee is None and cached.within_guarantee is None

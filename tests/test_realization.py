@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.model import make_instance
+from repro.uncertainty import stochastic
 from repro.uncertainty.realization import (
     Realization,
     factors_realization,
     truthful_realization,
 )
+from repro.uncertainty.stochastic import STOCHASTIC_MODELS, sample_realization
 from tests.conftest import factor_vectors, instances
 
 
@@ -108,3 +113,110 @@ class TestProperties:
         for j in range(inst.n):
             lo, hi = inst.tasks[j].bounds(inst.alpha)
             assert lo * (1 - 1e-9) <= real.actual(j) <= hi * (1 + 1e-9)
+
+
+@st.composite
+def _tied_instances(draw: st.DrawFn):
+    """Instances with n = 1 included, alpha = 1 included, and estimates
+    that are often tied integers."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    value = st.one_of(
+        st.sampled_from([1.0, 2.0, 3.0, 7.0]),
+        st.floats(min_value=0.1, max_value=100.0, allow_nan=False),
+    )
+    estimates = draw(st.lists(value, min_size=n, max_size=n))
+    alpha = draw(st.sampled_from([1.0, 1.2, 1.5, 2.0, 3.0]))
+    return make_instance(estimates, draw(st.integers(min_value=1, max_value=4)), alpha)
+
+
+_MODEL_KWARGS = {
+    "uniform": st.just({}),
+    "log_uniform": st.just({}),
+    "lognormal": st.fixed_dictionaries(
+        {}, optional={"sigma_frac": st.floats(min_value=0.05, max_value=5.0)}
+    ),
+    "bimodal_extreme": st.fixed_dictionaries(
+        {}, optional={"p_up": st.floats(min_value=0.0, max_value=1.0)}
+    ),
+    "beta": st.fixed_dictionaries(
+        {},
+        optional={
+            "a": st.floats(min_value=0.2, max_value=8.0),
+            "b": st.floats(min_value=0.2, max_value=8.0),
+        },
+    ),
+}
+
+
+def _hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestFactorsPath:
+    """The array product and band check equal the per-task Python form."""
+
+    def test_every_model_has_parameters_drawn(self):
+        assert set(_MODEL_KWARGS) == set(STOCHASTIC_MODELS)
+
+    @given(
+        _tied_instances(),
+        st.sampled_from(sorted(STOCHASTIC_MODELS)).flatmap(
+            lambda model: st.tuples(st.just(model), _MODEL_KWARGS[model])
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(make_instance([2.0], 1, 1.0), ("log_uniform", {}), 0)
+    @example(make_instance([3.0, 3.0, 1.0], 2, 1.0), ("lognormal", {"sigma_frac": 2.0}), 1)
+    def test_actuals_are_the_per_task_products(self, inst, model_kwargs, seed):
+        model, kwargs = model_kwargs
+        drawn: list[np.ndarray] = []
+
+        def spy(instance, factors, label=""):
+            drawn.append(np.array(factors, dtype=np.float64))
+            return factors_realization(instance, factors, label)
+
+        with mock.patch.object(stochastic, "factors_realization", spy):
+            real = sample_realization(inst, model, seed, **kwargs)
+        (factors,) = drawn
+        reference = [t.estimate * float(f) for t, f in zip(inst.tasks, factors)]
+        assert _hexes(real.actuals) == _hexes(reference)
+        assert all(type(p) is float for p in real.actuals)
+        listed = factors_realization(inst, factors.tolist(), real.label)
+        assert listed == real and listed.label == real.label
+        assert _hexes(listed.actuals) == _hexes(real.actuals)
+
+    @given(_tied_instances(), st.data())
+    def test_a_bad_factor_names_the_first_bad_index(self, inst, data):
+        positions = data.draw(
+            st.lists(st.integers(0, inst.n - 1), min_size=1, max_size=3, unique=True)
+        )
+        kinds = data.draw(
+            st.lists(
+                st.sampled_from(["nan", "inf", "zero", "high", "low"]),
+                min_size=len(positions),
+                max_size=len(positions),
+            )
+        )
+        a = inst.alpha
+        bad = {
+            "nan": math.nan, "inf": math.inf, "zero": 0.0,
+            "high": 2.0 * a, "low": 0.5 / a,
+        }
+        factors = [1.0] * inst.n
+        for j, kind in zip(positions, kinds):
+            factors[j] = bad[kind]
+        j = min(positions)
+        e, p = inst.tasks[j].estimate, inst.tasks[j].estimate * factors[j]
+        expected = {
+            "nan": f"actuals[{j}] must be finite, got nan",
+            "inf": f"actuals[{j}] must be finite, got inf",
+            "zero": f"actuals[{j}] must be > 0, got 0.0",
+        }.get(
+            kinds[positions.index(j)],
+            f"actuals[{j}]={p} violates the alpha-band [{e / a}, {e * a}] "
+            f"of estimate {e} (alpha={a})",
+        )
+        for given_factors in (factors, np.array(factors)):
+            with pytest.raises(ValueError) as info:
+                factors_realization(inst, given_factors)
+            assert str(info.value) == expected

@@ -76,6 +76,26 @@ class TestGenerateReport:
         assert "CUSTOM" in text
         assert text.index("E1 —") < text.index("custom_artifact")
 
+    def test_retired_artifact_with_no_files_is_dropped(self, populated, tmp_path):
+        # A store written before an artifact's spec was removed still holds
+        # it; with none of its files under results/ it renders, checks and
+        # adopts exactly as a fresh store does.
+        _generate(populated, ArtifactStore(tmp_path / "fresh"))
+        expected = (populated / "REPORT.md").read_bytes()
+        before = {p.name: p.stat().st_mtime_ns for p in populated.iterdir()}
+        stale = ArtifactStore(tmp_path / "stale")
+        stale.put(
+            Stage.CURATED,
+            "BENCH_history",
+            kind="bench",
+            payload={"title": "BENCH_history", "volatile": False},
+            files={"BENCH_history.jsonl": b'{"batch_speedup_x": 8.0}\n'},
+        )
+        _generate(populated, stale)
+        assert (populated / "REPORT.md").read_bytes() == expected
+        assert {p.name: p.stat().st_mtime_ns for p in populated.iterdir()} == before
+        assert check_report(populated, store=stale) == []
+
     def test_unadopted_stray_file_is_flagged(self, populated, store):
         (populated / "stray_dropping.svg").write_text("<svg/>")
         text = _generate(populated, store).read_text()
